@@ -32,7 +32,11 @@ from .scenarios import (
     run_scenario,
 )
 from .snapshots import read_ndjson, read_snapshot, snapshot_to_field, write_snapshot
+from .solver import BlowUpError
 from .topology import Tolerances, extract_signature
+
+# failures reported as an "error:" line with exit code 1
+_FAILURES = (ConfigurationError, OSError, ValueError, BlowUpError)
 
 SCENARIO_COMMANDS = {
     "theorem1": "theorem1",
@@ -218,20 +222,27 @@ def cmd_sweep(args) -> int:
 
     def one(item):
         name, cfg = item
-        return name, run_scenario(cfg, root / name)
+        try:
+            return name, run_scenario(cfg, root / name)
+        except _FAILURES as exc:
+            return name, exc
 
     with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
         results = list(pool.map(one, configs))
-    worst = 0
+    failed = mismatch = False
     for name, report in results:
+        if isinstance(report, Exception):
+            print(json.dumps({"run": name, "error": str(report)}))
+            print(f"error: run {name}: {report}", file=sys.stderr)
+            failed = True
+            continue
         print(json.dumps({"run": name, "verdict": report.verdict,
                           "as_expected": report.as_expected}))
-        if not report.as_expected:
-            worst = 2
+        mismatch |= not report.as_expected
     if args.emit_plots:
         for name, _ in results:
             emit_plots(root / name)
-    return worst
+    return 1 if failed else 2 if mismatch else 0
 
 
 PLOT_SCRIPT = """\
@@ -305,7 +316,7 @@ def main(argv=None) -> int:
         if args.command in SCENARIO_COMMANDS:
             return cmd_scenario(args, args.command)
         raise ConfigurationError(f"unknown command {args.command!r}")
-    except (ConfigurationError, OSError, ValueError) as exc:
+    except _FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,7 +28,7 @@ from .fields import (
     sobolev_norm,
     zero_field,
 )
-from .solver import MHDState, advective_cross_term
+from .solver import MHDState, advective_cross_term, forced_time_coefficients
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,9 @@ class ForcedOracle:
 
     def coefficients(self, t: float) -> tuple[float, float]:
         """Time coefficients (c1, c2) of T_nm and T_{N2} in the closed form."""
-        nsq = self.spec_nm.eigenvalue
-        n2sq = self.spec_2.eigenvalue
-        c1 = float(np.exp(-self.eta * nsq * t))
-        c2 = float(-np.expm1(-n2sq * self.eta * t) / (self.eta * n2sq))
-        return c1, c2
+        return forced_time_coefficients(
+            self.eta, self.spec_nm.eigenvalue, self.spec_2.eigenvalue, t
+        )
 
 
 @dataclass(frozen=True)
@@ -228,8 +226,7 @@ def remark2_exact_b(spec_nm: TaylorSpec, eta: float, t: float, grid: TorusGrid) 
     """
     if eta <= 0 or t < 0:
         raise ConfigurationError("remark2_exact_b needs eta > 0 and t >= 0")
-    c1 = float(np.exp(-eta * spec_nm.eigenvalue * t))
-    c2 = float(-np.expm1(-eta * t) / eta)
+    c1, c2 = forced_time_coefficients(eta, spec_nm.eigenvalue, 1.0, t)
     big = make_taylor(spec_nm, 1.0, grid)
     small = make_tilde_t1(grid)
     return SpectralField2D(grid, c1 * big.coeffs + c2 * small.coeffs)

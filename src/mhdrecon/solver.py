@@ -6,12 +6,24 @@ The system
     d_t b + (u . grad) b = (b . grad) u + eta Lap b + f2,
     div u = div b = 0,
 
-is advanced pseudo-spectrally: nonlinear terms are formed on the collocation
-grid with 2/3-rule dealiasing, the pressure is eliminated by Leray projection,
-and the diffusion semigroups exp(-nu |k|^2 t), exp(-eta |k|^2 t) are applied
-exactly through an integrating-factor RK4 step. Forces are evaluated at the
-RK substage times, which keeps the step fourth-order for time-dependent
-forcing.
+is advanced in potential form (Orszag & Tang, JFM 90, 1979). Both fields are
+divergence-free with zero average, so u = grad_perp psi and b = grad_perp a
+with grad_perp = (d_y, -d_x). The state is the vorticity omega = -Lap psi and
+the magnetic potential a, stored on the (M, M/2 + 1) half-spectrum of the
+real FFT, and the equations become
+
+    d_t omega = curl div(b b^T - u u^T) + nu Lap omega + curl f1,
+    d_t a     = u1 b2 - u2 b1 + eta Lap a + psi(f2),
+
+with psi(f2) the stream function of f2. Pressure and the divergence
+constraint never appear, so the step needs no Leray projection and no
+Hermitian symmetrization. Nonlinear terms are formed on the collocation grid
+with 2/3-rule dealiasing, and the diffusion semigroups exp(-nu |k|^2 t),
+exp(-eta |k|^2 t) are applied exactly through an integrating-factor RK4 step.
+Forces are evaluated at the RK substage times, which keeps the step
+fourth-order for time-dependent forcing. MHDState keeps the full-complex
+vector fields (u, b); they are rebuilt from the potentials, by Hermitian
+extension, only when a state is handed out.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft as sfft
 
 from .fields import (
     ConfigurationError,
@@ -28,8 +41,9 @@ from .fields import (
     TorusGrid,
     make_taylor,
     make_tilde_t1,
-    project_coeffs,
 )
+# Not called here: bench/tracer.py looks the projection up as solver.project_coeffs.
+from .fields import project_coeffs  # noqa: F401
 
 
 class BlowUpError(RuntimeError):
@@ -143,17 +157,129 @@ def advective_cross_term(a: SpectralField2D, b: SpectralField2D) -> np.ndarray:
     return out
 
 
-class _Forcing:
-    """Evaluates f1(t), f2(t) as coefficient arrays for a concrete grid."""
+def forced_time_coefficients(eta: float, nsq: float, n2sq: float, t: float) -> tuple[float, float]:
+    """(c1, c2) = (e^{-eta N^2 t}, (1 - e^{-eta N2^2 t}) / (eta N2^2)).
 
-    def __init__(self, spec: ForcingSpec, grid: TorusGrid, eta: float):
-        self.spec = spec
+    The time coefficients of the two modes in the closed-form forced field
+    b(t) = c1 T_nm + c2 T_{N2}, with nsq = N^2 and n2sq = N2^2.
+    """
+    c1 = float(np.exp(-eta * nsq * t))
+    c2 = float(-np.expm1(-n2sq * eta * t) / (eta * n2sq))
+    return c1, c2
+
+
+class _HalfSpectrum:
+    """The state space of the solver: (omega, a) on the rfft2 half-spectrum.
+
+    Arrays have shape (2, M, M/2 + 1): wavenumbers k1 in FFT order along the
+    first grid axis and k2 = 0 .. M/2 along the second. The reality of the
+    fields is implicit in the real transforms, so no Hermitian symmetry has
+    to be kept up.
+    """
+
+    def __init__(self, grid: TorusGrid, dealias: bool):
+        m = grid.resolution
+        half = m // 2 + 1
         self.grid = grid
+        self.k1 = grid.k1[:, :half].astype(np.float64)
+        self.k2 = grid.k2[:, :half].astype(np.float64)
+        self.ksq = grid.ksq[:, :half]
+        self.inv_ksq = grid.inv_ksq[:, :half]
+        # grad_perp = (d_y, -d_x) in spectral form
+        self.perp = np.stack([1j * self.k2, -1j * self.k1])
+        # the Nyquist lines have no consistent real odd derivative; drop them
+        # on conversion, and from every nonlinear tendency together with k = 0
+        regular = ~grid.nyquist_mask[:, :half]
+        self.regular = regular.astype(np.float64)
+        keep = (grid.dealias_mask[:, :half] if dealias else regular) & (self.ksq > 0)
+        self.keep = keep = keep.astype(np.float64)
+        self.strain = keep * (self.k1 * self.k2)
+        self.shear = keep * (self.k1**2 - self.k2**2)
+        self.conj = grid.conj_index
+        # work arrays, reused by every call: allocating arrays of this size
+        # afresh faults their pages in again each time, about a third of the
+        # RHS time at M = 128
+        self._spec = np.empty((4, m, half), dtype=np.complex128)
+        self._prod = np.empty((3, m, m))
+        self._tmp = np.empty((m, m))
+        self.stages = np.empty((5, 2, m, half), dtype=np.complex128)
+
+    def curl(self, coeffs: np.ndarray) -> np.ndarray:
+        """i (k1 c2 - k2 c1) of a full-complex vector field, on the half-spectrum."""
+        half = self.k1.shape[1]
+        return 1j * (self.k1 * coeffs[1, :, :half] - self.k2 * coeffs[0, :, :half]) * self.regular
+
+    def from_fields(self, u: SpectralField2D, b: SpectralField2D) -> np.ndarray:
+        """(omega, a) of a state; Nyquist-line and gradient content is dropped."""
+        z = np.empty((2, *self.ksq.shape), dtype=np.complex128)
+        z[0] = self.curl(u.coeffs)
+        z[1] = self.curl(b.coeffs) * self.inv_ksq
+        return z
+
+    def full(self, half: np.ndarray) -> np.ndarray:
+        """Full-complex coefficients from a half-spectrum by Hermitian extension."""
+        m = self.grid.resolution
+        n = m // 2
+        out = np.empty((*half.shape[:-1], m), dtype=np.complex128)
+        out[..., : n + 1] = half
+        out[..., n + 1 :] = np.conj(half[..., self.conj, n - 1 : 0 : -1])
+        for j in (0, n):  # the self-conjugate columns k2 = 0 and k2 = M/2
+            col = half[..., j]
+            out[..., j] = 0.5 * (col + np.conj(col[..., self.conj]))
+        return out
+
+    def to_state(self, z: np.ndarray, t: float) -> MHDState:
+        """The vector view (u, b) = (grad_perp psi, grad_perp a) of (omega, a)."""
+        g = self.grid
+        u = SpectralField2D(g, self.full(self.perp * (z[0] * self.inv_ksq)))
+        b = SpectralField2D(g, self.full(self.perp * z[1]))
+        return MHDState(u, b, t)
+
+    def rhs(self, z: np.ndarray, out: np.ndarray) -> float:
+        """Nonlinear tendencies of (omega, a) into out, diffusion-free; returns max grid |u|.
+
+        With S = u u^T - b b^T and w = u1 b2 - u2 b1, the curl of
+        -div S is k1 k2 (S22 - S11) + (k1^2 - k2^2) S12 and the induction
+        term curl(u x b) = grad_perp w has the potential w.
+        """
+        m = self.grid.resolution
+        c, prod, tmp = self._spec, self._prod, self._tmp
+        np.multiply(z[0], self.inv_ksq, out=c[1])  # psi
+        np.multiply(self.perp[0], c[1], out=c[0])
+        np.multiply(self.perp[1], c[1], out=c[1])
+        np.multiply(self.perp, z[1], out=c[2:])
+        u1, u2, b1, b2 = sfft.irfft2(c, s=(m, m), axes=(-2, -1), norm="forward", overwrite_x=True)
+        umax = max(float(np.max(np.abs(u1))), float(np.max(np.abs(u2))))
+        np.multiply(u2, u2, out=prod[0])
+        prod[0] -= np.multiply(b2, b2, out=tmp)
+        prod[0] -= np.multiply(u1, u1, out=tmp)
+        prod[0] += np.multiply(b1, b1, out=tmp)
+        np.multiply(u1, u2, out=prod[1])
+        prod[1] -= np.multiply(b1, b2, out=tmp)
+        np.multiply(u1, b2, out=prod[2])
+        prod[2] -= np.multiply(u2, b1, out=tmp)
+        s = sfft.rfft2(prod, axes=(-2, -1), norm="forward", overwrite_x=True)
+        np.multiply(self.strain, s[0], out=out[0])
+        out[0] += np.multiply(self.shear, s[1], out=s[1])
+        np.multiply(self.keep, s[2], out=out[1])
+        return umax
+
+
+class _Forcing:
+    """f1(t), f2(t) as (curl f1, stream function of f2) on the half-spectrum.
+
+    Only the curl of f1 acts on the vorticity (the pressure absorbs the
+    rest), and only the stream function of f2 on the magnetic potential.
+    """
+
+    def __init__(self, spec: ForcingSpec, half: _HalfSpectrum, eta: float):
+        grid = half.grid
         self.eta = eta
-        self._f2_static: np.ndarray | None = None
+        self._static: np.ndarray | None = None
         self._cross: np.ndarray | None = None
-        self._f1_static: np.ndarray | None = None
         self._nsq = self._n2sq = 0.0
+        fu = np.zeros((2, *grid.shape), dtype=np.complex128)
+        fb = np.zeros_like(fu)
         kind = spec.kind
         if kind in ("theorem2", "remark2"):
             if eta <= 0:
@@ -166,13 +292,9 @@ class _Forcing:
                 small = make_tilde_t1(grid)
                 self._n2sq = 1.0
             self._nsq = float(spec.spec_nm.eigenvalue)
-            self._f2_static = small.coeffs.copy()
-            # Only the solenoidal part of f1 acts on u (pressure absorbs the
-            # rest); feeding stages the projected force keeps them clean.
-            self._cross = project_coeffs(advective_cross_term(big, small), grid)
+            fb += small.coeffs
+            self._cross = half.curl(advective_cross_term(big, small))
         elif kind == "custom":
-            fu = np.zeros((2, *grid.shape), dtype=np.complex128)
-            fb = np.zeros_like(fu)
             for target, tspec, amp in spec.custom:
                 f = (
                     make_tilde_t1(grid, amp)
@@ -185,132 +307,85 @@ class _Forcing:
                     fb += f.coeffs
                 else:
                     raise ConfigurationError(f"custom forcing target must be u or b, got {target!r}")
-            self._f1_static = fu if np.any(fu) else None
-            self._f2_static = fb if np.any(fb) else None
+        if np.any(fu) or np.any(fb):
+            self._static = np.stack([half.curl(fu), half.curl(fb) * half.inv_ksq])
 
-    def coefficients(self, t: float) -> tuple[float, float]:
-        """Time coefficients (c1, c2) of the two modes in the closed-form field."""
-        c1 = float(np.exp(-self.eta * self._nsq * t))
-        c2 = float(-np.expm1(-self._n2sq * self.eta * t) / (self.eta * self._n2sq))
-        return c1, c2
-
-    def f1(self, t: float) -> np.ndarray | None:
+    def add_to(self, out: np.ndarray, t: float) -> None:
+        """Add (curl f1(t), psi(f2(t))) to the tendencies out."""
+        if self._static is not None:
+            out += self._static
         if self._cross is not None:
-            c1, c2 = self.coefficients(t)
-            return (-c1 * c2) * self._cross
-        return self._f1_static
-
-    def f2(self, t: float) -> np.ndarray | None:
-        return self._f2_static
-
-
-def build_forcing(spec: ForcingSpec, grid: TorusGrid, eta: float) -> _Forcing:
-    return _Forcing(spec, grid, eta)
-
-
-def _rhs_arrays(uc, bc, grid: TorusGrid, dealias: bool):
-    """Nonlinear tendencies (Leray-projected, diffusion-free) plus max grid |u|.
-
-    Returns coefficient arrays for -P[(u.grad)u - (b.grad)b] and
-    -P[(u.grad)b - (b.grad)u]. The products are formed on the grid in
-    conservative form, div(b x b - u x u) and div(u x b - b x u); for
-    spectrally divergence-free fields under the 2/3 mask this coincides with
-    the advective form while needing half the transforms.
-    """
-    k1, k2 = grid.k1, grid.k2
-    ug = grid.to_grid(uc)
-    bg = grid.to_grid(bc)
-    umax = float(np.max(np.abs(ug))) if ug.size else 0.0
-
-    s11 = grid.from_grid(ug[0] * ug[0] - bg[0] * bg[0])
-    s12 = grid.from_grid(ug[0] * ug[1] - bg[0] * bg[1])
-    s22 = grid.from_grid(ug[1] * ug[1] - bg[1] * bg[1])
-    w = grid.from_grid(ug[0] * bg[1] - ug[1] * bg[0])
-    if dealias:
-        mask = grid.dealias_mask
-        s11 *= mask
-        s12 *= mask
-        s22 *= mask
-        w *= mask
-
-    du = np.empty_like(uc)
-    du[0] = -1j * (k1 * s11 + k2 * s12)
-    du[1] = -1j * (k1 * s12 + k2 * s22)
-    db = np.empty_like(bc)
-    db[0] = 1j * k2 * w
-    db[1] = -1j * k1 * w
-    du = project_coeffs(du, grid)
-    db = project_coeffs(db, grid)
-    return du, db, umax
+            c1, c2 = forced_time_coefficients(self.eta, self._nsq, self._n2sq, t)
+            out[0] += (-c1 * c2) * self._cross
 
 
 def nonlinear_rhs(state: MHDState, dealias: bool = True) -> tuple[SpectralField2D, SpectralField2D]:
     """Nonlinear spectral tendencies of (u, b); diffusion and forcing excluded."""
-    g = state.u.grid
-    du, db, _ = _rhs_arrays(state.u.coeffs, state.b.coeffs, g, dealias)
-    return SpectralField2D(g, du), SpectralField2D(g, db)
+    half = _HalfSpectrum(state.u.grid, dealias)
+    dz = half.stages[0]
+    half.rhs(half.from_fields(state.u, state.b), dz)
+    view = half.to_state(dz, state.t)
+    return view.u, view.b
 
 
-def _step_arrays(uc, bc, t: float, h: float, cfg: SimConfig, forcing: _Forcing, exps):
-    """One integrating-factor RK4 step on raw coefficient arrays."""
-    g = cfg.grid
-    eu_f, eu_h, eb_f, eb_h = exps
+def _exp_factors(cfg: SimConfig, half: _HalfSpectrum, h: float):
+    """Integrating factors of (omega, a) over a full and a half step of size h."""
+    visc = np.stack([cfg.nu * half.ksq, cfg.eta * half.ksq])
+    return np.exp(-visc * h), np.exp(-visc * (0.5 * h))
 
-    def rhs(uu, bb, tt):
-        du, db, umax = _rhs_arrays(uu, bb, g, cfg.dealias)
-        f1 = forcing.f1(tt)
-        f2 = forcing.f2(tt)
-        if f1 is not None:
-            du = du + f1
-        if f2 is not None:
-            db = db + f2
-        return du, db, umax
 
-    n1u, n1b, umax = rhs(uc, bc, t)
-    cfl = h * umax * g.resolution / (2.0 * np.pi)
+def _step(z, t: float, h: float, half: _HalfSpectrum, forcing: _Forcing, exps) -> np.ndarray:
+    """One integrating-factor RK4 step of (omega, a); z itself is left as it is."""
+    e_f, e_h = exps
+    n1, n2, n3, n4, zs = half.stages
+
+    def rhs(zz, tt, out):
+        umax = half.rhs(zz, out)
+        forcing.add_to(out, tt)
+        return umax
+
+    umax = rhs(z, t, n1)
+    cfl = h * umax * half.grid.resolution / (2.0 * np.pi)
     if cfl >= 0.5:
         warnings.warn(
             f"CFL number {cfl:.2f} >= 0.5; the time step under-resolves advection",
             RuntimeWarning,
             stacklevel=3,
         )
-    u1 = eu_h * (uc + 0.5 * h * n1u)
-    b1 = eb_h * (bc + 0.5 * h * n1b)
-    n2u, n2b, _ = rhs(u1, b1, t + 0.5 * h)
-    u2 = eu_h * uc + 0.5 * h * n2u
-    b2 = eb_h * bc + 0.5 * h * n2b
-    n3u, n3b, _ = rhs(u2, b2, t + 0.5 * h)
-    u3 = eu_f * uc + h * eu_h * n3u
-    b3 = eb_f * bc + h * eb_h * n3b
-    n4u, n4b, _ = rhs(u3, b3, t + h)
-
-    un = eu_f * uc + (h / 6.0) * (eu_f * n1u + 2.0 * eu_h * (n2u + n3u) + n4u)
-    bn = eb_f * bc + (h / 6.0) * (eb_f * n1b + 2.0 * eb_h * (n2b + n3b) + n4b)
-
-    un = g.hermitianize(project_coeffs(un, g))
-    bn = g.hermitianize(project_coeffs(bn, g))
-    if not (np.all(np.isfinite(un)) and np.all(np.isfinite(bn))):
+    # the stage states e_h (z + h/2 n1), e_h z + h/2 n2 and e_f z + h e_h n3
+    np.multiply(n1, 0.5 * h, out=zs)
+    zs += z
+    zs *= e_h
+    rhs(zs, t + 0.5 * h, n2)
+    np.multiply(n2, 0.5 * h, out=zs)
+    zs += e_h * z
+    rhs(zs, t + 0.5 * h, n3)
+    np.multiply(e_h, n3, out=zs)
+    zs *= h
+    zs += e_f * z
+    rhs(zs, t + h, n4)
+    # z_new = e_f z + h/6 (e_f n1 + 2 e_h (n2 + n3) + n4)
+    n2 += n3
+    n2 *= e_h
+    n2 *= 2.0
+    n1 *= e_f
+    n1 += n2
+    n1 += n4
+    n1 *= h / 6.0
+    zn = e_f * z
+    zn += n1
+    if not np.all(np.isfinite(zn)):
         raise BlowUpError(t + h)
-    return un, bn
-
-
-def _exp_factors(cfg: SimConfig, h: float):
-    ksq = cfg.grid.ksq
-    return (
-        np.exp(-cfg.nu * ksq * h),
-        np.exp(-cfg.nu * ksq * (0.5 * h)),
-        np.exp(-cfg.eta * ksq * h),
-        np.exp(-cfg.eta * ksq * (0.5 * h)),
-    )
+    return zn
 
 
 def step(state: MHDState, cfg: SimConfig) -> MHDState:
     """Advance one time step of size cfg.dt; diffusion is handled exactly."""
-    forcing = build_forcing(cfg.forcing, cfg.grid, cfg.eta)
-    exps = _exp_factors(cfg, cfg.dt)
-    un, bn = _step_arrays(state.u.coeffs, state.b.coeffs, state.t, cfg.dt, cfg, forcing, exps)
-    g = cfg.grid
-    return MHDState(SpectralField2D(g, un), SpectralField2D(g, bn), state.t + cfg.dt)
+    half = _HalfSpectrum(cfg.grid, cfg.dealias)
+    forcing = _Forcing(cfg.forcing, half, cfg.eta)
+    z = _step(half.from_fields(state.u, state.b), state.t, cfg.dt, half, forcing,
+              _exp_factors(cfg, half, cfg.dt))
+    return half.to_state(z, state.t + cfg.dt)
 
 
 def simulate(cfg: SimConfig, initial: MHDState, sinks=()) -> MHDState:
@@ -321,43 +396,41 @@ def simulate(cfg: SimConfig, initial: MHDState, sinks=()) -> MHDState:
     cfg.output_cadence-th step, and the final state. On blow-up the last good
     state is flushed before the error propagates.
     """
-    g = cfg.grid
-    uc = initial.u.coeffs.copy()
-    bc = initial.b.coeffs.copy()
     t0 = initial.t
     total = cfg.t_end - t0
     if total < 0:
         raise ConfigurationError("initial state is already past t_end")
 
-    def emit(t):
-        state = MHDState(SpectralField2D(g, uc.copy()), SpectralField2D(g, bc.copy()), t)
+    def emit(state):
         for sink in sinks:
             sink(state)
         return state
 
-    emit(t0)
+    emit(initial)
     if total == 0:
-        return MHDState(initial.u, initial.b, t0)
+        return initial
 
-    forcing = build_forcing(cfg.forcing, g, cfg.eta)
+    half = _HalfSpectrum(cfg.grid, cfg.dealias)
+    forcing = _Forcing(cfg.forcing, half, cfg.eta)
+    z = half.from_fields(initial.u, initial.b)
     n_full = int(np.floor(total / cfg.dt + 1e-9))
     leftover = total - n_full * cfg.dt
     if leftover < 1e-12 * max(1.0, abs(cfg.t_end)):
         leftover = 0.0
-    exps = _exp_factors(cfg, cfg.dt)
+    exps = _exp_factors(cfg, half, cfg.dt)
     t = t0
     try:
         for i in range(n_full):
-            uc, bc = _step_arrays(uc, bc, t, cfg.dt, cfg, forcing, exps)
+            z = _step(z, t, cfg.dt, half, forcing, exps)
             t = t0 + (i + 1) * cfg.dt
             if (i + 1) % cfg.output_cadence == 0 and not (i + 1 == n_full and leftover == 0.0):
-                emit(t)
+                emit(half.to_state(z, t))
         if leftover > 0.0:
-            uc, bc = _step_arrays(uc, bc, t, leftover, cfg, forcing, _exp_factors(cfg, leftover))
+            z = _step(z, t, leftover, half, forcing, _exp_factors(cfg, half, leftover))
     except BlowUpError:
-        emit(t)  # flush the last good state before propagating
+        emit(half.to_state(z, t))  # flush the last good state before propagating
         raise
-    return emit(cfg.t_end)
+    return emit(half.to_state(z, cfg.t_end))
 
 
 def heat_propagate(f: SpectralField2D, eta: float, t: float) -> SpectralField2D:

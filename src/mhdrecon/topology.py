@@ -147,16 +147,8 @@ def _sign_change_seeds(f: SpectralField2D, seed_resolution: int | None) -> np.nd
     if grid is f.grid:
         vals = f.to_grid()
     else:
-        vals = np.stack(
-            [
-                FieldEvaluator(f).values(
-                    np.stack(np.meshgrid(grid.nodes, grid.nodes, indexing="ij"), axis=-1).reshape(
-                        -1, 2
-                    )
-                )[:, i].reshape(grid.shape)
-                for i in range(2)
-            ]
-        )
+        lattice = np.stack(np.meshgrid(grid.nodes, grid.nodes, indexing="ij"), axis=-1)
+        vals = FieldEvaluator(f).values(lattice.reshape(-1, 2)).T.reshape(2, *grid.shape)
     mask = np.zeros(grid.shape, dtype=bool)
     for comp in vals:
         corners = np.stack(
@@ -323,25 +315,30 @@ def trace_integral_line(
     if np.linalg.norm(v) < stop_tol:
         raise ConfigurationError("integral-line seed lies at a critical point")
 
-    def direction(pts):
-        vals = evaluator.values(pts)
+    def unit(vals):
         norms = np.linalg.norm(vals, axis=-1, keepdims=True)
         return vals / np.maximum(norms, 1e-300)
+
+    def direction(pts):
+        return unit(evaluator.values(pts))
 
     n_steps = int(np.ceil(arclen / h))
     line = np.empty((n_steps + 1, 2))
     line[0] = wrap(x[0])
     count = 1
-    for _ in range(n_steps):
-        if np.linalg.norm(evaluator.values(x)) < stop_tol:
+    for i in range(n_steps):
+        # v, the field at x, serves both the stall test and the first stage
+        if np.linalg.norm(v) < stop_tol:
             break
-        k1 = direction(x)
+        k1 = unit(v)
         k2 = direction(x + 0.5 * h * k1)
         k3 = direction(x + 0.5 * h * k2)
         k4 = direction(x + h * k3)
         x = wrap(x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
         line[count] = x[0]
         count += 1
+        if i + 1 < n_steps:
+            v = evaluator.values(x)
     return line[:count]
 
 

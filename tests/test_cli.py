@@ -150,6 +150,45 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(path)]) == 1
 
 
+# Ideal, undamped and stepped far beyond the CFL limit: the roundoff-level
+# velocity around the steady Taylor datum grows until it is non-finite at t = 40.
+BLOW_UP = {"scenario": "custom", "nu": 0.0, "eta": 0.0, "resolution": 16, "dt": 5.0,
+           "t_end": 200.0, "n": 2, "m": 1}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestBlowUp:
+    def test_simulate_reports_error_and_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "blow.json"
+        path.write_text(json.dumps(BLOW_UP))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: non-finite spectral coefficient at t = ")
+
+    def test_sweep_reports_blow_up_and_finishes_other_runs(self, tmp_path, capsys):
+        sweep = {
+            "runs": [
+                {"name": "blows", **BLOW_UP},
+                {"name": "fine", "scenario": "custom", "resolution": 32, "dt": 2e-3,
+                 "t_end": 0.05, "output_cadence": 10},
+            ]
+        }
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(sweep))
+        out_dir = tmp_path / "sweepout"
+        code = main(["sweep", "--config", str(path), "--out", str(out_dir), "--threads", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        lines = [json.loads(line) for line in captured.out.strip().split("\n")]
+        assert lines[0]["run"] == "blows"
+        assert lines[0]["error"].startswith("non-finite spectral coefficient at t = ")
+        assert lines[1] == {"run": "fine", "verdict": "completed", "as_expected": True}
+        assert captured.err.strip() == f"error: run blows: {lines[0]['error']}"
+        assert (out_dir / "fine" / "report.json").exists()
+
+
 class TestOutDirDefault:
     def test_env_var_controls_root(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MHD_OUT_DIR", str(tmp_path / "root"))

@@ -271,3 +271,105 @@ class TestForcingSpec:
         # linear response: u(t) = 2 (1 - e^{-nu t}) / nu * tilde T1
         expected = 2.0 * -np.expm1(-NU * 0.05) / NU * l2_norm(make_tilde_t1(grid32))
         assert l2_norm(out.u) == pytest.approx(expected, rel=1e-8)
+
+
+def _vector_rhs(uc, bc, grid, dealias):
+    """Leray-projected nonlinear tendencies of (u, b), formed in vector form."""
+    k1, k2 = grid.k1, grid.k2
+    ug, bg = grid.to_grid(uc), grid.to_grid(bc)
+    mask = grid.dealias_mask if dealias else 1.0
+    s11 = grid.from_grid(ug[0] * ug[0] - bg[0] * bg[0]) * mask
+    s12 = grid.from_grid(ug[0] * ug[1] - bg[0] * bg[1]) * mask
+    s22 = grid.from_grid(ug[1] * ug[1] - bg[1] * bg[1]) * mask
+    w = grid.from_grid(ug[0] * bg[1] - ug[1] * bg[0]) * mask
+    du = np.stack([-1j * (k1 * s11 + k2 * s12), -1j * (k1 * s12 + k2 * s22)])
+    db = np.stack([1j * k2 * w, -1j * k1 * w])
+    return project_coeffs(du, grid), project_coeffs(db, grid)
+
+
+def _vector_simulate(cfg, uc, bc, n_steps):
+    """Unforced integrating-factor RK4 on the vector fields (u, b)."""
+    g, h = cfg.grid, cfg.dt
+    eu_f, eu_h = np.exp(-cfg.nu * g.ksq * h), np.exp(-cfg.nu * g.ksq * 0.5 * h)
+    eb_f, eb_h = np.exp(-cfg.eta * g.ksq * h), np.exp(-cfg.eta * g.ksq * 0.5 * h)
+    for _ in range(n_steps):
+        n1u, n1b = _vector_rhs(uc, bc, g, cfg.dealias)
+        n2u, n2b = _vector_rhs(eu_h * (uc + 0.5 * h * n1u), eb_h * (bc + 0.5 * h * n1b),
+                               g, cfg.dealias)
+        n3u, n3b = _vector_rhs(eu_h * uc + 0.5 * h * n2u, eb_h * bc + 0.5 * h * n2b,
+                               g, cfg.dealias)
+        n4u, n4b = _vector_rhs(eu_f * uc + h * eu_h * n3u, eb_f * bc + h * eb_h * n3b,
+                               g, cfg.dealias)
+        uc = eu_f * uc + (h / 6.0) * (eu_f * n1u + 2.0 * eu_h * (n2u + n3u) + n4u)
+        bc = eb_f * bc + (h / 6.0) * (eb_f * n1b + 2.0 * eb_h * (n2b + n3b) + n4b)
+    return uc, bc
+
+
+def _rel_max(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestPotentialFormCore:
+    """The (omega, a) half-spectrum core against the vector form it replaces."""
+
+    @pytest.fixture(params=[(32, True), (32, False), (64, True), (64, False)],
+                    ids=["M32-dealias", "M32-raw", "M64-dealias", "M64-raw"])
+    def case(self, request):
+        m, dealias = request.param
+        grid = TorusGrid(m)
+        u0, b0 = (random_divergence_free(grid, m // 4, seed=m + i) for i in (1, 2))
+        # unit max norm: well inside the CFL limit, with energy up to k = M/4
+        u0, b0 = (f * (1.0 / np.abs(f.to_grid()).max()) for f in (u0, b0))
+        cfg = SimConfig(nu=0.05, eta=0.02, grid=grid, dt=1e-3, t_end=0.02,
+                        dealias=dealias, output_cadence=5)
+        return cfg, MHDState(u0, b0, 0.0)
+
+    def test_nonlinear_rhs_matches_vector_form(self, case):
+        cfg, st = case
+        du, db = nonlinear_rhs(st, dealias=cfg.dealias)
+        ref_u, ref_b = _vector_rhs(st.u.coeffs, st.b.coeffs, cfg.grid, cfg.dealias)
+        assert _rel_max(du.coeffs, ref_u) < 1e-12
+        assert _rel_max(db.coeffs, ref_b) < 1e-12
+
+    def test_twenty_steps_match_vector_form(self, case):
+        cfg, st = case
+        out = simulate(cfg, st)
+        ref_u, ref_b = _vector_simulate(cfg, st.u.coeffs, st.b.coeffs, 20)
+        assert out.t == pytest.approx(0.02)
+        assert _rel_max(out.u.coeffs, ref_u) < 1e-12
+        assert _rel_max(out.b.coeffs, ref_b) < 1e-12
+
+    def test_every_emitted_state_is_valid(self, case):
+        cfg, st = case
+        seen = []
+        simulate(cfg, st, sinks=[seen.append])
+        assert [s.t for s in seen] == pytest.approx([0.0, 0.005, 0.01, 0.015, 0.02])
+        for s in seen:
+            s.u.validate()
+            s.b.validate()
+            for c in (s.u.coeffs, s.b.coeffs):
+                assert np.array_equal(c, cfg.grid.hermitianize(c))  # exactly real
+
+    def test_step_equals_one_step_of_simulate(self, case):
+        cfg, st = case
+        one = SimConfig(nu=cfg.nu, eta=cfg.eta, grid=cfg.grid, dt=cfg.dt, t_end=cfg.dt,
+                        dealias=cfg.dealias)
+        a, b = step(st, cfg), simulate(one, st)
+        assert a.t == b.t == cfg.dt
+        assert np.array_equal(a.u.coeffs, b.u.coeffs)
+        assert np.array_equal(a.b.coeffs, b.b.coeffs)
+
+    def test_nyquist_content_removed_after_first_step(self, grid32):
+        ny = grid32.resolution // 2
+        u0 = 0.3 * make_taylor(TaylorSpec(2, 1), 1.0, grid32)
+        b = make_taylor(TaylorSpec(1, 1), 1.0, grid32).coeffs.copy()
+        # a real, divergence-free mode cos(M/2 y) e_x on the Nyquist line k2 = M/2
+        b[0, 0, ny] = 0.1
+        b0 = SpectralField2D(grid32, b)
+        b0.validate()
+        cfg = SimConfig(nu=NU, eta=ETA, grid=grid32, dt=1e-3, t_end=1.0)
+        out = step(MHDState(u0, b0, 0.0), cfg)
+        for f in (out.u, out.b):
+            assert np.all(f.coeffs[:, grid32.nyquist_mask] == 0.0)
+            f.validate()
+        assert l2_norm(out.b) > 0.9 * l2_norm(make_taylor(TaylorSpec(1, 1), 1.0, grid32))

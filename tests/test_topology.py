@@ -11,6 +11,7 @@ import pytest
 
 from mhdrecon.fields import (
     ConfigurationError,
+    FieldEvaluator,
     ScalarEvaluator,
     SpectralField2D,
     TaylorSpec,
@@ -36,10 +37,13 @@ from mhdrecon.topology import (
     is_structurally_stable,
     polyline_arclength,
     signatures_equivalent,
+    sup_field_and_gradient,
     torus_distance,
     trace_integral_line,
     verify_frozen_in,
+    wrap,
 )
+from mhdrecon.topology import _sign_change_seeds
 
 from .conftest import random_divergence_free
 
@@ -165,6 +169,75 @@ class TestTraceIntegralLine:
     def test_seed_at_critical_point_rejected(self, grid64):
         with pytest.raises(ConfigurationError):
             trace_integral_line(make_tilde_t1(grid64), [0.0, 0.0], arclen=1.0)
+
+
+@pytest.fixture
+def values_calls(monkeypatch):
+    """Counts FieldEvaluator.values calls made while a test runs."""
+    calls = []
+    original = FieldEvaluator.values
+
+    def counting(self, pts):
+        calls.append(len(pts))
+        return original(self, pts)
+
+    monkeypatch.setattr(FieldEvaluator, "values", counting)
+    return calls
+
+
+def _trace_with_stall_evaluation(f, x0, arclen, tol=Tolerances()):
+    """Integral-line RK4 that evaluates the field once more per step for the
+    stall test: the polyline trace_integral_line must reproduce bit for bit."""
+    h = tol.trace_step
+    evaluator = FieldEvaluator(f)
+    sup_f, sup_grad = sup_field_and_gradient(f)
+    stop_tol = tol.stop_tol_factor * (sup_f + sup_grad)
+
+    def direction(pts):
+        vals = evaluator.values(pts)
+        return vals / np.maximum(np.linalg.norm(vals, axis=-1, keepdims=True), 1e-300)
+
+    x = np.atleast_2d(np.asarray(x0, dtype=np.float64)).copy()
+    line = [wrap(x[0])]
+    for _ in range(int(np.ceil(arclen / h))):
+        if np.linalg.norm(evaluator.values(x)) < stop_tol:
+            break
+        k1 = direction(x)
+        k2 = direction(x + 0.5 * h * k1)
+        k3 = direction(x + 0.5 * h * k2)
+        k4 = direction(x + h * k3)
+        x = wrap(x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        line.append(x[0])
+    return np.array(line)
+
+
+class TestEvaluationCounts:
+    @pytest.mark.parametrize("seed", [[1.3, 0.4], [0.01, np.pi / 2]])
+    def test_trace_makes_four_evaluations_per_step(self, grid64, values_calls, seed):
+        f = make_taylor(TaylorSpec(1, 1), 1.0, grid64) + 0.01 * make_tilde_t1(grid64)
+        expected = _trace_with_stall_evaluation(f, seed, arclen=3.0)
+        values_calls.clear()
+        line = trace_integral_line(f, seed, arclen=3.0)
+        assert np.array_equal(line, expected)
+        assert len(values_calls) == 4 * (len(line) - 1)
+
+    def test_seeding_lattice_evaluated_once(self, grid64, values_calls):
+        f = make_taylor(TaylorSpec(3, 2), 1.0, grid64) + 1e-3 * make_tilde_t1(grid64)
+        lattice = TorusGrid(48)
+        pts = np.stack(np.meshgrid(lattice.nodes, lattice.nodes, indexing="ij"), axis=-1)
+        vals = FieldEvaluator(f).values(pts.reshape(-1, 2)).reshape(*lattice.shape, 2)
+        mask = np.zeros(lattice.shape, dtype=bool)
+        for comp in np.moveaxis(vals, -1, 0):
+            corners = np.stack([comp, np.roll(comp, -1, 0), np.roll(comp, -1, 1),
+                                np.roll(np.roll(comp, -1, 0), -1, 1)])
+            mask |= (corners.min(axis=0) <= 0.0) & (corners.max(axis=0) >= 0.0)
+        ii, jj = np.nonzero(mask)
+        h = lattice.spacing
+        expected = np.stack([lattice.nodes[ii] + 0.5 * h, lattice.nodes[jj] + 0.5 * h], axis=-1)
+        values_calls.clear()
+        seeds = _sign_change_seeds(f, 48)
+        assert np.array_equal(seeds, expected)
+        assert values_calls == [48 * 48]
 
 
 class TestSaddleConnections:
