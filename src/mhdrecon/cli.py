@@ -38,13 +38,7 @@ from .topology import Tolerances, extract_signature
 # failures reported as an "error:" line with exit code 1
 _FAILURES = (ConfigurationError, OSError, ValueError, BlowUpError)
 
-SCENARIO_COMMANDS = {
-    "theorem1": "theorem1",
-    "theorem2": "theorem2",
-    "remark2": "remark2",
-    "frozen-in": "frozen-in",
-    "stability": "stability",
-}
+SCENARIO_COMMANDS = ("theorem1", "theorem2", "remark2", "frozen-in", "stability")
 
 
 def parse_field_spec(spec: str, grid: TorusGrid) -> SpectralField2D:
@@ -72,15 +66,20 @@ def parse_field_spec(spec: str, grid: TorusGrid) -> SpectralField2D:
     return total
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a scenario config JSON file")
+# Optional flags; each command takes only those it reads.
+_FLAGS = {
+    "--config": dict(help="path to a scenario config JSON file"),
+    "--seed-grid": dict(type=int, help="seeding lattice resolution for critical-point search"),
+    "--threads": dict(type=int, default=1, help="worker threads for sweep runs"),
+    "--emit-plots": dict(action="store_true",
+                         help="write whitespace-separated plot data and a plotting script"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
     parser.add_argument("--out", help="output directory (default: $MHD_OUT_DIR/<command>)")
-    parser.add_argument("--seed-grid", type=int, default=None,
-                        help="seeding lattice resolution for critical-point search")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep runs")
-    parser.add_argument("--emit-plots", action="store_true",
-                        help="write whitespace-separated plot data and a plotting script")
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,26 +90,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-field", help="write a field snapshot")
-    _add_common(p)
+    _add_flags(p)
     p.add_argument("--field", required=True, help="field spec, e.g. taylor:4,4+tilde-t1:1e-3")
     p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--resolution", type=int, default=128)
 
     p = sub.add_parser("topology", help="critical points and signature of a field")
-    _add_common(p)
+    _add_flags(p, "--seed-grid")
     p.add_argument("--field", help="field spec, e.g. taylor:1,1")
     p.add_argument("--snapshot", help="read the field from a snapshot file instead")
     p.add_argument("--resolution", type=int, default=128)
 
     p = sub.add_parser("simulate", help="plain run with diagnostics output")
-    _add_common(p)
+    _add_flags(p, "--config", "--seed-grid", "--emit-plots")
 
     for name in SCENARIO_COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} scenario")
-        _add_common(p)
+        _add_flags(p, "--config", "--seed-grid", "--emit-plots")
 
     p = sub.add_parser("sweep", help="run several configs concurrently")
-    _add_common(p)
+    _add_flags(p, "--config", "--threads", "--emit-plots")
     return parser
 
 
@@ -191,10 +190,7 @@ def cmd_scenario(args, scenario: str) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = ExperimentConfig.for_scenario("custom")
+    cfg = _scenario_config(args, "custom")
     out = _out_dir(args, "simulate")
     report = run_scenario(cfg, out)
     return _finish(report, out, args.emit_plots)

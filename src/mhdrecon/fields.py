@@ -34,6 +34,9 @@ class ConfigurationError(ValueError):
 # tolerance used by callers (Newton residuals are checked at 1e-10 * C1).
 _EVAL_TAIL_RTOL = 1e-13
 
+# Oversampling factor of the sup-norm grid (SpectralField2D.sup_norms).
+_SUP_OVERSAMPLE = 4
+
 
 @dataclass(frozen=True)
 class TorusGrid:
@@ -190,6 +193,16 @@ class SpectralField2D:
         """Collocation values, shape (2, M, M)."""
         return self.grid.to_grid(self.coeffs)
 
+    @cached_property
+    def evaluator(self) -> "FieldEvaluator":
+        """The point evaluator of this field, built on first use."""
+        return FieldEvaluator(self)
+
+    @cached_property
+    def sup_norms(self) -> tuple[float, float]:
+        """(sup |f|, sup |grad f|), computed on first use."""
+        return sup_field_and_gradient(self)
+
     def __add__(self, other: "SpectralField2D") -> "SpectralField2D":
         if other.grid.resolution != self.grid.resolution:
             raise ConfigurationError("cannot combine fields on different grids")
@@ -207,27 +220,6 @@ class SpectralField2D:
 
     def __neg__(self) -> "SpectralField2D":
         return SpectralField2D(self.grid, -self.coeffs)
-
-
-@dataclass(frozen=True)
-class StreamFunction:
-    """Scalar stream function psi with f = (d_y psi, -d_x psi)."""
-
-    grid: TorusGrid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    def to_grid(self) -> np.ndarray:
-        return self.grid.to_grid(self.coeffs)
-
-    def oscillation(self) -> float:
-        """max - min of psi over the collocation grid."""
-        vals = self.to_grid()
-        return float(vals.max() - vals.min())
 
 
 def zero_field(grid: TorusGrid) -> SpectralField2D:
@@ -316,6 +308,7 @@ class FieldEvaluator:
                 self._cols.append(
                     (c, 1j * self._k[:, None] * c, 1j * self._k[None, :] * c)
                 )
+            self._psi = stream_function(field)
 
     def _phases(self, pts: np.ndarray) -> np.ndarray:
         return np.exp(1j * (pts[:, 0, None] * self._k1 + pts[:, 1, None] * self._k2))
@@ -334,6 +327,19 @@ class FieldEvaluator:
             )
         e = self._phases(pts)
         return np.stack([np.real(e @ self._c1), np.real(e @ self._c2)], axis=-1)
+
+    def potential(self, pts: np.ndarray) -> np.ndarray:
+        """Stream function psi at points, shape (P,), with f = (d_y psi, -d_x psi).
+
+        Sums the coefficients of stream_function over the active modes, or in
+        the separable form for dense fields.
+        """
+        if self._dense:
+            e1, e2 = self._axis_phases(pts)
+            return np.real(np.sum((e1 @ self._psi) * e2, axis=1))
+        ksq = self._k1**2 + self._k2**2
+        psi = 1j * (self._k1 * self._c2 - self._k2 * self._c1) / np.where(ksq > 0, ksq, 1.0)
+        return np.real(self._phases(pts) @ psi)
 
     def values_and_jacobians(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(values (P, 2), Jacobians (P, 2, 2)) with J[i, j] = d f_i / d x_j."""
@@ -354,28 +360,17 @@ class FieldEvaluator:
         return f, jac
 
 
-class ScalarEvaluator:
-    """Point evaluation of a scalar spectral field (stream functions)."""
-
-    def __init__(self, psi: StreamFunction):
-        self._k1, self._k2, (self._c,) = _active_modes(psi.coeffs, psi.grid)
-
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        e = np.exp(1j * (np.outer(pts[:, 0], self._k1) + np.outer(pts[:, 1], self._k2)))
-        return np.real(e @ self._c)
-
-
 def eval_field(f: SpectralField2D, x) -> np.ndarray:
     """Evaluate f at one point (2,) or many points (P, 2) by exact trig summation."""
     pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    out = FieldEvaluator(f).values(pts)
+    out = f.evaluator.values(pts)
     return out[0] if np.ndim(x) == 1 else out
 
 
 def jacobian(f: SpectralField2D, x) -> np.ndarray:
     """Spectral Jacobian grad f at one point (2, 2) or many points (P, 2, 2)."""
     pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    _, jac = FieldEvaluator(f).values_and_jacobians(pts)
+    _, jac = f.evaluator.values_and_jacobians(pts)
     return jac[0] if np.ndim(x) == 1 else jac
 
 
@@ -417,26 +412,29 @@ def _upsampled_grid(coeffs: np.ndarray, grid: TorusGrid, oversample: int) -> np.
     return np.real(sfft.ifft2(pad, axes=(-2, -1))) * big**2
 
 
-def c1_norm(f: SpectralField2D, oversample: int = 4) -> float:
-    """sup |f| + sup ||grad f|| in max norms, on an oversampled grid.
+def sup_field_and_gradient(
+    f: SpectralField2D, oversample: int = _SUP_OVERSAMPLE
+) -> tuple[float, float]:
+    """(sup |f|, sup ||grad f||) in max norms, on an oversampled grid.
 
-    The supremum is approximated by sampling at oversample*M points per axis
+    The suprema are approximated by sampling at oversample*M points per axis
     via zero-padded spectral upsampling.
     """
     if oversample < 2:
         raise ConfigurationError("oversample must be >= 2")
     g = f.grid
-    stacked = np.concatenate(
-        [
-            f.coeffs,
-            1j * g.k1 * f.coeffs,
-            1j * g.k2 * f.coeffs,
-        ]
-    )
+    stacked = np.concatenate([f.coeffs, 1j * g.k1 * f.coeffs, 1j * g.k2 * f.coeffs])
     vals = _upsampled_grid(stacked, g, oversample)
-    sup_f = np.max(np.abs(vals[:2]))
-    sup_grad = np.max(np.abs(vals[2:]))
-    return float(sup_f + sup_grad)
+    return float(np.max(np.abs(vals[:2]))), float(np.max(np.abs(vals[2:])))
+
+
+def c1_norm(f: SpectralField2D, oversample: int = _SUP_OVERSAMPLE) -> float:
+    """sup |f| + sup ||grad f||, the sum of the two sup_field_and_gradient values."""
+    if oversample == _SUP_OVERSAMPLE:
+        sup_f, sup_grad = f.sup_norms
+    else:
+        sup_f, sup_grad = sup_field_and_gradient(f, oversample)
+    return sup_f + sup_grad
 
 
 def project_coeffs(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -463,19 +461,11 @@ def leray_project(coeffs: np.ndarray, grid: TorusGrid) -> SpectralField2D:
     return SpectralField2D(grid, project_coeffs(np.asarray(coeffs, dtype=np.complex128), grid))
 
 
-def stream_function(f: SpectralField2D) -> StreamFunction:
-    """Stream function psi with f = (d_y psi, -d_x psi).
+def stream_function(f: SpectralField2D) -> np.ndarray:
+    """Coefficients (M, M) of the stream function psi with f = (d_y psi, -d_x psi).
 
     Inverting f1 = i k2 psi, f2 = -i k1 psi gives
     psi(k) = i (k1 f2(k) - k2 f1(k)) / |k|^2 for k != 0, psi(0) = 0.
     """
     g = f.grid
-    psi = 1j * (g.k1 * f.coeffs[1] - g.k2 * f.coeffs[0]) * g.inv_ksq
-    return StreamFunction(g, psi)
-
-
-def gradient_perp(psi: StreamFunction) -> SpectralField2D:
-    """The Hamiltonian field (d_y psi, -d_x psi) of a scalar stream function."""
-    g = psi.grid
-    c = np.stack([1j * g.k2 * psi.coeffs, -1j * g.k1 * psi.coeffs])
-    return SpectralField2D(g, c)
+    return 1j * (g.k1 * f.coeffs[1] - g.k2 * f.coeffs[0]) * g.inv_ksq

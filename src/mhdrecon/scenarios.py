@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -256,8 +257,7 @@ class _DiagnosticsSink:
     carries the signature counts of the magnetic field at that time.
     """
 
-    def __init__(self, r_max: int, topology_cadence: int | None = None,
-                 tol: Tolerances = Tolerances()):
+    def __init__(self, r_max: int, topology_cadence: int | None, tol: Tolerances):
         self.r_max = r_max
         self.topology_cadence = topology_cadence
         self.tol = tol
@@ -284,12 +284,13 @@ class _DiagnosticsSink:
 
 
 def _run_with_diagnostics(
-    sim_cfg: SimConfig, initial: MHDState, cfg: ExperimentConfig, out_dir, label: str
+    sim_cfg: SimConfig, initial: MHDState, cfg: ExperimentConfig, out_dir, label: str,
+    extra_sinks=(),
 ):
-    """Simulate with a trajectory recorder and diagnostics; persist if asked."""
+    """Simulate with a trajectory recorder, diagnostics and extra sinks; persist if asked."""
     recorder = TrajectoryRecorder(sim_cfg)
     diags = _DiagnosticsSink(cfg.r, cfg.topology_cadence, cfg.tolerances())
-    final = simulate(sim_cfg, initial, sinks=[recorder, diags])
+    final = simulate(sim_cfg, initial, sinks=[recorder, diags, *extra_sinks])
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -299,7 +300,9 @@ def _run_with_diagnostics(
     return final, recorder.trajectory, diags.records
 
 
+@lru_cache(maxsize=None)
 def _reference_signature(grid: TorusGrid, tol: Tolerances) -> TopologySignature:
+    """Signature of tilde T_1, the same for every run on one grid and tolerances."""
     sig, _ = extract_signature(make_tilde_t1(grid), tol)
     return sig
 
@@ -380,17 +383,10 @@ def run_theorem2(cfg: ExperimentConfig, out_dir=None) -> Report:
         oracle_errors.append((state.t, rel))
         u_norms.append((state.t, l2_norm(state.u)))
 
-    recorder = TrajectoryRecorder(cfg.sim_config(forcing))
-    diags = _DiagnosticsSink(cfg.r)
-    final = simulate(
-        cfg.sim_config(forcing), MHDState(zero_field(grid), b0, 0.0),
-        sinks=[recorder, diags, compare],
+    final, _, _ = _run_with_diagnostics(
+        cfg.sim_config(forcing), MHDState(zero_field(grid), b0, 0.0), cfg, out_dir, "theorem2",
+        extra_sinks=[compare],
     )
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_ndjson(out / "theorem2_diagnostics.ndjson", diags.records)
-        write_state_snapshot(out / "theorem2_final.snap", final, cfg.nu, cfg.eta)
 
     b_tilde = (cfg.eta * spec_2.eigenvalue) * final.b
     small = make_taylor(spec_2, 1.0, grid)

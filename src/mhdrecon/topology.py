@@ -20,11 +20,13 @@ import numpy as np
 from .fields import (
     ConfigurationError,
     FieldEvaluator,
-    ScalarEvaluator,
     SpectralField2D,
-    _upsampled_grid,
+    TorusGrid,
+    c1_norm,
     stream_function,
 )
+# Not called here: bench/tracer.py looks the sup-norms up as topology.sup_field_and_gradient.
+from .fields import sup_field_and_gradient  # noqa: F401
 from .solver import Trajectory
 
 log = logging.getLogger(__name__)
@@ -121,14 +123,6 @@ def torus_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(torus_delta(a, b), axis=-1)
 
 
-def sup_field_and_gradient(f: SpectralField2D, oversample: int = 4) -> tuple[float, float]:
-    """(sup |f|, sup |grad f|) in max norms on an oversampled grid."""
-    g = f.grid
-    stacked = np.concatenate([f.coeffs, 1j * g.k1 * f.coeffs, 1j * g.k2 * f.coeffs])
-    vals = _upsampled_grid(stacked, g, oversample)
-    return float(np.max(np.abs(vals[:2]))), float(np.max(np.abs(vals[2:])))
-
-
 def classify(jac: np.ndarray, deg_tol: float) -> str:
     """Sign-of-determinant rule with a degeneracy band |det| <= deg_tol."""
     det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
@@ -141,14 +135,12 @@ def classify(jac: np.ndarray, deg_tol: float) -> str:
 
 def _sign_change_seeds(f: SpectralField2D, seed_resolution: int | None) -> np.ndarray:
     """Centers of grid cells where either component changes sign across the cell."""
-    from .fields import TorusGrid
-
     grid = f.grid if seed_resolution is None else TorusGrid(seed_resolution)
     if grid is f.grid:
         vals = f.to_grid()
     else:
         lattice = np.stack(np.meshgrid(grid.nodes, grid.nodes, indexing="ij"), axis=-1)
-        vals = FieldEvaluator(f).values(lattice.reshape(-1, 2)).T.reshape(2, *grid.shape)
+        vals = f.evaluator.values(lattice.reshape(-1, 2)).T.reshape(2, *grid.shape)
     mask = np.zeros(grid.shape, dtype=bool)
     for comp in vals:
         corners = np.stack(
@@ -212,8 +204,8 @@ def find_critical_points(
     Seeds that fail to converge are appended to ``diagnostics`` (position and
     last residual), never raised.
     """
-    evaluator = FieldEvaluator(f)
-    sup_f, sup_grad = sup_field_and_gradient(f)
+    evaluator = f.evaluator
+    sup_f, sup_grad = f.sup_norms
     c1 = sup_f + sup_grad
     if c1 == 0.0:
         raise ConfigurationError("cannot extract critical points of the zero field")
@@ -293,6 +285,23 @@ def find_critical_points(
     return points
 
 
+def _unit(vals: np.ndarray) -> np.ndarray:
+    return vals / np.maximum(np.linalg.norm(vals, axis=-1, keepdims=True), 1e-300)
+
+
+def _unit_rk4_step(evaluator: FieldEvaluator, x: np.ndarray, v: np.ndarray, h) -> np.ndarray:
+    """One RK4 step of dx/ds = f/|f| from the points x, where v = f(x).
+
+    The first stage reuses v, so a step costs three field evaluations. A
+    negative step size h runs the line backward.
+    """
+    k1 = _unit(v)
+    k2 = _unit(evaluator.values(x + 0.5 * h * k1))
+    k3 = _unit(evaluator.values(x + 0.5 * h * k2))
+    k4 = _unit(evaluator.values(x + h * k3))
+    return wrap(x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+
+
 def trace_integral_line(
     f: SpectralField2D,
     x0,
@@ -307,20 +316,12 @@ def trace_integral_line(
     a critical point). Seeding at a critical point raises ConfigurationError.
     """
     h = tol.trace_step if h is None else h
-    evaluator = FieldEvaluator(f)
-    sup_f, sup_grad = sup_field_and_gradient(f)
-    stop_tol = tol.stop_tol_factor * (sup_f + sup_grad)
+    evaluator = f.evaluator
+    stop_tol = tol.stop_tol_factor * sum(f.sup_norms)
     x = np.atleast_2d(np.asarray(x0, dtype=np.float64)).copy()
     v = evaluator.values(x)
     if np.linalg.norm(v) < stop_tol:
         raise ConfigurationError("integral-line seed lies at a critical point")
-
-    def unit(vals):
-        norms = np.linalg.norm(vals, axis=-1, keepdims=True)
-        return vals / np.maximum(norms, 1e-300)
-
-    def direction(pts):
-        return unit(evaluator.values(pts))
 
     n_steps = int(np.ceil(arclen / h))
     line = np.empty((n_steps + 1, 2))
@@ -330,11 +331,7 @@ def trace_integral_line(
         # v, the field at x, serves both the stall test and the first stage
         if np.linalg.norm(v) < stop_tol:
             break
-        k1 = unit(v)
-        k2 = direction(x + 0.5 * h * k1)
-        k3 = direction(x + 0.5 * h * k2)
-        k4 = direction(x + h * k3)
-        x = wrap(x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        x = _unit_rk4_step(evaluator, x, v, h)
         line[count] = x[0]
         count += 1
         if i + 1 < n_steps:
@@ -370,15 +367,14 @@ def detect_saddle_connections(
     """
     if not saddles:
         return 0, 0
-    evaluator = FieldEvaluator(f)
-    sup_f, sup_grad = sup_field_and_gradient(f)
+    evaluator = f.evaluator
+    sup_f, sup_grad = f.sup_norms
     stop_tol = tol.stop_tol_factor * (sup_f + sup_grad)
-    psi = stream_function(f)
-    psi_eval = ScalarEvaluator(psi)
-    psi_tol = tol.psi_tol_factor * psi.oscillation()
+    psi_grid = f.grid.to_grid(stream_function(f))
+    psi_tol = tol.psi_tol_factor * float(psi_grid.max() - psi_grid.min())
 
     positions = np.array([cp.position for cp in saddles])
-    psi_levels = psi_eval.values(positions)
+    psi_levels = evaluator.potential(positions)
 
     starts, signs, origins = [], [], []
     for i, cp in enumerate(saddles):
@@ -415,21 +411,9 @@ def detect_saddle_connections(
         live = idx[~stalled]
         if len(live) == 0:
             continue
-        hs = h[~stalled][:, None]
-        sg = signs[live][:, None]
-
-        def direction(pts):
-            v = evaluator.values(pts)
-            nrm = np.linalg.norm(v, axis=-1, keepdims=True)
-            return v / np.maximum(nrm, 1e-300)
-
-        p = x[live]
-        k1 = sg * direction(p)
-        k2 = sg * direction(p + 0.5 * hs * k1)
-        k3 = sg * direction(p + 0.5 * hs * k2)
-        k4 = sg * direction(p + hs * k3)
-        x[live] = wrap(p + (hs / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-        arc[live] += hs[:, 0]
+        hs = h[~stalled]
+        x[live] = _unit_rk4_step(evaluator, x[live], vals[~stalled], (signs[live] * hs)[:, None])
+        arc[live] += hs
 
         # arrival bookkeeping
         d = torus_distance(x[live][:, None, :], positions[None, :, :])
@@ -461,8 +445,7 @@ def extract_signature(
     f: SpectralField2D, tol: Tolerances = Tolerances()
 ) -> tuple[TopologySignature, list[CriticalPoint]]:
     """Full topology pass: critical points, connection counts, stability verdict."""
-    sup_f, sup_grad = sup_field_and_gradient(f)
-    if sup_f + sup_grad == 0.0:
+    if sum(f.sup_norms) == 0.0:
         # zero field: no nondegenerate structure, unstable by convention
         return TopologySignature(), []
     points = find_critical_points(f, tol)
@@ -600,33 +583,14 @@ def verify_frozen_in(trajectory: Trajectory, seeds: np.ndarray, t: float) -> flo
     """
     if trajectory.cfg.eta != 0.0:
         raise MisuseError("frozen-in verification requires a run with eta = 0")
-    from .fields import c1_norm
-
     state_t = trajectory.state_at(trajectory.times[0] + t)
     b0 = trajectory.states[0].b
     sample = flow_map(trajectory, seeds, trajectory.times[0] + t)
-    b_at_images = FieldEvaluator(state_t.b).values(sample.images)
-    b0_at_seeds = FieldEvaluator(b0).values(sample.seeds)
+    b_at_images = state_t.b.evaluator.values(sample.images)
+    b0_at_seeds = b0.evaluator.values(sample.seeds)
     transported = np.einsum("pij,pj->pi", sample.jacobians, b0_at_seeds)
     err = np.linalg.norm(b_at_images - transported, axis=-1)
     return float(err.max() / c1_norm(b0))
-
-
-def hausdorff_distance(line_a: np.ndarray, line_b: np.ndarray, max_points: int = 1500) -> float:
-    """Symmetric Hausdorff distance between polylines in the torus metric."""
-
-    def thin(line):
-        if len(line) > max_points:
-            stride = int(np.ceil(len(line) / max_points))
-            return line[::stride]
-        return line
-
-    a, b = thin(np.asarray(line_a)), thin(np.asarray(line_b))
-    d = np.linalg.norm(
-        torus_delta(a[:, None, :], b[None, :, :]),
-        axis=-1,
-    )
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 def polyline_arclength(line: np.ndarray) -> float:

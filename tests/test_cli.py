@@ -123,6 +123,27 @@ class TestSimulateCommand:
         assert snap.header["fields"] == ["u1", "u2", "b1", "b2"]
 
 
+class TestFlagsPerCommand:
+    def test_threads_rejected_outside_sweep(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["topology", "--field", "taylor:1,1", "--threads", "2",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_simulate_honours_seed_grid(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "scenario": "custom", "resolution": 32, "dt": 2e-3, "t_end": 0.02,
+            "output_cadence": 10,
+        }))
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--seed-grid", "48",
+                     "--out", str(out_dir)]) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["config"]["seed_grid"] == 48
+
+
 class TestSweepCommand:
     def test_concurrent_runs(self, tmp_path, capsys):
         sweep = {

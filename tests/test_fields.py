@@ -11,13 +11,11 @@ import pytest
 from mhdrecon.fields import (
     ConfigurationError,
     FieldEvaluator,
-    ScalarEvaluator,
     SpectralField2D,
     TaylorSpec,
     TorusGrid,
     c1_norm,
     eval_field,
-    gradient_perp,
     jacobian,
     l2_inner,
     l2_norm,
@@ -27,8 +25,10 @@ from mhdrecon.fields import (
     make_tilde_t1,
     sobolev_norm,
     stream_function,
+    sup_field_and_gradient,
     zero_field,
 )
+from mhdrecon import fields
 
 from .conftest import random_divergence_free
 
@@ -210,6 +210,36 @@ class TestC1Norm:
         with pytest.raises(ConfigurationError):
             c1_norm(make_tilde_t1(grid32), oversample=1)
 
+    def test_sum_of_the_sup_norm_pair(self, grid32):
+        f = make_taylor(TaylorSpec(2, 3), 1.0, grid32) + 0.3 * make_tilde_t1(grid32)
+        sup_f, sup_grad = sup_field_and_gradient(f)
+        assert c1_norm(f) == sup_f + sup_grad
+        assert c1_norm(f, oversample=8) == sum(sup_field_and_gradient(f, oversample=8))
+
+
+class TestCachedPerField:
+    def test_sup_norms_computed_once(self, grid32, monkeypatch):
+        calls = []
+        original = fields.sup_field_and_gradient
+
+        def counting(f, *args):
+            calls.append(f)
+            return original(f, *args)
+
+        monkeypatch.setattr(fields, "sup_field_and_gradient", counting)
+        f = make_taylor(TaylorSpec(2, 3), 1.0, grid32)
+        assert f.sup_norms == original(f)
+        assert c1_norm(f) == sum(f.sup_norms)
+        assert len(calls) == 1
+
+    def test_evaluator_built_once(self, grid32):
+        f = random_divergence_free(grid32, 6, seed=4)
+        ev = f.evaluator
+        assert isinstance(ev, FieldEvaluator) and f.evaluator is ev
+        pts = np.array([[0.3, 1.7], [4.0, 2.2]])
+        assert np.array_equal(eval_field(f, pts), FieldEvaluator(f).values(pts))
+        assert f.evaluator is ev
+
 
 class TestLerayProjection:
     def _gradient_field(self, grid, seed):
@@ -261,24 +291,40 @@ class TestLerayProjection:
         leray_project(grid32.hermitianize(c), grid32).validate()
 
 
+def _grad_perp(grid, psi):
+    """The field (d_y psi, -d_x psi) of stream-function coefficients psi."""
+    return SpectralField2D(grid, np.stack([1j * grid.k2 * psi, -1j * grid.k1 * psi]))
+
+
 class TestStreamFunction:
     def test_t11_stream(self, grid32):
         # psi = -sin(x) cos(y): d_y psi = sin x sin y, -d_x psi = cos x cos y
-        psi = stream_function(make_taylor(TaylorSpec(1, 1), 1.0, grid32))
+        f = make_taylor(TaylorSpec(1, 1), 1.0, grid32)
         pts = np.array([[0.4, 1.3], [3.0, 5.1], [2.2, 0.9]])
         expected = -np.sin(pts[:, 0]) * np.cos(pts[:, 1])
-        assert np.allclose(ScalarEvaluator(psi).values(pts), expected, atol=1e-13)
+        assert np.allclose(f.evaluator.potential(pts), expected, atol=1e-13)
+        grid_vals = grid32.to_grid(stream_function(f))
+        x, y = np.meshgrid(grid32.nodes, grid32.nodes, indexing="ij")
+        assert np.allclose(grid_vals, -np.sin(x) * np.cos(y), atol=1e-13)
 
     def test_tilde_t1_stream(self, grid32):
         # psi = cos(x)/2 - cos(y) reproduces (sin y, sin(x)/2) under grad-perp
-        psi = stream_function(make_tilde_t1(grid32))
+        f = make_tilde_t1(grid32)
         pts = np.array([[0.4, 1.3], [3.0, 5.1]])
         expected = 0.5 * np.cos(pts[:, 0]) - np.cos(pts[:, 1])
-        assert np.allclose(ScalarEvaluator(psi).values(pts), expected, atol=1e-13)
+        assert np.allclose(f.evaluator.potential(pts), expected, atol=1e-13)
+
+    def test_dense_potential_matches_grid(self, grid32):
+        # a random field takes the evaluator's separable (dense) path
+        f = random_divergence_free(grid32, 12, seed=3)
+        x, y = np.meshgrid(grid32.nodes, grid32.nodes, indexing="ij")
+        pts = np.stack([x.ravel(), y.ravel()], axis=-1)
+        expected = grid32.to_grid(stream_function(f)).ravel()
+        assert np.allclose(f.evaluator.potential(pts), expected, atol=1e-12 * np.abs(expected).max())
 
     def test_reconstruction(self, grid64):
         f = random_divergence_free(grid64, 14, seed=2)
-        rec = gradient_perp(stream_function(f))
+        rec = _grad_perp(grid64, stream_function(f))
         assert l2_norm(rec - f) < 1e-12 * l2_norm(f)
 
     def test_roundtrip_from_scalar(self, grid32):
@@ -286,11 +332,8 @@ class TestStreamFunction:
         raw = rng.standard_normal(grid32.shape) + 1j * rng.standard_normal(grid32.shape)
         raw = 0.5 * (raw + np.conj(np.roll(raw[::-1, ::-1], (1, 1), axis=(0, 1))))
         raw[0, 0] = 0.0
-        from mhdrecon.fields import StreamFunction
-
-        psi = StreamFunction(grid32, raw)
-        back = stream_function(gradient_perp(psi))
-        assert np.max(np.abs(back.coeffs - psi.coeffs)) < 1e-12 * np.max(np.abs(raw))
+        back = stream_function(_grad_perp(grid32, raw))
+        assert np.max(np.abs(back - raw)) < 1e-12 * np.max(np.abs(raw))
 
 
 class TestFieldAlgebra:

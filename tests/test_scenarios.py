@@ -204,13 +204,18 @@ class TestReportPlumbing:
     def test_topology_cadence_annotates_records(self, tmp_path):
         from mhdrecon.snapshots import read_ndjson
 
-        cfg = mini("custom", resolution=48, t_end=0.1, output_cadence=25,
-                   n=1, m=1, topology_cadence=2)
-        run_scenario(cfg, tmp_path)
-        records = read_ndjson(tmp_path / "custom_diagnostics.ndjson")
-        tagged = [r for r in records if r.signature is not None]
-        assert tagged and all(r.signature["n_saddles"] == 4 for r in tagged)
-        assert records[1].signature is None  # between cadence firings
+        # custom decays T_11 in place, so every tagged record has its 4 saddles;
+        # theorem2 starts from T_22 and is forced toward T_11, so only its
+        # first record is sure to have T_22's 16
+        for scenario, n, saddles in (("custom", 1, [4, 4]), ("theorem2", 2, [16])):
+            cfg = mini(scenario, resolution=48, t_end=0.1, output_cadence=25,
+                       n=n, m=n, topology_cadence=2)
+            run_scenario(cfg, tmp_path / scenario)
+            records = read_ndjson(tmp_path / scenario / f"{scenario}_diagnostics.ndjson")
+            tagged = [r for r in records if r.signature is not None]
+            assert [r.t for r in tagged] == [records[0].t, records[2].t]
+            assert [r.signature["n_saddles"] for r in tagged][:len(saddles)] == saddles
+            assert records[1].signature is None  # between cadence firings
 
     def test_expected_mismatch_flagged(self):
         cfg = mini("theorem2", t_end=0.5, expect="no-reconnection")

@@ -9,10 +9,10 @@ saddles and two centers.
 import numpy as np
 import pytest
 
+from mhdrecon import fields
 from mhdrecon.fields import (
     ConfigurationError,
     FieldEvaluator,
-    ScalarEvaluator,
     SpectralField2D,
     TaylorSpec,
     TorusGrid,
@@ -33,7 +33,6 @@ from mhdrecon.topology import (
     extract_signature,
     find_critical_points,
     flow_map,
-    hausdorff_distance,
     is_structurally_stable,
     polyline_arclength,
     signatures_equivalent,
@@ -162,9 +161,9 @@ class TestTraceIntegralLine:
     def test_stream_function_is_first_integral(self, grid64):
         f = make_taylor(TaylorSpec(2, 2), 1.0, grid64) + 0.01 * make_tilde_t1(grid64)
         line = trace_integral_line(f, [1.3, 0.4], arclen=8.0)
-        psi = stream_function(f)
-        vals = ScalarEvaluator(psi).values(line)
-        assert vals.max() - vals.min() < 1e-5 * psi.oscillation()
+        vals = f.evaluator.potential(line)
+        psi_grid = grid64.to_grid(stream_function(f))
+        assert vals.max() - vals.min() < 1e-5 * (psi_grid.max() - psi_grid.min())
 
     def test_seed_at_critical_point_rejected(self, grid64):
         with pytest.raises(ConfigurationError):
@@ -211,6 +210,70 @@ def _trace_with_stall_evaluation(f, x0, arclen, tol=Tolerances()):
     return np.array(line)
 
 
+def _connections_with_stall_evaluation(f, saddles, tol=Tolerances()):
+    """Separatrix tracing that evaluates the field again at the live points for
+    the first RK4 stage, after the speed evaluation; (hetero, self, loop
+    iterations). detect_saddle_connections must give the same counts."""
+    evaluator = FieldEvaluator(f)
+    sup_f, sup_grad = sup_field_and_gradient(f)
+    stop_tol = tol.stop_tol_factor * (sup_f + sup_grad)
+    psi_grid = f.grid.to_grid(stream_function(f))
+    psi_tol = tol.psi_tol_factor * (psi_grid.max() - psi_grid.min())
+    positions = np.array([cp.position for cp in saddles])
+    psi_levels = evaluator.potential(positions)
+
+    def direction(pts):
+        vals = evaluator.values(pts)
+        return vals / np.maximum(np.linalg.norm(vals, axis=-1, keepdims=True), 1e-300)
+
+    starts, signs, origins = [], [], []
+    for i, cp in enumerate(saddles):
+        w, v = np.linalg.eig(cp.jacobian)
+        vu = np.real(v[:, np.argmax(np.real(w))])
+        vs = np.real(v[:, np.argmin(np.real(w))])
+        vu, vs = vu / np.linalg.norm(vu), vs / np.linalg.norm(vs)
+        for vec, sign in ((vu, 1.0), (-vu, 1.0), (vs, -1.0), (-vs, -1.0)):
+            starts.append(cp.position + tol.eps_launch * vec)
+            signs.append(sign)
+            origins.append(i)
+    x, signs, origins = wrap(np.array(starts)), np.array(signs), np.array(origins)
+    n = len(x)
+    active = np.ones(n, dtype=bool)
+    left_origin = np.zeros(n, dtype=bool)
+    arc = np.zeros(n)
+    outcome = np.full(n, "none", dtype=object)
+    iterations = 0
+    while active.any():
+        iterations += 1
+        idx = np.nonzero(active)[0]
+        speed = np.linalg.norm(evaluator.values(x[idx]), axis=-1)
+        h = np.minimum(tol.connect_step,
+                       np.maximum(0.5 * speed / max(sup_grad, 1e-300), tol.connect_step / 256.0))
+        stalled = speed < stop_tol
+        active[idx[stalled]] = False
+        live = idx[~stalled]
+        if len(live) == 0:
+            continue
+        hs, sg, p = h[~stalled][:, None], signs[live][:, None], x[live]
+        k1 = sg * direction(p)
+        k2 = sg * direction(p + 0.5 * hs * k1)
+        k3 = sg * direction(p + 0.5 * hs * k2)
+        k4 = sg * direction(p + hs * k3)
+        x[live] = wrap(p + (hs / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        arc[live] += hs[:, 0]
+        d = torus_distance(x[live][:, None, :], positions[None, :, :])
+        left_origin[live] |= torus_distance(x[live], positions[origins[live]]) > 2 * tol.arrival_radius
+        for j in np.nonzero(d.min(axis=1) < tol.arrival_radius)[0]:
+            t, target = live[j], d[j].argmin()
+            if target == origins[t]:
+                if left_origin[t]:
+                    outcome[t], active[t] = "self", False
+            elif abs(psi_levels[target] - psi_levels[origins[t]]) < psi_tol:
+                outcome[t], active[t] = "hetero", False
+        active[live[arc[live] > tol.arclength_cap]] = False
+    return int(np.sum(outcome == "hetero")), int(np.sum(outcome == "self")), iterations
+
+
 class TestEvaluationCounts:
     @pytest.mark.parametrize("seed", [[1.3, 0.4], [0.01, np.pi / 2]])
     def test_trace_makes_four_evaluations_per_step(self, grid64, values_calls, seed):
@@ -238,6 +301,36 @@ class TestEvaluationCounts:
         seeds = _sign_change_seeds(f, 48)
         assert np.array_equal(seeds, expected)
         assert values_calls == [48 * 48]
+
+    def test_connections_make_four_evaluations_per_iteration(self, grid64, values_calls):
+        f = (1.0 / np.sqrt(13.0)) * make_taylor(TaylorSpec(3, 2), 1.0, grid64) \
+            + 5e-4 * make_tilde_t1(grid64)
+        saddles = [p for p in find_critical_points(f) if p.kind == "saddle"]
+        hetero, selfc, iterations = _connections_with_stall_evaluation(f, saddles)
+        values_calls.clear()
+        assert detect_saddle_connections(f, saddles) == (hetero, selfc)
+        assert len(values_calls) == 4 * iterations
+
+    @pytest.mark.parametrize("seed_resolution", [None, 48])
+    def test_signature_reads_the_field_once(self, grid64, monkeypatch, seed_resolution):
+        sup_calls, built = [], []
+        sup = fields.sup_field_and_gradient
+        init = FieldEvaluator.__init__
+
+        def counting_sup(f, *args):
+            sup_calls.append(f)
+            return sup(f, *args)
+
+        def counting_init(self, f):
+            built.append(f)
+            init(self, f)
+
+        monkeypatch.setattr(fields, "sup_field_and_gradient", counting_sup)
+        monkeypatch.setattr(FieldEvaluator, "__init__", counting_init)
+        f = make_taylor(TaylorSpec(3, 2), 1.0, grid64) + 1e-3 * make_tilde_t1(grid64)
+        sig, _ = extract_signature(f, Tolerances(seed_resolution=seed_resolution))
+        assert sig.n_saddles == 24 and sig.hetero_connections > 0
+        assert len(sup_calls) == len(built) == 1
 
 
 class TestSaddleConnections:
@@ -381,22 +474,6 @@ class TestVerifyFrozenIn:
         simulate(cfg, MHDState(zero_field(grid64), make_tilde_t1(grid64), 0.0), sinks=[rec])
         with pytest.raises(MisuseError):
             verify_frozen_in(rec.trajectory, self.seeds, 0.05)
-
-
-class TestHausdorff:
-    def test_identical_lines_zero(self):
-        line = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        assert hausdorff_distance(line, line) == 0.0
-
-    def test_uniform_shift(self):
-        line = np.stack([np.linspace(0, 2 * np.pi, 50) % (2 * np.pi), np.ones(50)], -1)
-        shifted = line + np.array([0.0, 0.3])
-        assert hausdorff_distance(line, shifted) == pytest.approx(0.3, abs=1e-12)
-
-    def test_wraps_around_torus(self):
-        a = np.array([[0.05, 1.0]])
-        b = np.array([[2 * np.pi - 0.05, 1.0]])
-        assert hausdorff_distance(a, b) == pytest.approx(0.1, abs=1e-12)
 
 
 class TestPolyline:
