@@ -8,6 +8,7 @@ one, 2 when the run completes but the verdict differs, 1 on failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -170,7 +171,7 @@ def _scenario_config(args, scenario: str) -> ExperimentConfig:
     else:
         cfg = ExperimentConfig.for_scenario(scenario)
     if args.seed_grid is not None:
-        cfg.seed_grid = args.seed_grid
+        cfg = dataclasses.replace(cfg, seed_grid=args.seed_grid)
     return cfg
 
 

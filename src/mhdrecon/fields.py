@@ -292,8 +292,10 @@ class FieldEvaluator:
     Values are exact trigonometric sums, spectrally accurate at off-grid
     points. Sparse fields (few active wavenumbers) sum over the active modes
     directly; dense fields use the separable form sum_k1 e^{i k1 x} sum_k2
-    C[k1, k2] e^{i k2 y}, which costs one (P, M) x (M, M) product per
-    component instead of a (P, M^2) phase table.
+    C[k1, k2] e^{i k2 y}, which costs one (P, R) x (R, C) product per
+    coefficient matrix instead of a (P, M^2) phase table. R and C are the
+    rows k1 and columns k2 that hold an active mode (the band of the field):
+    every mode outside them lies in the tail that _active_modes drops.
     """
 
     def __init__(self, field: SpectralField2D):
@@ -302,29 +304,35 @@ class FieldEvaluator:
         m = field.grid.resolution
         self._dense = len(self._k1) > 4 * m
         if self._dense:
-            self._k = field.grid.wavenumbers.astype(np.float64)
-            self._cols = []
+            rows = np.unique(self._k1.astype(np.intp) % m)
+            cols = np.unique(self._k2.astype(np.intp) % m)
+            k = field.grid.wavenumbers.astype(np.float64)
+            self._kr, self._kc = k[rows], k[cols]
+            band = np.ix_(rows, cols)
+            mats = []
             for c in field.coeffs:
-                self._cols.append(
-                    (c, 1j * self._k[:, None] * c, 1j * self._k[None, :] * c)
-                )
-            self._psi = stream_function(field)
+                c = c[band]
+                mats += [c, 1j * self._kr[:, None] * c, 1j * self._kc[None, :] * c]
+            # (R, 6C): value, d/dx and d/dy matrices of both components side by side
+            self._jac_mats = np.concatenate(mats, axis=1)
+            self._val_mats = np.concatenate([mats[0], mats[3]], axis=1)
+            self._psi = stream_function(field)[band]
 
     def _phases(self, pts: np.ndarray) -> np.ndarray:
         return np.exp(1j * (pts[:, 0, None] * self._k1 + pts[:, 1, None] * self._k2))
 
-    def _axis_phases(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        e1 = np.exp(1j * pts[:, 0, None] * self._k)
-        e2 = np.exp(1j * pts[:, 1, None] * self._k)
-        return e1, e2
+    def _separable_sums(self, pts: np.ndarray, mats: np.ndarray) -> np.ndarray:
+        """Real parts of sum_k1 e^{i k1 x} sum_k2 C[k1, k2] e^{i k2 y}, shape
+        (P, n), for the n matrices C of shape (R, C) set side by side in mats."""
+        e1 = np.exp(1j * pts[:, 0, None] * self._kr)
+        e2 = np.exp(1j * pts[:, 1, None] * self._kc)
+        rows = (e1 @ mats).reshape(len(pts), -1, len(self._kc))
+        return np.real((rows @ e2[:, :, None])[:, :, 0])
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         """Field values at points, shape (P, 2)."""
         if self._dense:
-            e1, e2 = self._axis_phases(pts)
-            return np.stack(
-                [np.real(np.sum((e1 @ c) * e2, axis=1)) for c, _, _ in self._cols], axis=-1
-            )
+            return self._separable_sums(pts, self._val_mats)
         e = self._phases(pts)
         return np.stack([np.real(e @ self._c1), np.real(e @ self._c2)], axis=-1)
 
@@ -332,26 +340,21 @@ class FieldEvaluator:
         """Stream function psi at points, shape (P,), with f = (d_y psi, -d_x psi).
 
         Sums the coefficients of stream_function over the active modes, or in
-        the separable form for dense fields.
+        the separable form over the band for dense fields.
         """
         if self._dense:
-            e1, e2 = self._axis_phases(pts)
-            return np.real(np.sum((e1 @ self._psi) * e2, axis=1))
+            return self._separable_sums(pts, self._psi)[:, 0]
         ksq = self._k1**2 + self._k2**2
         psi = 1j * (self._k1 * self._c2 - self._k2 * self._c1) / np.where(ksq > 0, ksq, 1.0)
         return np.real(self._phases(pts) @ psi)
 
     def values_and_jacobians(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(values (P, 2), Jacobians (P, 2, 2)) with J[i, j] = d f_i / d x_j."""
+        if self._dense:
+            sums = self._separable_sums(pts, self._jac_mats).reshape(len(pts), 2, 3)
+            return sums[:, :, 0].copy(), sums[:, :, 1:].copy()
         f = np.empty((len(pts), 2))
         jac = np.empty((len(pts), 2, 2))
-        if self._dense:
-            e1, e2 = self._axis_phases(pts)
-            for i, (c, cx, cy) in enumerate(self._cols):
-                f[:, i] = np.real(np.sum((e1 @ c) * e2, axis=1))
-                jac[:, i, 0] = np.real(np.sum((e1 @ cx) * e2, axis=1))
-                jac[:, i, 1] = np.real(np.sum((e1 @ cy) * e2, axis=1))
-            return f, jac
         e = self._phases(pts)
         for i, c in enumerate((self._c1, self._c2)):
             f[:, i] = np.real(e @ c)

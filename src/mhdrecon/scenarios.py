@@ -23,6 +23,7 @@ a Report whose verdict the CLI compares against the expected one. Scenarios:
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -92,6 +93,54 @@ class ConfigError(ConfigurationError):
     """A scenario configuration is malformed; the message names the field."""
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite_number(v) -> bool:
+    if not (_is_int(v) or isinstance(v, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _is_even_grid(v) -> bool:
+    return _is_int(v) and v >= 8 and v % 2 == 0
+
+
+_NON_NEGATIVE = (lambda v: _is_finite_number(v) and v >= 0, "a finite number >= 0")
+_POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+
+# field -> (test of a value, what the value must be); JSON null is None
+_FIELD_RULES = {
+    "scenario": (lambda v: isinstance(v, str), "a string"),
+    "nu": _NON_NEGATIVE,
+    "eta": _NON_NEGATIVE,
+    "resolution": (_is_even_grid, "an even integer >= 8"),
+    "dt": (lambda v: _is_finite_number(v) and v > 0, "a finite number > 0"),
+    "t_end": _NON_NEGATIVE,
+    "n": _POSITIVE_INT,
+    "m": _POSITIVE_INT,
+    "n2": _POSITIVE_INT,
+    "m2": _POSITIVE_INT,
+    "delta": _NON_NEGATIVE,
+    "r": (lambda v: _is_int(v) and 0 <= v <= 8, "an integer in 0..8 (Sobolev index)"),
+    "output_cadence": _POSITIVE_INT,
+    "dealias": (lambda v: isinstance(v, bool), "true or false"),
+    "expect": (lambda v: v is None or isinstance(v, str), "null or a string"),
+    "seed_grid": (lambda v: v is None or _is_even_grid(v), "null or an even integer >= 8"),
+    "topology_cadence": (lambda v: v is None or _POSITIVE_INT[0](v), "null or an integer >= 1"),
+}
+
+
+def _check_field(name: str, value) -> None:
+    test, wanted = _FIELD_RULES[name]
+    if not test(value):
+        raise ConfigError(f"field {name!r}: expected {wanted}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved scenario parameters; everything a run needs, serializable."""
@@ -115,12 +164,10 @@ class ExperimentConfig:
     topology_cadence: int | None = None
 
     def __post_init__(self):
+        for name in _FIELD_RULES:
+            _check_field(name, getattr(self, name))
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"field 'scenario': unknown scenario {self.scenario!r}")
-        if self.delta < 0:
-            raise ConfigError("field 'delta': must be >= 0")
-        if not 0 <= self.r <= 8:
-            raise ConfigError("field 'r': Sobolev index must be in 0..8")
 
     @classmethod
     def for_scenario(cls, scenario: str, **overrides) -> "ExperimentConfig":
@@ -141,21 +188,10 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
-        scenario = data["scenario"]
+        # the other fields are checked on construction; this one is looked up first
+        _check_field("scenario", data["scenario"])
         overrides = {k: v for k, v in data.items() if k != "scenario"}
-        for key, value in overrides.items():
-            if key in ("n", "m", "n2", "m2", "resolution", "output_cadence", "r") and not isinstance(
-                value, int
-            ):
-                raise ConfigError(f"field {key!r}: expected an integer, got {value!r}")
-            if key in ("nu", "eta", "dt", "t_end", "delta") and not isinstance(
-                value, (int, float)
-            ):
-                raise ConfigError(f"field {key!r}: expected a number, got {value!r}")
-        try:
-            return cls.for_scenario(scenario, **overrides)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls.for_scenario(data["scenario"], **overrides)
 
     def to_dict(self) -> dict:
         return {

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -603,8 +604,16 @@ def distance_to_polyline(points: np.ndarray, line: np.ndarray) -> float:
     """Largest torus distance from any of ``points`` to the segments of ``line``.
 
     One-sided: it asks whether every point lies on the polyline, not whether
-    the points cover it. Segments are unwrapped from their start vertex, so
-    each must be shorter than pi.
+    the points cover it. Each segment is unwrapped from its start vertex, so
+    a wrapped line may cross the seam, and each must be shorter than pi. A
+    coordinate step of more than 3 pi / 2 between vertices is read as a
+    crossing of the seam, any other step as given: the line [[0, 0], [4, 0]]
+    is one segment of length 4 and raises ValueError.
+
+    Each point is measured only against the segments with an endpoint within
+    d_nn + L_max / 2 of it, where d_nn is its distance to the nearest vertex
+    and L_max the longest segment. The nearest segment always has such an
+    endpoint, so the result equals the minimum over all segments.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     line = np.atleast_2d(np.asarray(line, dtype=np.float64))
@@ -612,12 +621,41 @@ def distance_to_polyline(points: np.ndarray, line: np.ndarray) -> float:
         return float(torus_distance(points, line[0]).max())
     start = line[:-1]
     seg = torus_delta(line[1:], start)
+    jump = np.abs(np.diff(line, axis=0))
+    length = np.linalg.norm(np.where(jump > 1.5 * np.pi, np.abs(seg), jump), axis=-1)
+    too_long = np.nonzero(length >= np.pi)[0]
+    if len(too_long):
+        j = int(too_long[0])
+        raise ValueError(f"segment {j} of the line has length {length[j]:.6g}, not below pi")
     seg_sq = np.maximum(np.einsum("si,si->s", seg, seg), 1e-300)
-    worst = 0.0
-    chunk = 256  # points per batch; bounds the (points x segments) temporaries
+
+    # scipy.spatial is imported here, not at module level: it adds ~0.1 s to start-up
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(_on_box(line), boxsize=TWO_PI)
+    pts = _on_box(points)
+    d_nn, _ = tree.query(pts)
+    # the slack only adds candidates, so roundoff cannot drop the nearest segment
+    radius = (d_nn + 0.5 * length.max()) * (1.0 + 1e-12) + 1e-15
+    nearest = np.full(len(points), np.inf)
+    chunk = 64  # points per batch: a point may have every vertex as a candidate
     for lo in range(0, len(points), chunk):
-        d = torus_delta(points[lo:lo + chunk, None, :], start[None, :, :])
-        s = np.clip(np.einsum("psi,si->ps", d, seg) / seg_sq, 0.0, 1.0)
-        gap = np.linalg.norm(d - s[..., None] * seg, axis=-1)
-        worst = max(worst, float(gap.min(axis=1).max()))
-    return worst
+        near = tree.query_ball_point(pts[lo:lo + chunk], radius[lo:lo + chunk])
+        counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+        vertex = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=counts.sum())
+        owner = np.repeat(np.arange(lo, lo + len(near)), counts)
+        # vertex v ends segment v - 1 and starts segment v
+        cand = np.clip(np.concatenate([vertex - 1, vertex]), 0, len(seg) - 1)
+        owner = np.concatenate([owner, owner])
+        d = torus_delta(points[owner], start[cand])
+        s = np.clip(np.einsum("pi,pi->p", d, seg[cand]) / seg_sq[cand], 0.0, 1.0)
+        gap = np.linalg.norm(d - s[:, None] * seg[cand], axis=-1)
+        np.minimum.at(nearest, owner, gap)
+    return float(nearest.max())
+
+
+def _on_box(points: np.ndarray) -> np.ndarray:
+    """Wrapped copy in [0, 2 pi), as a periodic cKDTree needs; np.mod can round up to 2 pi."""
+    x = wrap(points)
+    x[x >= TWO_PI] = 0.0
+    return x

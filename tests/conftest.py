@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mhdrecon.fields import SpectralField2D, TorusGrid, leray_project
+
+# Property tests draw the same examples on every host and run, and keep no
+# example database between runs.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(scope="session")

@@ -143,6 +143,36 @@ class TestEvaluation:
             ref = [np.real(np.sum(f.coeffs[i] * phases)) for i in range(2)]
             assert np.allclose(v, ref, atol=1e-11)
 
+    def test_band_matches_full_spectrum_sums(self, grid64):
+        # active modes fill |k| <= 12 of the 64 x 64 grid: the dense path sums
+        # over 25 rows and columns, and the test checks it drops nothing that counts
+        f = random_divergence_free(grid64, 12, seed=5)
+        ev = FieldEvaluator(f)
+        assert ev._dense
+        assert len(ev._kr) < grid64.resolution and len(ev._kc) < grid64.resolution
+        pts = np.random.default_rng(1).uniform(0, 2 * np.pi, (40, 2))
+        k = grid64.wavenumbers.astype(np.float64)
+        c = f.coeffs
+        ref_vals = _full_spectrum_sums(c, k, pts)
+        ref_jac = np.stack(
+            [_full_spectrum_sums(1j * k[:, None] * c, k, pts),
+             _full_spectrum_sums(1j * k[None, :] * c, k, pts)], axis=-1)
+        ref_psi = _full_spectrum_sums(stream_function(f)[None], k, pts)[:, 0]
+        vals, jacs = ev.values_and_jacobians(pts)
+        tol = 1e-13 * c1_norm(f)
+        assert np.abs(vals - ref_vals).max() < tol
+        assert np.abs(jacs - ref_jac).max() < tol
+        assert np.abs(ev.values(pts) - ref_vals).max() < tol
+        assert np.abs(ev.potential(pts) - ref_psi).max() < tol
+
+
+def _full_spectrum_sums(coeffs, k, pts):
+    """Real parts of sum over the whole (M, M) grid of C[k1, k2] e^{i (k1 x + k2 y)},
+    one column per matrix C in coeffs."""
+    e1 = np.exp(1j * np.outer(pts[:, 0], k))
+    e2 = np.exp(1j * np.outer(pts[:, 1], k))
+    return np.real(np.einsum("pa,nab,pb->pn", e1, coeffs, e2))
+
 
 class TestJacobian:
     def test_tilde_t1_at_origin(self, grid32):

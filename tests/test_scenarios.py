@@ -5,11 +5,15 @@ seconds on coarser grids and shorter horizons.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhdrecon.scenarios import (
+    SCENARIOS,
     ConfigError,
     ExperimentConfig,
     Report,
@@ -22,6 +26,40 @@ from mhdrecon.scenarios import (
     run_theorem1,
     run_theorem2,
 )
+
+
+# JSON scalars and lists, non-finite floats, and values near the valid ranges
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=40),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.integers(), max_size=2),
+)
+
+_EVEN_GRID = st.integers(min_value=4, max_value=40).map(lambda v: 2 * v)
+# a value that each config field accepts
+_VALID_VALUES = {
+    "scenario": st.sampled_from(SCENARIOS + ("stability-decay",)),
+    "nu": st.floats(0.0, 10.0),
+    "eta": st.floats(0.0, 10.0),
+    "resolution": _EVEN_GRID,
+    "dt": st.floats(1e-6, 1.0),
+    "t_end": st.floats(0.0, 10.0) | st.integers(0, 10),
+    "n": st.integers(1, 9),
+    "m": st.integers(1, 9),
+    "n2": st.integers(1, 9),
+    "m2": st.integers(1, 9),
+    "delta": st.floats(0.0, 1.0),
+    "r": st.integers(0, 8),
+    "output_cadence": st.integers(1, 100),
+    "dealias": st.booleans(),
+    "expect": st.none() | st.text(max_size=6),
+    "seed_grid": st.none() | _EVEN_GRID,
+    "topology_cadence": st.none() | st.integers(1, 10),
+}
 
 
 def mini(scenario, **kw):
@@ -72,6 +110,71 @@ class TestConfig:
     def test_stability_decay_alias(self):
         cfg = ExperimentConfig.for_scenario("stability-decay")
         assert cfg.scenario == "stability"
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed_grid", "abc"),
+        ("seed_grid", 7),
+        ("seed_grid", 4),
+        ("topology_cadence", "x"),
+        ("topology_cadence", 0),
+        ("dt", float("nan")),
+        ("dt", 0.0),
+        ("nu", float("inf")),
+        ("eta", -0.1),
+        ("t_end", True),
+        ("resolution", True),
+        ("resolution", 30.0),
+        ("resolution", 6),
+        ("n", 0),
+        ("output_cadence", 0),
+        ("scenario", ["x"]),
+        ("dealias", 1),
+        ("expect", 3),
+    ])
+    def test_bad_value_named(self, name, value):
+        with pytest.raises(ConfigError, match=f"field '{name}'"):
+            ExperimentConfig.from_dict({"scenario": "custom", name: value})
+
+    def test_nan_in_json_file_named(self, tmp_path):
+        # Python's json module reads NaN, although JSON has no such value
+        path = tmp_path / "nan.json"
+        path.write_text('{"scenario": "custom", "dt": NaN}')
+        with pytest.raises(ConfigError, match="field 'dt'"):
+            load_config(path)
+
+    def test_null_optionals_load(self):
+        cfg = ExperimentConfig.from_dict(
+            {"scenario": "custom", "seed_grid": None, "topology_cadence": None, "expect": None})
+        assert cfg.seed_grid is None and cfg.topology_cadence is None and cfg.expect is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {"scenario": _VALID_VALUES["scenario"]},
+            optional={k: v for k, v in _VALID_VALUES.items() if k != "scenario"},
+        ),
+        st.none() | st.tuples(st.sampled_from([*_VALID_VALUES, "viscosity"]), _JSON_VALUES),
+    )
+    def test_fuzzed_config_loads_or_names_a_field(self, data, extra):
+        # valid values for some fields, plus at most one arbitrary JSON value
+        # for a known field or the unknown field 'viscosity'
+        if extra is not None:
+            data = {**data, extra[0]: extra[1]}
+        try:
+            cfg = ExperimentConfig.from_dict(data)
+        except ConfigError as exc:
+            msg = str(exc)
+            named = re.match(r"field '(\w+)'", msg)
+            if named:
+                assert named.group(1) in data or named.group(1) == "scenario", msg
+            else:
+                assert msg == "unknown config field(s): viscosity", msg
+            return
+        assert set(data) <= set(cfg.to_dict())
+        cfg.grid()
+        cfg.sim_config()
+        cfg.tolerances()
+
 
 
 @pytest.fixture(scope="module")

@@ -37,6 +37,7 @@ from mhdrecon.topology import (
     polyline_arclength,
     signatures_equivalent,
     sup_field_and_gradient,
+    torus_delta,
     torus_distance,
     trace_integral_line,
     verify_frozen_in,
@@ -502,4 +503,58 @@ class TestPolyline:
         assert distance_to_polyline(np.array([[0.0, 0.3]]), np.array([[0.0, 0.0]])) == (
             pytest.approx(0.3, abs=1e-12)
         )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force_across_the_seam(self, seed):
+        rng = np.random.default_rng(seed)
+        # a random walk that starts next to the corner of the box, so its
+        # wrapped vertices jump across the seam; every tenth step is long
+        # (up to 1.5), so a point near the middle of a long segment can lie
+        # closer to a vertex of another part of the line than to its ends
+        steps = rng.uniform(0.0, 0.15, (400, 1)) * _unit_vectors(rng, 400)
+        steps[::10] *= 10.0
+        line = wrap(np.array([2 * np.pi - 0.2, 0.1]) + np.cumsum(steps, axis=0))
+        assert np.any(np.abs(np.diff(line, axis=0)) > np.pi)
+        on = rng.integers(0, len(line) - 1, 300)
+        along = rng.uniform(0.0, 1.0, (300, 1)) * torus_delta(line[on + 1], line[on])
+        near = wrap(line[on] + along + rng.normal(0.0, 0.05, (300, 2)))
+        far = rng.uniform(0.0, 2 * np.pi, (50, 2))
+        for pts in (near, far, np.concatenate([near, far]), line[::7]):
+            got = distance_to_polyline(pts, line)
+            assert abs(got - _brute_force_distance(pts, line)) <= 1e-15
+        for p in near[:100]:
+            got = distance_to_polyline(p, line)
+            assert abs(got - _brute_force_distance(p[None], line)) <= 1e-15
+        assert distance_to_polyline(line, line) == 0.0
+
+    def test_single_vertex_matches_brute_force(self):
+        pts = np.random.default_rng(3).uniform(-1.0, 7.0, (20, 2))
+        vertex = np.array([[6.2, 0.05]])
+        expected = float(torus_distance(pts, vertex[0]).max())
+        assert distance_to_polyline(pts, vertex) == expected
+
+    def test_over_long_segment_rejected(self):
+        # [0, 0] -> [4, 0] is a step of 4 along x, not the seam crossing of length 2 pi - 4
+        with pytest.raises(ValueError, match="segment 0 .* length 4,"):
+            distance_to_polyline([[2.0, 0.0]], [[0.0, 0.0], [4.0, 0.0]])
+        with pytest.raises(ValueError, match="segment 1 .* length 3.2"):
+            distance_to_polyline([[0.5, 0.5]], [[0.0, 0.0], [1.0, 1.0], [3.0, 3.5]])
+
+
+def _unit_vectors(rng, n):
+    angle = rng.uniform(0.0, 2 * np.pi, n)
+    return np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+
+
+def _brute_force_distance(points, line):
+    """Every point against every segment, one point at a time."""
+    start = line[:-1]
+    seg = torus_delta(line[1:], start)
+    seg_sq = np.maximum(np.einsum("si,si->s", seg, seg), 1e-300)
+    worst = 0.0
+    for p in points:
+        d = torus_delta(p[None, :], start)
+        s = np.clip(np.einsum("si,si->s", d, seg) / seg_sq, 0.0, 1.0)
+        worst = max(worst, float(np.linalg.norm(d - s[:, None] * seg, axis=-1).min()))
+    return worst
 
