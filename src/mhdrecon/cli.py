@@ -28,6 +28,7 @@ from .scenarios import (
     ConfigError,
     ExperimentConfig,
     Report,
+    _is_even_grid,
     default_out_root,
     load_config,
     run_scenario,
@@ -126,7 +127,8 @@ def cmd_gen_field(args) -> int:
     out = _out_dir(args, "gen-field")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "field.snap"
-    write_snapshot(path, {"b1": f.coeffs[0], "b2": f.coeffs[1]}, time=0.0, nu=0.0, eta=0.0)
+    b1, b2 = f.components()
+    write_snapshot(path, {"b1": b1, "b2": b2}, time=0.0, nu=0.0, eta=0.0)
     print(path)
     return 0
 
@@ -138,6 +140,8 @@ def cmd_topology(args) -> int:
         f = parse_field_spec(args.field, TorusGrid(args.resolution))
     else:
         raise ConfigurationError("topology needs --field or --snapshot")
+    if args.seed_grid is not None and not _is_even_grid(args.seed_grid):
+        raise ConfigError(f"flag --seed-grid: expected an even integer >= 8, got {args.seed_grid}")
     tol = Tolerances() if args.seed_grid is None else Tolerances(seed_resolution=args.seed_grid)
     sig, points = extract_signature(f, tol)
     report = {

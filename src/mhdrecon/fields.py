@@ -1,20 +1,36 @@
-"""Divergence-free vector fields on the 2-torus in spectral representation.
+"""Divergence-free vector fields on the 2-torus, stored as stream functions.
 
-Fields live on the periodic square [0, 2pi)^2 and are stored as full-complex
-Fourier coefficient arrays c[k1, k2] in the convention
+Fields live on the periodic square [0, 2pi)^2. A zero-average,
+divergence-free field is the skew gradient of its stream function,
 
-    f(x, y) = sum_k c(k) exp(i (k1 x + k2 y)),
+    f = grad_perp psi = (d_y psi, -d_x psi),
 
-so that the unnormalized L2 norm satisfies  ||f||^2 = (2 pi)^2 sum |c(k)|^2.
-Wavenumbers are the integer lattice k_i in {-M/2+1, ..., M/2} for an M x M
-grid (the Nyquist index carries the label +M/2).
+and SpectralField2D stores psi: its Fourier coefficients in the convention
+psi(x, y) = sum_k psi(k) exp(i (k1 x + k2 y)), on the (M, M/2 + 1)
+half-spectrum of the real FFT. Wavenumbers k1 run over {-M/2+1, ..., M/2}
+in FFT order (the Nyquist index carries the label +M/2) and k2 over
+{0, ..., M/2}; the modes with k2 < 0 are the conjugates psi(-k) =
+conj(psi(k)) of a real function and are not stored. So every field is real
+and divergence-free by construction, and its unnormalized L2 norm is
+
+    ||f||^2 = (2 pi)^2 sum_k |k|^2 |psi(k)|^2   (over the full spectrum),
+
+where a stored entry with k2 > 0 stands for two modes, k and -k
+(TorusGrid.multiplicity). The mean of psi and its Nyquist lines |k_i| = M/2
+are kept at zero: on those lines the sign of the wavenumber is ambiguous, so
+no real odd derivative exists there.
 
 The building blocks are the Taylor eigenfields
 
-    T_nm      = (m sin(n x) sin(m y), n cos(n x) cos(m y)),   -Lap T_nm = (n^2+m^2) T_nm,
-    tilde T_1 = (sin y, sin(x) / 2),                          -Lap = 1,
+    T_nm      = (m sin(n x) sin(m y), n cos(n x) cos(m y)),   psi = -sin(n x) cos(m y),
+    tilde T_1 = (sin y, sin(x) / 2),                          psi = cos(x) / 2 - cos(y),
 
-both divergence-free, zero-average, and stationary for 2D Euler.
+with -Lap T_nm = (n^2+m^2) T_nm and -Lap tilde T_1 = tilde T_1, both
+zero-average and stationary for 2D Euler.
+
+The vector view of a field, the full-complex (2, M, M) coefficients of its
+components that snapshot format v1 stores, is computed on demand by
+SpectralField2D.components and read back by SpectralField2D.from_components.
 """
 
 from __future__ import annotations
@@ -38,9 +54,19 @@ _EVAL_TAIL_RTOL = 1e-13
 _SUP_OVERSAMPLE = 4
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class TorusGrid:
-    """Uniform M x M collocation grid on [0, 2pi)^2 with integer wavenumbers."""
+    """Uniform M x M collocation grid on [0, 2pi)^2 and its real-FFT half-spectrum.
+
+    The wavenumber arrays k1, k2, ksq, ... have the half-spectrum shape
+    (M, M/2 + 1), and to_grid/from_grid are the real transform pair between
+    half-spectrum coefficients and collocation values.
+    """
 
     resolution: int
 
@@ -55,86 +81,71 @@ class TorusGrid:
         m = self.resolution
         k = np.fft.fftfreq(m, d=1.0 / m).astype(np.int64)
         k[m // 2] = m // 2
-        k.setflags(write=False)
-        return k
-
-    @cached_property
-    def k1(self) -> np.ndarray:
-        k = np.broadcast_to(self.wavenumbers[:, None], self.shape).copy()
-        k.setflags(write=False)
-        return k
-
-    @cached_property
-    def k2(self) -> np.ndarray:
-        k = np.broadcast_to(self.wavenumbers[None, :], self.shape).copy()
-        k.setflags(write=False)
-        return k
-
-    @cached_property
-    def ksq(self) -> np.ndarray:
-        k = self.k1.astype(np.float64) ** 2 + self.k2.astype(np.float64) ** 2
-        k.setflags(write=False)
-        return k
-
-    @cached_property
-    def inv_ksq(self) -> np.ndarray:
-        """1/|k|^2 with the zero mode mapped to 0 (solves Poisson on mean-free data)."""
-        with np.errstate(divide="ignore"):
-            inv = np.where(self.ksq > 0, 1.0 / np.where(self.ksq > 0, self.ksq, 1.0), 0.0)
-        inv.setflags(write=False)
-        return inv
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: True where max(|k1|, |k2|) <= M/3."""
-        cut = self.resolution / 3.0
-        mask = (np.abs(self.k1) <= cut) & (np.abs(self.k2) <= cut)
-        mask.setflags(write=False)
-        return mask
-
-    @cached_property
-    def nyquist_mask(self) -> np.ndarray:
-        """True on the Nyquist lines |k_i| = M/2, where the sign of the
-        wavenumber label is ambiguous and real odd derivatives do not exist."""
-        ny = self.resolution // 2
-        mask = (self.k1 == ny) | (self.k2 == ny)
-        mask.setflags(write=False)
-        return mask
-
-    @cached_property
-    def conj_index(self) -> np.ndarray:
-        """Index array mapping wavenumber k to -k (modulo M)."""
-        idx = (-np.arange(self.resolution)) % self.resolution
-        idx.setflags(write=False)
-        return idx
-
-    @cached_property
-    def nodes(self) -> np.ndarray:
-        x = np.arange(self.resolution) * (2.0 * np.pi / self.resolution)
-        x.setflags(write=False)
-        return x
+        return _frozen(k)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.resolution, self.resolution)
 
     @property
+    def spectral_shape(self) -> tuple[int, int]:
+        return (self.resolution, self.resolution // 2 + 1)
+
+    @cached_property
+    def k1(self) -> np.ndarray:
+        k = self.wavenumbers.astype(np.float64)[:, None]
+        return _frozen(np.broadcast_to(k, self.spectral_shape).copy())
+
+    @cached_property
+    def k2(self) -> np.ndarray:
+        k = np.arange(self.resolution // 2 + 1, dtype=np.float64)[None, :]
+        return _frozen(np.broadcast_to(k, self.spectral_shape).copy())
+
+    @cached_property
+    def ksq(self) -> np.ndarray:
+        return _frozen(self.k1**2 + self.k2**2)
+
+    @cached_property
+    def inv_ksq(self) -> np.ndarray:
+        """1/|k|^2 with the zero mode mapped to 0 (solves Poisson on mean-free data)."""
+        ksq = self.ksq
+        return _frozen(np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0))
+
+    @cached_property
+    def multiplicity(self) -> np.ndarray:
+        """Full-spectrum modes per half-spectrum entry: 2 (k and -k) for
+        0 < k2 < M/2, 1 on the self-conjugate columns k2 = 0 and k2 = M/2."""
+        w = np.full(self.spectral_shape, 2.0)
+        w[:, 0] = w[:, -1] = 1.0
+        return _frozen(w)
+
+    @cached_property
+    def dealias_mask(self) -> np.ndarray:
+        """2/3-rule mask: True where max(|k1|, |k2|) <= M/3."""
+        cut = self.resolution / 3.0
+        return _frozen((np.abs(self.k1) <= cut) & (self.k2 <= cut))
+
+    @cached_property
+    def nyquist_mask(self) -> np.ndarray:
+        """True on the Nyquist lines |k_i| = M/2."""
+        ny = self.resolution // 2
+        return _frozen((self.k1 == ny) | (self.k2 == ny))
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return _frozen(np.arange(self.resolution) * (2.0 * np.pi / self.resolution))
+
+    @property
     def spacing(self) -> float:
         return 2.0 * np.pi / self.resolution
 
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse transform to real collocation values (last two axes)."""
-        m2 = self.resolution**2
-        return np.real(sfft.ifft2(coeffs, axes=(-2, -1))) * m2
+        """Real collocation values of half-spectrum coefficients (last two axes)."""
+        return sfft.irfft2(coeffs, s=self.shape, axes=(-2, -1), norm="forward")
 
     def from_grid(self, values: np.ndarray) -> np.ndarray:
-        """Forward transform of real collocation values to coefficients."""
-        return sfft.fft2(values.astype(np.complex128), axes=(-2, -1)) / self.resolution**2
-
-    def hermitianize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Project onto Hermitian-symmetric arrays, c(-k) = conj(c(k))."""
-        flipped = np.roll(coeffs[..., ::-1, ::-1], shift=(1, 1), axis=(-2, -1))
-        return 0.5 * (coeffs + np.conj(flipped))
+        """Half-spectrum coefficients of real collocation values (last two axes)."""
+        return sfft.rfft2(values, axes=(-2, -1), norm="forward")
 
 
 @dataclass(frozen=True)
@@ -153,45 +164,82 @@ class TaylorSpec:
         return self.n**2 + self.m**2
 
 
+def _series(k1, k2, psi, jacobian: bool = True) -> np.ndarray:
+    """Coefficients of f1 = d_y psi and f2 = -d_x psi, then, with jacobian,
+    of d_x f1, d_y f1 and d_x f2 (d_y f2 = -d_x f1, since div f = 0)."""
+    series = [1j * k2 * psi, -1j * k1 * psi]
+    if jacobian:
+        series += [-k1 * k2 * psi, -k2 * k2 * psi, k1 * k1 * psi]
+    return np.stack(series)
+
+
 @dataclass(frozen=True)
 class SpectralField2D:
-    """Real, divergence-free, zero-average vector field stored spectrally.
+    """Real, divergence-free, zero-average vector field f = grad_perp psi.
 
-    ``coeffs`` has shape (2, M, M): one full-complex coefficient array per
-    vector component, indexed by wavenumber in FFT order.
+    ``psi`` holds the coefficients of the stream function on the (M, M/2 + 1)
+    half-spectrum. The constructor copies it and zeroes its mean and its
+    Nyquist lines.
     """
 
     grid: TorusGrid
-    coeffs: np.ndarray
+    psi: np.ndarray
 
     def __post_init__(self):
-        c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (2, *self.grid.shape):
-            raise ConfigurationError(f"coefficient array has shape {c.shape}, expected (2, M, M)")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        psi = np.array(self.psi, dtype=np.complex128)
+        if psi.shape != self.grid.spectral_shape:
+            raise ConfigurationError(
+                f"stream function has shape {psi.shape}, expected (M, M/2 + 1) = "
+                f"{self.grid.spectral_shape}"
+            )
+        psi[0, 0] = 0.0
+        psi[self.grid.nyquist_mask] = 0.0
+        object.__setattr__(self, "psi", _frozen(psi))
 
-    def validate(self, rtol: float = 1e-12) -> None:
-        """Check Hermitian symmetry, zero divergence and zero mean.
+    @classmethod
+    def from_components(
+        cls, grid: TorusGrid, coeffs: np.ndarray, name: str = "field"
+    ) -> "SpectralField2D":
+        """The field of a vector view: full-complex coefficients (2, M, M).
 
-        Raises ConfigurationError on violation; tolerances are relative to the
-        coefficient magnitude scale.
+        Raises ConfigurationError naming ``name`` unless the coefficients are
+        Hermitian-symmetric (a real field), divergence-free and zero-average,
+        each to 1e-12 relative to their scale. Nyquist-line content is dropped.
         """
-        g, c = self.grid, self.coeffs
+        rtol = 1e-12
+        c = np.asarray(coeffs, dtype=np.complex128)
+        m = grid.resolution
+        if c.shape != (2, m, m):
+            raise ConfigurationError(f"{name}: components of shape {c.shape}, expected (2, {m}, {m})")
         scale = float(np.max(np.abs(c))) or 1.0
-        herm = c - g.hermitianize(c)
-        if np.max(np.abs(herm)) > rtol * scale:
-            raise ConfigurationError("field is not Hermitian-symmetric (not real)")
-        div = g.k1 * c[0] + g.k2 * c[1]
-        kscale = float(np.max(np.abs(g.k1 * c[0])) + np.max(np.abs(g.k2 * c[1]))) or 1.0
+        mirror = np.conj(np.roll(c[:, ::-1, ::-1], 1, axis=(1, 2)))  # conj c(-k)
+        if 0.5 * np.max(np.abs(c - mirror)) > rtol * scale:
+            raise ConfigurationError(f"{name} is not Hermitian-symmetric (not real)")
+        half = c[..., : m // 2 + 1]
+        k1, k2 = grid.k1, grid.k2
+        div = k1 * half[0] + k2 * half[1]
+        kscale = float(np.max(np.abs(k1 * half[0])) + np.max(np.abs(k2 * half[1]))) or 1.0
         if np.max(np.abs(div)) > rtol * kscale:
-            raise ConfigurationError("field is not divergence-free")
-        if abs(c[0, 0, 0]) > rtol * scale or abs(c[1, 0, 0]) > rtol * scale:
-            raise ConfigurationError("field does not have zero average")
+            raise ConfigurationError(f"{name} is not divergence-free")
+        if max(abs(c[0, 0, 0]), abs(c[1, 0, 0])) > rtol * scale:
+            raise ConfigurationError(f"{name} does not have zero average")
+        # f1 = i k2 psi, f2 = -i k1 psi
+        return cls(grid, 1j * (k1 * half[1] - k2 * half[0]) * grid.inv_ksq)
+
+    def components(self) -> np.ndarray:
+        """The vector view: full-complex coefficients (2, M, M) of (f1, f2)."""
+        g, m = self.grid, self.grid.resolution
+        half = _series(g.k1, g.k2, self.psi, jacobian=False)
+        full = np.empty((2, m, m), dtype=np.complex128)
+        full[..., : m // 2 + 1] = half
+        # c(k1, -k2) = conj c(-k1, k2) for the columns k2 = M/2 - 1, ..., 1
+        full[..., m // 2 + 1 :] = np.conj(np.roll(half[:, ::-1, m // 2 - 1 : 0 : -1], 1, axis=1))
+        return full
 
     def to_grid(self) -> np.ndarray:
         """Collocation values, shape (2, M, M)."""
-        return self.grid.to_grid(self.coeffs)
+        g = self.grid
+        return g.to_grid(_series(g.k1, g.k2, self.psi, jacobian=False))
 
     @cached_property
     def evaluator(self) -> "FieldEvaluator":
@@ -206,117 +254,107 @@ class SpectralField2D:
     def __add__(self, other: "SpectralField2D") -> "SpectralField2D":
         if other.grid.resolution != self.grid.resolution:
             raise ConfigurationError("cannot combine fields on different grids")
-        return SpectralField2D(self.grid, self.coeffs + other.coeffs)
+        return SpectralField2D(self.grid, self.psi + other.psi)
 
     def __sub__(self, other: "SpectralField2D") -> "SpectralField2D":
         if other.grid.resolution != self.grid.resolution:
             raise ConfigurationError("cannot combine fields on different grids")
-        return SpectralField2D(self.grid, self.coeffs - other.coeffs)
+        return SpectralField2D(self.grid, self.psi - other.psi)
 
     def __mul__(self, scalar: float) -> "SpectralField2D":
-        return SpectralField2D(self.grid, self.coeffs * scalar)
+        return SpectralField2D(self.grid, self.psi * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField2D":
-        return SpectralField2D(self.grid, -self.coeffs)
+        return SpectralField2D(self.grid, -self.psi)
 
 
 def zero_field(grid: TorusGrid) -> SpectralField2D:
-    return SpectralField2D(grid, np.zeros((2, *grid.shape), dtype=np.complex128))
+    return SpectralField2D(grid, np.zeros(grid.spectral_shape, dtype=np.complex128))
 
 
 def make_taylor(spec: TaylorSpec, amplitude: float, grid: TorusGrid) -> SpectralField2D:
-    """Exact spectral representation of amplitude * T_nm.
-
-    T_nm = (m sin(nx) sin(my), n cos(nx) cos(my)); each component occupies the
-    four wavenumbers (+-n, +-m).
-    """
+    """Exact spectral representation of amplitude * T_nm, psi = -amplitude sin(nx) cos(my)."""
     n, m = spec.n, spec.m
     if n >= grid.resolution // 2 or m >= grid.resolution // 2:
         raise ConfigurationError(
             f"Taylor mode {(n, m)} is not resolvable on an M={grid.resolution} grid"
         )
-    c = np.zeros((2, *grid.shape), dtype=np.complex128)
-    a = amplitude
-    # sin(nx) sin(my) = -1/4 [e^{i(nx+my)} - e^{i(nx-my)} - e^{i(-nx+my)} + e^{-i(nx+my)}]
-    c[0, n, m] = -a * m / 4.0
-    c[0, n, -m] = a * m / 4.0
-    c[0, -n, m] = a * m / 4.0
-    c[0, -n, -m] = -a * m / 4.0
-    # cos(nx) cos(my) = 1/4 [e^{i(nx+my)} + e^{i(nx-my)} + e^{i(-nx+my)} + e^{-i(nx+my)}]
-    c[1, n, m] = a * n / 4.0
-    c[1, n, -m] = a * n / 4.0
-    c[1, -n, m] = a * n / 4.0
-    c[1, -n, -m] = a * n / 4.0
-    return SpectralField2D(grid, c)
+    psi = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    # -sin(nx) cos(my) = i/4 [e^{i(nx+my)} - e^{i(-nx+my)}] + conjugates
+    psi[n, m] = 0.25j * amplitude
+    psi[-n, m] = -0.25j * amplitude
+    return SpectralField2D(grid, psi)
 
 
 def make_tilde_t1(grid: TorusGrid, amplitude: float = 1.0) -> SpectralField2D:
-    """Exact spectral representation of amplitude * (sin y, sin(x)/2), eigenvalue 1."""
-    c = np.zeros((2, *grid.shape), dtype=np.complex128)
-    a = amplitude
-    c[0, 0, 1] = -0.5j * a
-    c[0, 0, -1] = 0.5j * a
-    c[1, 1, 0] = -0.25j * a
-    c[1, -1, 0] = 0.25j * a
-    return SpectralField2D(grid, c)
+    """Exact spectral representation of amplitude * (sin y, sin(x)/2), eigenvalue 1,
+    psi = amplitude (cos(x)/2 - cos(y))."""
+    psi = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    psi[1, 0] = psi[-1, 0] = 0.25 * amplitude
+    psi[0, 1] = -0.5 * amplitude
+    return SpectralField2D(grid, psi)
 
 
-def _active_modes(coeffs: np.ndarray, grid: TorusGrid):
-    """Flat lists (k1, k2, c...) keeping modes whose weighted tail is negligible.
+def _active_modes(f: SpectralField2D) -> np.ndarray:
+    """Flat half-spectrum indices of the modes kept by point evaluation.
 
-    The dropped modes have sum (1+|k|) |c| below _EVAL_TAIL_RTOL times the total,
-    so truncated point values and first derivatives are accurate to that
-    relative level. Deterministic for a given coefficient array.
+    A mode weighs (1 + |k|_inf) (|f1(k)| + |f2(k)|) = (1 + |k|_inf) (|k1| +
+    |k2|) |psi(k)|, once for every full-spectrum mode it stands for. The
+    dropped modes weigh in total below _EVAL_TAIL_RTOL times all of them, so
+    truncated point values and first derivatives are accurate to that
+    relative level. Deterministic for a given psi.
     """
-    comps = coeffs.reshape(coeffs.shape[0], -1) if coeffs.ndim == 3 else coeffs.reshape(1, -1)
-    k1 = grid.k1.ravel().astype(np.float64)
-    k2 = grid.k2.ravel().astype(np.float64)
-    mag = np.abs(comps).sum(axis=0)
-    weight = (1.0 + np.maximum(np.abs(k1), np.abs(k2))) * mag
-    total = weight.sum()
+    g = f.grid
+    k1, k2 = np.abs(g.k1.ravel()), g.k2.ravel()
+    weight = (1.0 + np.maximum(k1, k2)) * (k1 + k2) * np.abs(f.psi.ravel())
+    counted = weight * g.multiplicity.ravel()
+    total = counted.sum()
     if total == 0.0:
-        keep = np.zeros(0, dtype=np.intp)
-    else:
-        order = np.argsort(weight, kind="stable")
-        tail = np.cumsum(weight[order])
-        cut = np.searchsorted(tail, _EVAL_TAIL_RTOL * total, side="right")
-        keep = np.sort(order[cut:])
-    return k1[keep], k2[keep], [comp[keep] for comp in comps]
+        return np.zeros(0, dtype=np.intp)
+    order = np.argsort(weight, kind="stable")
+    tail = np.cumsum(counted[order])
+    cut = np.searchsorted(tail, _EVAL_TAIL_RTOL * total, side="right")
+    return np.sort(order[cut:])
 
 
 class FieldEvaluator:
-    """Evaluates a spectral field (and its Jacobian) at arbitrary points.
+    """Evaluates a field, its Jacobian and its stream function at arbitrary points.
 
-    Values are exact trigonometric sums, spectrally accurate at off-grid
-    points. Sparse fields (few active wavenumbers) sum over the active modes
-    directly; dense fields use the separable form sum_k1 e^{i k1 x} sum_k2
-    C[k1, k2] e^{i k2 y}, which costs one (P, R) x (R, C) product per
-    coefficient matrix instead of a (P, M^2) phase table. R and C are the
-    rows k1 and columns k2 that hold an active mode (the band of the field):
-    every mode outside them lies in the tail that _active_modes drops.
+    Values are exact trigonometric sums over the modes _active_modes keeps,
+    spectrally accurate at off-grid points: Re sum_k w(k) c(k) e^{i k.x} over
+    the half-spectrum, with w the multiplicity of each entry. Field and
+    Jacobian are the 5 series of _series. Sparse fields (at most 4M active
+    full-spectrum modes) sum over the active modes directly; dense fields use
+    the separable form sum_k1 e^{i k1 x} sum_k2 C[k1, k2] e^{i k2 y}, which
+    costs one (P, R) x (R, C) product per series instead of a (P, modes)
+    phase table. R and C are the rows k1 and the columns k2 >= 0 that hold
+    an active mode (the band of the field): every mode outside them lies in
+    the tail that _active_modes drops.
     """
 
     def __init__(self, field: SpectralField2D):
-        self.grid = field.grid
-        self._k1, self._k2, (self._c1, self._c2) = _active_modes(field.coeffs, field.grid)
-        m = field.grid.resolution
-        self._dense = len(self._k1) > 4 * m
+        g = field.grid
+        keep = _active_modes(field)
+        weight = g.multiplicity.ravel()[keep]
+        self._dense = weight.sum() > 4 * g.resolution
         if self._dense:
-            rows = np.unique(self._k1.astype(np.intp) % m)
-            cols = np.unique(self._k2.astype(np.intp) % m)
-            k = field.grid.wavenumbers.astype(np.float64)
-            self._kr, self._kc = k[rows], k[cols]
-            band = np.ix_(rows, cols)
-            mats = []
-            for c in field.coeffs:
-                c = c[band]
-                mats += [c, 1j * self._kr[:, None] * c, 1j * self._kc[None, :] * c]
-            # (R, 6C): value, d/dx and d/dy matrices of both components side by side
-            self._jac_mats = np.concatenate(mats, axis=1)
-            self._val_mats = np.concatenate([mats[0], mats[3]], axis=1)
-            self._psi = stream_function(field)[band]
+            ncols = g.spectral_shape[1]
+            rows, cols = np.unique(keep // ncols), np.unique(keep % ncols)
+            self._kr, self._kc = g.k1[rows, 0], g.k2[0, cols]
+            # (R, C) weighted psi of the band, and the (R, 5C) series side by side
+            self._psi = field.psi[np.ix_(rows, cols)] * g.multiplicity[0, cols]
+            self._mats = np.concatenate(_series(self._kr[:, None], self._kc[None, :], self._psi),
+                                        axis=1)
+            self._val_mats = self._mats[:, : 2 * len(cols)].copy()
+        else:
+            # the same series as (K, n) tables over the K active modes
+            self._k1, self._k2 = g.k1.ravel()[keep], g.k2.ravel()[keep]
+            psi = field.psi.ravel()[keep] * weight
+            self._psi = psi[:, None]
+            self._mats = _series(self._k1, self._k2, psi).T
+            self._val_mats = self._mats[:, :2].copy()
 
     def _phases(self, pts: np.ndarray) -> np.ndarray:
         return np.exp(1j * (pts[:, 0, None] * self._k1 + pts[:, 1, None] * self._k2))
@@ -329,38 +367,25 @@ class FieldEvaluator:
         rows = (e1 @ mats).reshape(len(pts), -1, len(self._kc))
         return np.real((rows @ e2[:, :, None])[:, :, 0])
 
+    def _sums(self, pts: np.ndarray, mats: np.ndarray) -> np.ndarray:
+        if self._dense:
+            return self._separable_sums(pts, mats)
+        return np.real(self._phases(pts) @ mats)
+
     def values(self, pts: np.ndarray) -> np.ndarray:
         """Field values at points, shape (P, 2)."""
-        if self._dense:
-            return self._separable_sums(pts, self._val_mats)
-        e = self._phases(pts)
-        return np.stack([np.real(e @ self._c1), np.real(e @ self._c2)], axis=-1)
+        return self._sums(pts, self._val_mats)
 
     def potential(self, pts: np.ndarray) -> np.ndarray:
-        """Stream function psi at points, shape (P,), with f = (d_y psi, -d_x psi).
-
-        Sums the coefficients of stream_function over the active modes, or in
-        the separable form over the band for dense fields.
-        """
-        if self._dense:
-            return self._separable_sums(pts, self._psi)[:, 0]
-        ksq = self._k1**2 + self._k2**2
-        psi = 1j * (self._k1 * self._c2 - self._k2 * self._c1) / np.where(ksq > 0, ksq, 1.0)
-        return np.real(self._phases(pts) @ psi)
+        """Stream function psi at points, shape (P,), with f = (d_y psi, -d_x psi)."""
+        return self._sums(pts, self._psi)[:, 0]
 
     def values_and_jacobians(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(values (P, 2), Jacobians (P, 2, 2)) with J[i, j] = d f_i / d x_j."""
-        if self._dense:
-            sums = self._separable_sums(pts, self._jac_mats).reshape(len(pts), 2, 3)
-            return sums[:, :, 0].copy(), sums[:, :, 1:].copy()
-        f = np.empty((len(pts), 2))
-        jac = np.empty((len(pts), 2, 2))
-        e = self._phases(pts)
-        for i, c in enumerate((self._c1, self._c2)):
-            f[:, i] = np.real(e @ c)
-            jac[:, i, 0] = np.real(e @ (1j * self._k1 * c))
-            jac[:, i, 1] = np.real(e @ (1j * self._k2 * c))
-        return f, jac
+        s = self._sums(pts, self._mats)
+        jac = s[:, [2, 3, 4, 2]].reshape(-1, 2, 2)
+        jac[:, 1, 1] *= -1.0
+        return s[:, :2].copy(), jac
 
 
 def eval_field(f: SpectralField2D, x) -> np.ndarray:
@@ -378,20 +403,20 @@ def jacobian(f: SpectralField2D, x) -> np.ndarray:
 
 
 def laplacian(f: SpectralField2D) -> SpectralField2D:
-    return SpectralField2D(f.grid, -f.grid.ksq * f.coeffs)
+    return SpectralField2D(f.grid, -f.grid.ksq * f.psi)
 
 
 def sobolev_norm(f: SpectralField2D, r: int) -> float:
     """Inhomogeneous Sobolev norm (sum_k (1+|k|^2)^r |fhat(k)|^2)^(1/2).
 
     Coefficients are scaled so that r = 0 is the L2 norm under the
-    unnormalized inner product on [0, 2pi)^2.
+    unnormalized inner product on [0, 2pi)^2; |fhat(k)|^2 = |k|^2 |psi(k)|^2.
     """
     if not 0 <= r <= 8:
         raise ConfigurationError(f"Sobolev index must be in 0..8, got {r}")
-    w = (1.0 + f.grid.ksq) ** r
-    total = np.sum(w * (np.abs(f.coeffs[0]) ** 2 + np.abs(f.coeffs[1]) ** 2))
-    return float(2.0 * np.pi * np.sqrt(total))
+    g = f.grid
+    w = g.multiplicity * (1.0 + g.ksq) ** r * g.ksq
+    return float(2.0 * np.pi * np.sqrt(np.sum(w * np.abs(f.psi) ** 2)))
 
 
 def l2_norm(f: SpectralField2D) -> float:
@@ -400,19 +425,9 @@ def l2_norm(f: SpectralField2D) -> float:
 
 def l2_inner(f: SpectralField2D, g: SpectralField2D) -> float:
     """Unnormalized L2 pairing int f . g dx."""
-    total = np.sum(np.real(f.coeffs * np.conj(g.coeffs)))
+    grid = f.grid
+    total = np.sum(grid.multiplicity * grid.ksq * np.real(f.psi * np.conj(g.psi)))
     return float((2.0 * np.pi) ** 2 * total)
-
-
-def _upsampled_grid(coeffs: np.ndarray, grid: TorusGrid, oversample: int) -> np.ndarray:
-    """Zero-padded inverse transform onto an (oversample*M)^2 grid."""
-    m = grid.resolution
-    big = oversample * m
-    k = grid.wavenumbers
-    pad = np.zeros((*coeffs.shape[:-2], big, big), dtype=np.complex128)
-    idx = k % big
-    pad[..., idx[:, None], idx[None, :]] = coeffs
-    return np.real(sfft.ifft2(pad, axes=(-2, -1))) * big**2
 
 
 def sup_field_and_gradient(
@@ -420,14 +435,16 @@ def sup_field_and_gradient(
 ) -> tuple[float, float]:
     """(sup |f|, sup ||grad f||) in max norms, on an oversampled grid.
 
-    The suprema are approximated by sampling at oversample*M points per axis
-    via zero-padded spectral upsampling.
+    The suprema are approximated by sampling at oversample*M points per axis:
+    the 5 series of _series, zero-padded, go through one inverse real FFT.
     """
     if oversample < 2:
         raise ConfigurationError("oversample must be >= 2")
     g = f.grid
-    stacked = np.concatenate([f.coeffs, 1j * g.k1 * f.coeffs, 1j * g.k2 * f.coeffs])
-    vals = _upsampled_grid(stacked, g, oversample)
+    big = oversample * g.resolution
+    pad = np.zeros((5, big, big // 2 + 1), dtype=np.complex128)
+    pad[:, g.wavenumbers % big, : g.spectral_shape[1]] = _series(g.k1, g.k2, f.psi)
+    vals = sfft.irfft2(pad, s=(big, big), axes=(-2, -1), norm="forward", overwrite_x=True)
     return float(np.max(np.abs(vals[:2]))), float(np.max(np.abs(vals[2:])))
 
 
@@ -441,34 +458,16 @@ def c1_norm(f: SpectralField2D, oversample: int = _SUP_OVERSAMPLE) -> float:
 
 
 def project_coeffs(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Leray projection per mode: c(k) -> c(k) - k (k . c(k)) / |k|^2.
+    """Leray projection per mode of half-spectrum vector coefficients (2, M, M/2 + 1):
+    c(k) -> c(k) - k (k . c(k)) / |k|^2, with k = 0 and the Nyquist lines set
+    to zero.
 
-    The k = 0 mode and the Nyquist lines are set to zero; on the Nyquist
-    lines the wavenumber sign is ambiguous, so no consistent real projection
-    exists there (every field produced by this package is band-limited well
-    below them).
+    No run path needs it, since a field is divergence-free by construction;
+    the vector-form reference of the solver's tests does.
     """
     kdotc = grid.k1 * coeffs[0] + grid.k2 * coeffs[1]
     factor = kdotc * grid.inv_ksq
-    out = np.empty_like(coeffs)
-    out[0] = coeffs[0] - grid.k1 * factor
-    out[1] = coeffs[1] - grid.k2 * factor
+    out = np.stack([coeffs[0] - grid.k1 * factor, coeffs[1] - grid.k2 * factor])
     out[:, 0, 0] = 0.0
     out[:, grid.nyquist_mask] = 0.0
     return out
-
-
-def leray_project(coeffs: np.ndarray, grid: TorusGrid) -> SpectralField2D:
-    """Project a raw Hermitian-symmetric spectral vector field onto
-    divergence-free, zero-average fields."""
-    return SpectralField2D(grid, project_coeffs(np.asarray(coeffs, dtype=np.complex128), grid))
-
-
-def stream_function(f: SpectralField2D) -> np.ndarray:
-    """Coefficients (M, M) of the stream function psi with f = (d_y psi, -d_x psi).
-
-    Inverting f1 = i k2 psi, f2 = -i k1 psi gives
-    psi(k) = i (k1 f2(k) - k2 f1(k)) / |k|^2 for k != 0, psi(0) = 0.
-    """
-    g = f.grid
-    return 1j * (g.k1 * f.coeffs[1] - g.k2 * f.coeffs[0]) * g.inv_ksq

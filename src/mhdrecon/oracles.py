@@ -1,20 +1,19 @@
-"""Closed-form reference solutions, forces, and decay envelopes.
+"""Closed-form reference solutions and decay envelopes.
 
 These are the ground truths the solver and the scripted scenarios are checked
 against: the decaying single-Taylor solution, the forced solution
 
-    b(t) = e^{-eta N^2 t} T_nm + ((1 - e^{-eta N2^2 t}) / (eta N2^2)) T_{N2},
+    b(t) = e^{-eta N^2 t} T_nm + ((1 - e^{-eta N2^2 t}) / (eta N2^2)) T_{N2}
 
-the velocity force that keeps u = 0 for it, and the decay-envelope shapes of
-the stability and Duhamel estimates (with every unquantified constant set to
-1; envelopes are used for rate and shape comparisons only, never for
-pointwise domination claims).
+(the velocity force that keeps u = 0 for it is the solver's "theorem2"
+forcing), and the decay-envelope shapes of the stability and Duhamel
+estimates (with every unquantified constant set to 1; envelopes are used for
+rate and shape comparisons only, never for pointwise domination claims).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .fields import (
     sobolev_norm,
     zero_field,
 )
-from .solver import MHDState, advective_cross_term, forced_time_coefficients
+from .solver import MHDState, forced_time_coefficients
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,8 @@ class ForcedOracle:
     """Exact solution of the forced system with magnetic forcing T_{N2}.
 
     The triple (0, b(t), P(t)) solves the forced equations when the velocity
-    force is the compensating cross term (see forcing_f1).
+    force is -c1(t) c2(t) [(T_nm . grad) T_{N2} + (T_{N2} . grad) T_nm], the
+    term that cancels the advective cross term of b(t) (ForcingSpec "theorem2").
     """
 
     spec_nm: TaylorSpec
@@ -121,7 +121,7 @@ def forced_exact_b(oracle: ForcedOracle, t: float, grid: TorusGrid) -> SpectralF
     c1, c2 = oracle.coefficients(t)
     big = make_taylor(oracle.spec_nm, 1.0, grid)
     small = make_taylor(oracle.spec_2, 1.0, grid)
-    return SpectralField2D(grid, c1 * big.coeffs + c2 * small.coeffs)
+    return c1 * big + c2 * small
 
 
 def forced_exact_b_dt(oracle: ForcedOracle, t: float, grid: TorusGrid) -> SpectralField2D:
@@ -132,32 +132,7 @@ def forced_exact_b_dt(oracle: ForcedOracle, t: float, grid: TorusGrid) -> Spectr
     d2 = float(np.exp(-n2sq * oracle.eta * t))
     big = make_taylor(oracle.spec_nm, 1.0, grid)
     small = make_taylor(oracle.spec_2, 1.0, grid)
-    return SpectralField2D(grid, d1 * big.coeffs + d2 * small.coeffs)
-
-
-@lru_cache(maxsize=16)
-def _cached_cross(spec_nm: TaylorSpec, spec_2: TaylorSpec, resolution: int) -> np.ndarray:
-    grid = TorusGrid(resolution)
-    big = make_taylor(spec_nm, 1.0, grid)
-    small = make_taylor(spec_2, 1.0, grid)
-    cross = advective_cross_term(big, small)
-    cross.setflags(write=False)
-    return cross
-
-
-def forcing_f1(oracle: ForcedOracle, t: float, grid: TorusGrid) -> SpectralField2D:
-    """The velocity force -c1(t) c2(t) [(T_nm . grad) T_{N2} + (T_{N2} . grad) T_nm].
-
-    This cancels the advective cross term of the closed-form field so the
-    velocity stays identically zero. The field has zero average by
-    construction; it is generally not solenoidal (the pressure absorbs its
-    gradient part), so it is returned unprojected.
-    """
-    if t < 0:
-        raise ConfigurationError("oracle time must be >= 0")
-    c1, c2 = oracle.coefficients(t)
-    cross = _cached_cross(oracle.spec_nm, oracle.spec_2, grid.resolution)
-    return SpectralField2D(grid, (-c1 * c2) * cross)
+    return d1 * big + d2 * small
 
 
 def stability_envelope(bound: StabilityBound, t: float) -> float:
@@ -229,7 +204,7 @@ def remark2_exact_b(spec_nm: TaylorSpec, eta: float, t: float, grid: TorusGrid) 
     c1, c2 = forced_time_coefficients(eta, spec_nm.eigenvalue, 1.0, t)
     big = make_taylor(spec_nm, 1.0, grid)
     small = make_tilde_t1(grid)
-    return SpectralField2D(grid, c1 * big.coeffs + c2 * small.coeffs)
+    return c1 * big + c2 * small
 
 
 def remark2_exact_error(
@@ -243,5 +218,4 @@ def remark2_exact_error(
     c2 = -float(np.exp(-eta * t_end))
     big = make_taylor(spec_nm, 1.0, grid)
     small = make_tilde_t1(grid)
-    diff = SpectralField2D(grid, c1 * big.coeffs + c2 * small.coeffs)
-    return sobolev_norm(diff, r)
+    return sobolev_norm(c1 * big + c2 * small, r)

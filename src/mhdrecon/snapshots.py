@@ -11,7 +11,10 @@ Snapshot layout (little-endian throughout):
                   wavenumber order
 
 The header carries {format_version, time, nu, eta, resolution, fields}.
-Round-trips are bit-exact. Diagnostics are one JSON object per line; Python's
+A state is stored as its vector view: the full-complex component
+coefficients u1, u2, b1, b2 (SpectralField2D.components), read back through
+SpectralField2D.from_components, which checks them. Round-trips are
+bit-exact. Diagnostics are one JSON object per line; Python's
 JSON float formatting round-trips IEEE doubles exactly, so parsing recovers
 the records losslessly.
 """
@@ -22,6 +25,9 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+
+from .fields import SpectralField2D, TorusGrid
+from .solver import MHDState
 
 MAGIC = b"MHD2"
 FORMAT_VERSION = 1
@@ -47,6 +53,18 @@ class Snapshot:
         return int(self.header["resolution"])
 
 
+# header key -> (test of its value, what the value must be)
+_HEADER_RULES = {
+    "time": (lambda v: type(v) is int or type(v) is float and np.isfinite(v), "a finite number"),
+    "resolution": (lambda v: type(v) is int and v >= 8 and v % 2 == 0, "an even integer >= 8"),
+    "fields": (
+        lambda v: isinstance(v, list) and len(v) > 0 and all(isinstance(n, str) for n in v)
+        and len(set(v)) == len(v),
+        "a non-empty list of distinct field names",
+    ),
+}
+
+
 def write_snapshot(
     path,
     arrays: dict[str, np.ndarray],
@@ -62,6 +80,8 @@ def write_snapshot(
     for name, arr in arrays.items():
         if arr.shape != (resolution, resolution):
             raise SnapshotFormatError(f"field {name!r} has shape {arr.shape}")
+    if not _HEADER_RULES["resolution"][0](resolution):
+        raise SnapshotFormatError(f"resolution must be even and >= 8, got {resolution}")
     header = {
         "format_version": FORMAT_VERSION,
         "time": time,
@@ -80,64 +100,77 @@ def write_snapshot(
             fh.write(np.ascontiguousarray(arrays[name], dtype="<c16").tobytes())
 
 
+def _check_header(header) -> None:
+    if not isinstance(header, dict):
+        raise SnapshotFormatError("snapshot header is not a JSON object")
+    for key, (test, wanted) in _HEADER_RULES.items():
+        if key not in header:
+            raise SnapshotFormatError(f"snapshot header key {key!r} is missing")
+        if not test(header[key]):
+            raise SnapshotFormatError(
+                f"snapshot header key {key!r}: expected {wanted}, got {header[key]!r}"
+            )
+
+
 def read_snapshot(path) -> Snapshot:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise SnapshotFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        version = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        if version != FORMAT_VERSION:
-            raise SnapshotFormatError(f"unsupported format version {version}")
-        hlen = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        try:
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SnapshotFormatError(f"corrupt snapshot header: {exc}") from exc
-        m = int(header["resolution"])
-        arrays = {}
-        for name in header["fields"]:
-            raw = fh.read(16 * m * m)
-            if len(raw) != 16 * m * m:
-                raise SnapshotFormatError(f"payload for field {name!r} is truncated")
-            arrays[name] = np.frombuffer(raw, dtype="<c16").reshape(m, m).copy()
-        if fh.read(1):
-            raise SnapshotFormatError("trailing bytes after the last field")
+        raw = fh.read()
+    if raw[:4] != MAGIC:
+        raise SnapshotFormatError(f"bad magic {raw[:4]!r}, expected {MAGIC!r}")
+    if len(raw) < 12:
+        raise SnapshotFormatError("snapshot ends inside its fixed-size preamble")
+    version, hlen = (int(v) for v in np.frombuffer(raw[4:12], dtype="<u4"))
+    if version != FORMAT_VERSION:
+        raise SnapshotFormatError(f"unsupported format version {version}")
+    blob = raw[12 : 12 + hlen]
+    if len(blob) != hlen:
+        raise SnapshotFormatError("snapshot header is truncated")
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SnapshotFormatError(f"corrupt snapshot header: {exc}") from exc
+    _check_header(header)
+    m = header["resolution"]
+    size = 16 * m * m
+    body = raw[12 + hlen :]
+    arrays = {}
+    for i, name in enumerate(header["fields"]):
+        chunk = body[i * size : (i + 1) * size]
+        if len(chunk) != size:
+            raise SnapshotFormatError(f"payload for field {name!r} is truncated")
+        arrays[name] = np.frombuffer(chunk, dtype="<c16").reshape(m, m).copy()
+    if len(body) > size * len(arrays):
+        raise SnapshotFormatError("trailing bytes after the last field")
     return Snapshot(header=header, arrays=arrays)
 
 
-def write_state_snapshot(path, state, nu: float, eta: float) -> None:
-    """Store a full MHD state (u1, u2, b1, b2)."""
-    write_snapshot(
-        path,
-        {
-            "u1": state.u.coeffs[0],
-            "u2": state.u.coeffs[1],
-            "b1": state.b.coeffs[0],
-            "b2": state.b.coeffs[1],
-        },
-        time=state.t,
-        nu=nu,
-        eta=eta,
+def write_state_snapshot(path, state: MHDState, nu: float, eta: float) -> None:
+    """Store a full MHD state as its vector view (u1, u2, b1, b2)."""
+    u1, u2 = state.u.components()
+    b1, b2 = state.b.components()
+    write_snapshot(path, {"u1": u1, "u2": u2, "b1": b1, "b2": b2}, time=state.t, nu=nu, eta=eta)
+
+
+def snapshot_to_field(snap: Snapshot, prefix: str = "b") -> SpectralField2D:
+    """The field stored as the arrays prefix1, prefix2 (e.g. b1, b2).
+
+    Raises SnapshotFormatError if they are missing and ConfigurationError,
+    naming the field, if they are not a real, divergence-free, zero-average
+    field.
+    """
+    names = [prefix + "1", prefix + "2"]
+    for name in names:
+        if name not in snap.arrays:
+            raise SnapshotFormatError(f"snapshot has no field {name!r}")
+    return SpectralField2D.from_components(
+        TorusGrid(snap.resolution),
+        np.stack([snap.arrays[name] for name in names]),
+        name=f"snapshot field {prefix!r}",
     )
 
 
-def snapshot_to_state(snap: Snapshot):
-    from .fields import SpectralField2D, TorusGrid
-    from .solver import MHDState
-
-    grid = TorusGrid(snap.resolution)
-    u = SpectralField2D(grid, np.stack([snap.arrays["u1"], snap.arrays["u2"]]))
-    b = SpectralField2D(grid, np.stack([snap.arrays["b1"], snap.arrays["b2"]]))
-    return MHDState(u, b, snap.time)
-
-
-def snapshot_to_field(snap: Snapshot, prefix: str = "b"):
-    from .fields import SpectralField2D, TorusGrid
-
-    grid = TorusGrid(snap.resolution)
-    return SpectralField2D(
-        grid, np.stack([snap.arrays[prefix + "1"], snap.arrays[prefix + "2"]])
-    )
+def snapshot_to_state(snap: Snapshot) -> MHDState:
+    return MHDState(snapshot_to_field(snap, "u"), snapshot_to_field(snap, "b"), snap.time)
 
 
 @dataclass

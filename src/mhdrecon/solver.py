@@ -8,26 +8,27 @@ The system
 
 is advanced in potential form (Orszag & Tang, JFM 90, 1979). Both fields are
 divergence-free with zero average, so u = grad_perp psi and b = grad_perp a
-with grad_perp = (d_y, -d_x). The state is the vorticity omega = -Lap psi and
-the magnetic potential a, stored on the (M, M/2 + 1) half-spectrum of the
-real FFT, and the equations become
+with grad_perp = (d_y, -d_x). The state is the pair of stream functions
+(psi, a) on the (M, M/2 + 1) half-spectrum of the real FFT, the layout of
+SpectralField2D, and with the vorticity omega = -Lap psi the equations
+become
 
     d_t omega = curl div(b b^T - u u^T) + nu Lap omega + curl f1,
     d_t a     = u1 b2 - u2 b1 + eta Lap a + psi(f2),
 
-with psi(f2) the stream function of f2. Pressure and the divergence
-constraint never appear, so the step needs no Leray projection and no
-Hermitian symmetrization. Nonlinear terms are formed on the collocation grid
-with 2/3-rule dealiasing, and the diffusion semigroups exp(-nu |k|^2 t),
-exp(-eta |k|^2 t) are applied exactly through an integrating-factor RK4 step.
-Forces are evaluated at the RK substage times, which keeps the step
-fourth-order for time-dependent forcing. MHDState keeps the full-complex
-vector fields (u, b); they are rebuilt from the potentials, by Hermitian
-extension, only when a state is handed out.
+with psi(f2) the stream function of f2; the first is stepped as the equation
+of psi = omega / |k|^2. Pressure and the divergence constraint never appear,
+so the step needs no Leray projection and no Hermitian symmetrization.
+Nonlinear terms are formed on the collocation grid with 2/3-rule dealiasing,
+and the diffusion semigroups exp(-nu |k|^2 t), exp(-eta |k|^2 t) are applied
+exactly through an integrating-factor RK4 step. Forces are evaluated at the
+RK substage times, which keeps the step fourth-order for time-dependent
+forcing. An MHDState holds the fields of psi and a themselves.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass, field
 
@@ -39,8 +40,10 @@ from .fields import (
     SpectralField2D,
     TaylorSpec,
     TorusGrid,
+    l2_inner,
     make_taylor,
     make_tilde_t1,
+    zero_field,
 )
 # Not called here: bench/tracer.py looks the projection up as solver.project_coeffs.
 from .fields import project_coeffs  # noqa: F401
@@ -56,7 +59,7 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class MHDState:
-    """Velocity and magnetic field (both spectral) plus the simulation clock."""
+    """Velocity and magnetic field, each a stream-function field, plus the simulation clock."""
 
     u: SpectralField2D
     b: SpectralField2D
@@ -76,8 +79,8 @@ class ForcingSpec:
       remark2   same construction with the small mode replaced by tilde T_1
       custom    static Taylor forces given as (target, spec, amplitude) tuples
 
-    Both forces always have zero average. They are not required to be
-    solenoidal; the pressure absorbs any gradient part.
+    Both forces always have zero average. Only the curl of f1 acts (the
+    pressure absorbs its gradient part), so f1 need not be solenoidal.
     """
 
     kind: str = "none"
@@ -140,23 +143,6 @@ class SimConfig:
         return d
 
 
-def advective_cross_term(a: SpectralField2D, b: SpectralField2D) -> np.ndarray:
-    """Coefficients of (a . grad) b + (b . grad) a, formed pseudo-spectrally."""
-    g = a.grid
-    ag = a.to_grid()
-    bg = b.to_grid()
-    out = np.empty((2, *g.shape), dtype=np.complex128)
-    for i in range(2):
-        dbx = g.to_grid(1j * g.k1 * b.coeffs[i])
-        dby = g.to_grid(1j * g.k2 * b.coeffs[i])
-        dax = g.to_grid(1j * g.k1 * a.coeffs[i])
-        day = g.to_grid(1j * g.k2 * a.coeffs[i])
-        prod = ag[0] * dbx + ag[1] * dby + bg[0] * dax + bg[1] * day
-        out[i] = g.from_grid(prod)
-    out[:, 0, 0] = 0.0
-    return out
-
-
 def forced_time_coefficients(eta: float, nsq: float, n2sq: float, t: float) -> tuple[float, float]:
     """(c1, c2) = (e^{-eta N^2 t}, (1 - e^{-eta N2^2 t}) / (eta N2^2)).
 
@@ -169,7 +155,7 @@ def forced_time_coefficients(eta: float, nsq: float, n2sq: float, t: float) -> t
 
 
 class _HalfSpectrum:
-    """The state space of the solver: (omega, a) on the rfft2 half-spectrum.
+    """The state space of the solver: (psi, a) on the rfft2 half-spectrum.
 
     Arrays have shape (2, M, M/2 + 1): wavenumbers k1 in FFT order along the
     first grid axis and k2 = 0 .. M/2 along the second. The reality of the
@@ -181,21 +167,16 @@ class _HalfSpectrum:
         m = grid.resolution
         half = m // 2 + 1
         self.grid = grid
-        self.k1 = grid.k1[:, :half].astype(np.float64)
-        self.k2 = grid.k2[:, :half].astype(np.float64)
-        self.ksq = grid.ksq[:, :half]
-        self.inv_ksq = grid.inv_ksq[:, :half]
+        self.k1, self.k2, self.ksq, self.inv_ksq = grid.k1, grid.k2, grid.ksq, grid.inv_ksq
         # grad_perp = (d_y, -d_x) in spectral form
         self.perp = np.stack([1j * self.k2, -1j * self.k1])
         # the Nyquist lines have no consistent real odd derivative; drop them
-        # on conversion, and from every nonlinear tendency together with k = 0
-        regular = ~grid.nyquist_mask[:, :half]
-        self.regular = regular.astype(np.float64)
-        keep = (grid.dealias_mask[:, :half] if dealias else regular) & (self.ksq > 0)
+        # from every nonlinear tendency together with k = 0
+        keep = (grid.dealias_mask if dealias else ~grid.nyquist_mask) & (self.ksq > 0)
         self.keep = keep = keep.astype(np.float64)
-        self.strain = keep * (self.k1 * self.k2)
-        self.shear = keep * (self.k1**2 - self.k2**2)
-        self.conj = grid.conj_index
+        # the vorticity tendency's factors, divided by |k|^2 for that of psi
+        self.strain = keep * (self.k1 * self.k2) * self.inv_ksq
+        self.shear = keep * (self.k1**2 - self.k2**2) * self.inv_ksq
         # work arrays, reused by every call: allocating arrays of this size
         # afresh faults their pages in again each time, about a third of the
         # RHS time at M = 128
@@ -204,49 +185,23 @@ class _HalfSpectrum:
         self._tmp = np.empty((m, m))
         self.stages = np.empty((5, 2, m, half), dtype=np.complex128)
 
-    def curl(self, coeffs: np.ndarray) -> np.ndarray:
-        """i (k1 c2 - k2 c1) of a full-complex vector field, on the half-spectrum."""
-        half = self.k1.shape[1]
-        return 1j * (self.k1 * coeffs[1, :, :half] - self.k2 * coeffs[0, :, :half]) * self.regular
-
     def from_fields(self, u: SpectralField2D, b: SpectralField2D) -> np.ndarray:
-        """(omega, a) of a state; Nyquist-line and gradient content is dropped."""
-        z = np.empty((2, *self.ksq.shape), dtype=np.complex128)
-        z[0] = self.curl(u.coeffs)
-        z[1] = self.curl(b.coeffs) * self.inv_ksq
-        return z
-
-    def full(self, half: np.ndarray) -> np.ndarray:
-        """Full-complex coefficients from a half-spectrum by Hermitian extension."""
-        m = self.grid.resolution
-        n = m // 2
-        out = np.empty((*half.shape[:-1], m), dtype=np.complex128)
-        out[..., : n + 1] = half
-        out[..., n + 1 :] = np.conj(half[..., self.conj, n - 1 : 0 : -1])
-        for j in (0, n):  # the self-conjugate columns k2 = 0 and k2 = M/2
-            col = half[..., j]
-            out[..., j] = 0.5 * (col + np.conj(col[..., self.conj]))
-        return out
+        return np.stack([u.psi, b.psi])
 
     def to_state(self, z: np.ndarray, t: float) -> MHDState:
-        """The vector view (u, b) = (grad_perp psi, grad_perp a) of (omega, a)."""
-        g = self.grid
-        u = SpectralField2D(g, self.full(self.perp * (z[0] * self.inv_ksq)))
-        b = SpectralField2D(g, self.full(self.perp * z[1]))
-        return MHDState(u, b, t)
+        return MHDState(SpectralField2D(self.grid, z[0]), SpectralField2D(self.grid, z[1]), t)
 
     def rhs(self, z: np.ndarray, out: np.ndarray) -> float:
-        """Nonlinear tendencies of (omega, a) into out, diffusion-free; returns max grid |u|.
+        """Nonlinear tendencies of (psi, a) into out, diffusion-free; returns max grid |u|.
 
         With S = u u^T - b b^T and w = u1 b2 - u2 b1, the curl of
-        -div S is k1 k2 (S22 - S11) + (k1^2 - k2^2) S12 and the induction
-        term curl(u x b) = grad_perp w has the potential w.
+        -div S is k1 k2 (S22 - S11) + (k1^2 - k2^2) S12, the tendency of
+        omega = |k|^2 psi, and the induction term curl(u x b) = grad_perp w
+        has the potential w.
         """
         m = self.grid.resolution
         c, prod, tmp = self._spec, self._prod, self._tmp
-        np.multiply(z[0], self.inv_ksq, out=c[1])  # psi
-        np.multiply(self.perp[0], c[1], out=c[0])
-        np.multiply(self.perp[1], c[1], out=c[1])
+        np.multiply(self.perp, z[0], out=c[:2])
         np.multiply(self.perp, z[1], out=c[2:])
         u1, u2, b1, b2 = sfft.irfft2(c, s=(m, m), axes=(-2, -1), norm="forward", overwrite_x=True)
         umax = max(float(np.max(np.abs(u1))), float(np.max(np.abs(u2))))
@@ -265,11 +220,29 @@ class _HalfSpectrum:
         return umax
 
 
+def _cross_potential(half: _HalfSpectrum, a: SpectralField2D, b: SpectralField2D) -> np.ndarray:
+    """curl X / |k|^2 for X = (a . grad) b + (b . grad) a: the stream function
+    of the solenoidal part of X, formed on the grid without dealiasing, with
+    k = 0 and the Nyquist lines dropped.
+
+    For divergence-free a, b, X = div S with S = a b^T + b a^T, and
+    curl div S = k1 k2 (S11 - S22) - (k1^2 - k2^2) S12.
+    """
+    g = half.grid
+    a1, a2, b1, b2 = g.to_grid(np.concatenate([half.perp * a.psi, half.perp * b.psi]))
+    s = g.from_grid(np.stack([2.0 * (a1 * b1 - a2 * b2), a1 * b2 + a2 * b1]))
+    cross = (half.k1 * half.k2 * s[0] - (half.k1**2 - half.k2**2) * s[1]) * half.inv_ksq
+    cross[g.nyquist_mask] = 0.0
+    return cross
+
+
 class _Forcing:
-    """f1(t), f2(t) as (curl f1, stream function of f2) on the half-spectrum.
+    """f1(t), f2(t) as their stream functions on the half-spectrum.
 
     Only the curl of f1 acts on the vorticity (the pressure absorbs the
-    rest), and only the stream function of f2 on the magnetic potential.
+    rest), so f1 enters the equation of psi as curl f1 / |k|^2, the stream
+    function of its solenoidal part; f2 enters that of a as its stream
+    function.
     """
 
     def __init__(self, spec: ForcingSpec, half: _HalfSpectrum, eta: float):
@@ -278,8 +251,7 @@ class _Forcing:
         self._static: np.ndarray | None = None
         self._cross: np.ndarray | None = None
         self._nsq = self._n2sq = 0.0
-        fu = np.zeros((2, *grid.shape), dtype=np.complex128)
-        fb = np.zeros_like(fu)
+        fu = fb = zero_field(grid)
         kind = spec.kind
         if kind in ("theorem2", "remark2"):
             if eta <= 0:
@@ -292,8 +264,8 @@ class _Forcing:
                 small = make_tilde_t1(grid)
                 self._n2sq = 1.0
             self._nsq = float(spec.spec_nm.eigenvalue)
-            fb += small.coeffs
-            self._cross = half.curl(advective_cross_term(big, small))
+            fb = small
+            self._cross = _cross_potential(half, big, small)
         elif kind == "custom":
             for target, tspec, amp in spec.custom:
                 f = (
@@ -302,16 +274,16 @@ class _Forcing:
                     else make_taylor(tspec, amp, grid)
                 )
                 if target == "u":
-                    fu += f.coeffs
+                    fu = fu + f
                 elif target == "b":
-                    fb += f.coeffs
+                    fb = fb + f
                 else:
                     raise ConfigurationError(f"custom forcing target must be u or b, got {target!r}")
-        if np.any(fu) or np.any(fb):
-            self._static = np.stack([half.curl(fu), half.curl(fb) * half.inv_ksq])
+        if np.any(fu.psi) or np.any(fb.psi):
+            self._static = half.from_fields(fu, fb)
 
     def add_to(self, out: np.ndarray, t: float) -> None:
-        """Add (curl f1(t), psi(f2(t))) to the tendencies out."""
+        """Add the stream functions of f1(t) and f2(t) to the tendencies out."""
         if self._static is not None:
             out += self._static
         if self._cross is not None:
@@ -329,13 +301,13 @@ def nonlinear_rhs(state: MHDState, dealias: bool = True) -> tuple[SpectralField2
 
 
 def _exp_factors(cfg: SimConfig, half: _HalfSpectrum, h: float):
-    """Integrating factors of (omega, a) over a full and a half step of size h."""
+    """Integrating factors of (psi, a) over a full and a half step of size h."""
     visc = np.stack([cfg.nu * half.ksq, cfg.eta * half.ksq])
     return np.exp(-visc * h), np.exp(-visc * (0.5 * h))
 
 
 def _step(z, t: float, h: float, half: _HalfSpectrum, forcing: _Forcing, exps) -> np.ndarray:
-    """One integrating-factor RK4 step of (omega, a); z itself is left as it is."""
+    """One integrating-factor RK4 step of (psi, a); z itself is left as it is."""
     e_f, e_h = exps
     n1, n2, n3, n4, zs = half.stages
 
@@ -380,12 +352,8 @@ def _step(z, t: float, h: float, half: _HalfSpectrum, forcing: _Forcing, exps) -
 
 
 def step(state: MHDState, cfg: SimConfig) -> MHDState:
-    """Advance one time step of size cfg.dt; diffusion is handled exactly."""
-    half = _HalfSpectrum(cfg.grid, cfg.dealias)
-    forcing = _Forcing(cfg.forcing, half, cfg.eta)
-    z = _step(half.from_fields(state.u, state.b), state.t, cfg.dt, half, forcing,
-              _exp_factors(cfg, half, cfg.dt))
-    return half.to_state(z, state.t + cfg.dt)
+    """Advance one time step of size cfg.dt: simulate up to state.t + cfg.dt."""
+    return simulate(dataclasses.replace(cfg, t_end=state.t + cfg.dt), state)
 
 
 def simulate(cfg: SimConfig, initial: MHDState, sinks=()) -> MHDState:
@@ -437,7 +405,7 @@ def heat_propagate(f: SpectralField2D, eta: float, t: float) -> SpectralField2D:
     """Apply the diffusion semigroup exp(eta t Lap): multiply by exp(-eta |k|^2 t)."""
     if t < 0:
         raise ConfigurationError("heat_propagate requires t >= 0")
-    return SpectralField2D(f.grid, f.coeffs * np.exp(-eta * f.grid.ksq * t))
+    return SpectralField2D(f.grid, f.psi * np.exp(-eta * f.grid.ksq * t))
 
 
 @dataclass
@@ -485,11 +453,9 @@ def duhamel_remainder(trajectory: Trajectory, eta: float) -> list[tuple[float, S
 
 def energy(state: MHDState) -> float:
     """Total energy (||u||^2 + ||b||^2) / 2 in the unnormalized L2 norm."""
-    s = np.sum(np.abs(state.u.coeffs) ** 2) + np.sum(np.abs(state.b.coeffs) ** 2)
-    return float(0.5 * (2.0 * np.pi) ** 2 * s)
+    return 0.5 * (l2_inner(state.u, state.u) + l2_inner(state.b, state.b))
 
 
 def cross_helicity(state: MHDState) -> float:
     """int u . b dx."""
-    s = np.sum(np.real(state.u.coeffs * np.conj(state.b.coeffs)))
-    return float((2.0 * np.pi) ** 2 * s)
+    return l2_inner(state.u, state.b)

@@ -24,7 +24,6 @@ from .fields import (
     SpectralField2D,
     TorusGrid,
     c1_norm,
-    stream_function,
 )
 # Not called here: bench/tracer.py looks the sup-norms up as topology.sup_field_and_gradient.
 from .fields import sup_field_and_gradient  # noqa: F401
@@ -371,7 +370,7 @@ def detect_saddle_connections(
     evaluator = f.evaluator
     sup_f, sup_grad = f.sup_norms
     stop_tol = tol.stop_tol_factor * (sup_f + sup_grad)
-    psi_grid = f.grid.to_grid(stream_function(f))
+    psi_grid = f.grid.to_grid(f.psi)
     psi_tol = tol.psi_tol_factor * float(psi_grid.max() - psi_grid.min())
 
     positions = np.array([cp.position for cp in saddles])
@@ -488,8 +487,8 @@ def signatures_equivalent(a: TopologySignature, b: TopologySignature) -> str:
 class _VelocityInterpolant:
     """Cubic-in-time Lagrange interpolation of the velocity snapshots.
 
-    Snapshot coefficient arrays are combined first (evaluation is linear in
-    the coefficients), so each query time costs a single field evaluation.
+    Snapshot stream functions are combined first (evaluation is linear in
+    them), so each query time costs a single field evaluation.
     """
 
     def __init__(self, trajectory: Trajectory):
@@ -514,14 +513,14 @@ class _VelocityInterpolant:
             lo = min(max(i - 1, 0), max(n - 4, 0))
             idxs = list(range(lo, min(lo + 4, n)))
         ts = times[idxs]
-        coeffs = np.zeros_like(self.states[0].u.coeffs)
+        psi = np.zeros_like(self.states[0].u.psi)
         for a, ia in enumerate(idxs):
             w = 1.0
             for b in range(len(idxs)):
                 if a != b:
                     w *= (t - ts[b]) / (ts[a] - ts[b])
-            coeffs = coeffs + w * self.states[ia].u.coeffs
-        ev = FieldEvaluator(SpectralField2D(self.grid, coeffs))
+            psi = psi + w * self.states[ia].u.psi
+        ev = FieldEvaluator(SpectralField2D(self.grid, psi))
         if len(self._cache) > 16:
             self._cache.clear()
         self._cache[key] = ev

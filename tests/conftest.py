@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from mhdrecon.fields import SpectralField2D, TorusGrid, leray_project
+from mhdrecon.fields import SpectralField2D, TorusGrid
 
 # Property tests draw the same examples on every host and run, and keep no
 # example database between runs.
@@ -21,12 +21,9 @@ def grid64() -> TorusGrid:
 
 
 def random_divergence_free(grid: TorusGrid, kmax: int, seed: int) -> SpectralField2D:
-    """Deterministic band-limited divergence-free zero-average field."""
+    """Deterministic band-limited divergence-free zero-average field: the
+    field of a random real stream function, with components of unit size per mode."""
     rng = np.random.default_rng(seed)
-    shape = (2, grid.resolution, grid.resolution)
-    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    band = (np.abs(grid.k1) <= kmax) & (np.abs(grid.k2) <= kmax)
-    c *= band
-    c = grid.hermitianize(c)
-    c[:, 0, 0] = 0.0
-    return leray_project(c, grid)
+    psi = grid.from_grid(rng.standard_normal(grid.shape)) * grid.resolution
+    band = (np.abs(grid.k1) <= kmax) & (grid.k2 <= kmax)
+    return SpectralField2D(grid, psi * band * np.sqrt(grid.inv_ksq))

@@ -64,6 +64,23 @@ class TestTopologyCommand:
     def test_requires_field_or_snapshot(self, tmp_path):
         assert main(["topology", "--out", str(tmp_path)]) == 1
 
+    def test_bad_seed_grid_names_the_flag(self, tmp_path, capsys):
+        code = main(["topology", "--field", "taylor:1,1", "--resolution", "32",
+                     "--seed-grid", "7", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: flag --seed-grid: expected an even integer >= 8, got 7")
+
+    def test_non_solenoidal_snapshot_exits_one(self, tmp_path, capsys):
+        from mhdrecon.snapshots import write_snapshot
+
+        b1 = np.zeros((16, 16), dtype=complex)
+        b1[1, 0], b1[-1, 0] = -0.5j, 0.5j  # (sin x, 0), a gradient
+        path = tmp_path / "grad.snap"
+        write_snapshot(path, {"b1": b1, "b2": np.zeros_like(b1)}, time=0.0, nu=0.0, eta=0.0)
+        assert main(["topology", "--snapshot", str(path), "--out", str(tmp_path)]) == 1
+        assert "snapshot field 'b' is not divergence-free" in capsys.readouterr().err
+
 
 class TestScenarioCommands:
     def test_theorem2_exit_zero(self, tmp_path, capsys):

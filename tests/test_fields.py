@@ -2,7 +2,9 @@
 
 Expected values are frozen from hand derivations: Taylor fields have four
 active wavenumbers per component, so L2 norms, Jacobians, and stream
-functions follow from elementary integrals of sin/cos products.
+functions follow from elementary integrals of sin/cos products. References
+that need the full spectrum are built from the vector view
+SpectralField2D.components.
 """
 
 import numpy as np
@@ -17,20 +19,30 @@ from mhdrecon.fields import (
     c1_norm,
     eval_field,
     jacobian,
-    l2_inner,
     l2_norm,
     laplacian,
-    leray_project,
     make_taylor,
     make_tilde_t1,
+    project_coeffs,
     sobolev_norm,
-    stream_function,
     sup_field_and_gradient,
     zero_field,
 )
 from mhdrecon import fields
 
 from .conftest import random_divergence_free
+
+
+def _full_wavenumbers(grid):
+    """Full-spectrum (k1, k2) arrays (M, M) in FFT order."""
+    k = grid.wavenumbers.astype(np.float64)
+    return np.meshgrid(k, k, indexing="ij")
+
+
+def _random_half(grid, n, seed):
+    """n real random fields on the half-spectrum, shape (n, M, M/2 + 1)."""
+    rng = np.random.default_rng(seed)
+    return grid.from_grid(rng.standard_normal((n, *grid.shape))) * grid.resolution
 
 
 class TestTorusGrid:
@@ -72,28 +84,31 @@ class TestTaylorConstruction:
 
     def test_t11_is_laplacian_eigenfield(self, grid32):
         t11 = make_taylor(TaylorSpec(1, 1), 1.0, grid32)
-        resid = SpectralField2D(grid32, laplacian(t11).coeffs + 2.0 * t11.coeffs)
+        resid = laplacian(t11) + 2.0 * t11
         assert l2_norm(resid) <= 1e-12 * l2_norm(t11)
 
     def test_t23_eigenfield_identity(self, grid32):
         t23 = make_taylor(TaylorSpec(2, 3), 1.0, grid32)
-        resid = SpectralField2D(grid32, laplacian(t23).coeffs + 13.0 * t23.coeffs)
+        resid = laplacian(t23) + 13.0 * t23
         assert l2_norm(resid) <= 1e-12 * l2_norm(t23)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_eigenfunction_family(self, grid32, n, m):
         f = make_taylor(TaylorSpec(n, m), 1.0, grid32)
-        resid = SpectralField2D(grid32, laplacian(f).coeffs + (n * n + m * m) * f.coeffs)
+        resid = laplacian(f) + (n * n + m * m) * f
         assert l2_norm(resid) < 1e-12 * l2_norm(f)
 
     def test_amplitude_scaling(self, grid32):
         a = make_taylor(TaylorSpec(2, 1), 3.5, grid32)
         b = make_taylor(TaylorSpec(2, 1), 1.0, grid32)
-        assert np.allclose(a.coeffs, 3.5 * b.coeffs)
+        assert np.allclose(a.psi, 3.5 * b.psi)
 
     def test_invariants_hold(self, grid32):
-        make_taylor(TaylorSpec(3, 2), 2.0, grid32).validate()
+        # the vector view passes the checks of from_components and reads back
+        f = make_taylor(TaylorSpec(3, 2), 2.0, grid32)
+        back = SpectralField2D.from_components(grid32, f.components())
+        assert np.array_equal(back.psi, f.psi)
 
 
 class TestTildeT1:
@@ -104,13 +119,14 @@ class TestTildeT1:
 
     def test_unit_eigenvalue(self, grid32):
         f = make_tilde_t1(grid32)
-        assert np.allclose(-laplacian(f).coeffs, f.coeffs)  # -Lap f = f
-        resid = SpectralField2D(grid32, laplacian(f).coeffs + f.coeffs)
+        assert np.allclose(-laplacian(f).psi, f.psi)  # -Lap f = f
+        resid = laplacian(f) + f
         assert l2_norm(resid) == 0.0
 
     def test_divergence_free(self, grid32):
-        f = make_tilde_t1(grid32)
-        div = grid32.k1 * f.coeffs[0] + grid32.k2 * f.coeffs[1]
+        c = make_tilde_t1(grid32).components()
+        k1, k2 = _full_wavenumbers(grid32)
+        div = k1 * c[0] + k2 * c[1]
         assert np.max(np.abs(div)) < 1e-14
 
 
@@ -138,26 +154,31 @@ class TestEvaluation:
         pts = np.random.default_rng(0).uniform(0, 2 * np.pi, (6, 2))
         vals, jacs = ev.values_and_jacobians(pts)
         k = grid32.wavenumbers
+        c = f.components()
         for p, v in zip(pts, vals):
             phases = np.exp(1j * (k[:, None] * p[0] + k[None, :] * p[1]))
-            ref = [np.real(np.sum(f.coeffs[i] * phases)) for i in range(2)]
+            ref = [np.real(np.sum(c[i] * phases)) for i in range(2)]
             assert np.allclose(v, ref, atol=1e-11)
 
     def test_band_matches_full_spectrum_sums(self, grid64):
         # active modes fill |k| <= 12 of the 64 x 64 grid: the dense path sums
-        # over 25 rows and columns, and the test checks it drops nothing that counts
+        # over 25 rows and 13 columns k2 >= 0, and the test checks it drops
+        # nothing that counts
         f = random_divergence_free(grid64, 12, seed=5)
         ev = FieldEvaluator(f)
         assert ev._dense
-        assert len(ev._kr) < grid64.resolution and len(ev._kc) < grid64.resolution
+        assert len(ev._kr) == 25 and len(ev._kc) == 13
         pts = np.random.default_rng(1).uniform(0, 2 * np.pi, (40, 2))
         k = grid64.wavenumbers.astype(np.float64)
-        c = f.coeffs
+        k1, k2 = _full_wavenumbers(grid64)
+        c = f.components()
         ref_vals = _full_spectrum_sums(c, k, pts)
         ref_jac = np.stack(
             [_full_spectrum_sums(1j * k[:, None] * c, k, pts),
              _full_spectrum_sums(1j * k[None, :] * c, k, pts)], axis=-1)
-        ref_psi = _full_spectrum_sums(stream_function(f)[None], k, pts)[:, 0]
+        ksq = np.where(k1**2 + k2**2 > 0, k1**2 + k2**2, 1.0)
+        psi_full = 1j * (k1 * c[1] - k2 * c[0]) / ksq
+        ref_psi = _full_spectrum_sums(psi_full[None], k, pts)[:, 0]
         vals, jacs = ev.values_and_jacobians(pts)
         tol = 1e-13 * c1_norm(f)
         assert np.abs(vals - ref_vals).max() < tol
@@ -221,7 +242,7 @@ class TestSobolevNorm:
 
     def test_reality(self, grid64):
         f = random_divergence_free(grid64, 12, seed=22)
-        complex_vals = np.fft.ifft2(f.coeffs, axes=(-2, -1)) * grid64.resolution**2
+        complex_vals = np.fft.ifft2(f.components(), axes=(-2, -1)) * grid64.resolution**2
         assert np.max(np.abs(complex_vals.imag)) < 1e-12 * np.max(np.abs(complex_vals.real))
 
 
@@ -271,59 +292,53 @@ class TestCachedPerField:
         assert f.evaluator is ev
 
 
+def _half_components(f):
+    """Half-spectrum columns k2 >= 0 of the vector view of f."""
+    return f.components()[..., : f.grid.resolution // 2 + 1]
+
+
+def _pairing(grid, a, b):
+    """sum over the full spectrum of Re a(k) . conj b(k), for half-spectrum arrays."""
+    return np.sum(grid.multiplicity * np.real(a * np.conj(b)))
+
+
 class TestLerayProjection:
     def _gradient_field(self, grid, seed):
-        rng = np.random.default_rng(seed)
-        shape = grid.shape
-        phi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        phi = 0.5 * (phi + np.conj(np.roll(phi[::-1, ::-1], (1, 1), axis=(0, 1))))
-        phi[0, 0] = 0.0
+        phi = _random_half(grid, 1, seed)[0]
         return np.stack([1j * grid.k1 * phi, 1j * grid.k2 * phi])
 
     def test_annihilates_gradients(self, grid32):
         g = self._gradient_field(grid32, 5)
-        assert l2_norm(leray_project(g, grid32)) < 1e-12 * np.abs(g).max()
+        assert np.abs(project_coeffs(g, grid32)).max() < 1e-12 * np.abs(g).max()
 
     def test_sine_x_is_pure_gradient(self, grid32):
-        c = np.zeros((2, 32, 32), dtype=complex)
+        c = np.zeros((2, *grid32.spectral_shape), dtype=complex)
         c[0, 1, 0] = -0.5j
         c[0, -1, 0] = 0.5j
-        assert l2_norm(leray_project(c, grid32)) < 1e-14
+        assert np.abs(project_coeffs(c, grid32)).max() < 1e-14
 
     def test_divergence_free_unchanged(self, grid32):
-        f = random_divergence_free(grid32, 10, seed=9)
-        p = leray_project(f.coeffs, grid32)
-        assert np.max(np.abs(p.coeffs - f.coeffs)) < 1e-14 * np.max(np.abs(f.coeffs))
+        c = _half_components(random_divergence_free(grid32, 10, seed=9))
+        p = project_coeffs(c, grid32)
+        assert np.max(np.abs(p - c)) < 1e-14 * np.max(np.abs(c))
 
     def test_idempotent(self, grid32):
-        rng = np.random.default_rng(17)
-        c = rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32))
-        c = grid32.hermitianize(c)
-        once = leray_project(c, grid32)
-        twice = leray_project(once.coeffs, grid32)
-        assert np.max(np.abs(once.coeffs - twice.coeffs)) < 1e-12 * np.max(np.abs(c))
+        c = _random_half(grid32, 2, 17)
+        once = project_coeffs(c, grid32)
+        twice = project_coeffs(once, grid32)
+        assert np.max(np.abs(once - twice)) < 1e-12 * np.max(np.abs(c))
 
     def test_self_adjoint(self, grid32):
-        f = random_divergence_free(grid32, 8, seed=30)
-        rng = np.random.default_rng(31)
-        raw = rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32))
-        raw = grid32.hermitianize(raw)
-        raw[:, 0, 0] = 0.0
-        g = SpectralField2D(grid32, raw)
-        pg = leray_project(raw, grid32)
-        lhs = l2_inner(leray_project(f.coeffs, grid32), g)
-        rhs = l2_inner(f, pg)
+        a, b = _random_half(grid32, 2, 30), _random_half(grid32, 2, 31)
+        lhs = _pairing(grid32, project_coeffs(a, grid32), b)
+        rhs = _pairing(grid32, a, project_coeffs(b, grid32))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_output_satisfies_invariants(self, grid32):
-        rng = np.random.default_rng(40)
-        c = rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32))
-        leray_project(grid32.hermitianize(c), grid32).validate()
-
-
-def _grad_perp(grid, psi):
-    """The field (d_y psi, -d_x psi) of stream-function coefficients psi."""
-    return SpectralField2D(grid, np.stack([1j * grid.k2 * psi, -1j * grid.k1 * psi]))
+        p = project_coeffs(_random_half(grid32, 2, 40), grid32)
+        div = grid32.k1 * p[0] + grid32.k2 * p[1]
+        assert np.abs(div).max() < 1e-12 * np.abs(p).max()
+        assert np.all(p[:, 0, 0] == 0.0) and np.all(p[:, grid32.nyquist_mask] == 0.0)
 
 
 class TestStreamFunction:
@@ -333,7 +348,7 @@ class TestStreamFunction:
         pts = np.array([[0.4, 1.3], [3.0, 5.1], [2.2, 0.9]])
         expected = -np.sin(pts[:, 0]) * np.cos(pts[:, 1])
         assert np.allclose(f.evaluator.potential(pts), expected, atol=1e-13)
-        grid_vals = grid32.to_grid(stream_function(f))
+        grid_vals = grid32.to_grid(f.psi)
         x, y = np.meshgrid(grid32.nodes, grid32.nodes, indexing="ij")
         assert np.allclose(grid_vals, -np.sin(x) * np.cos(y), atol=1e-13)
 
@@ -349,21 +364,31 @@ class TestStreamFunction:
         f = random_divergence_free(grid32, 12, seed=3)
         x, y = np.meshgrid(grid32.nodes, grid32.nodes, indexing="ij")
         pts = np.stack([x.ravel(), y.ravel()], axis=-1)
-        expected = grid32.to_grid(stream_function(f)).ravel()
+        expected = grid32.to_grid(f.psi).ravel()
         assert np.allclose(f.evaluator.potential(pts), expected, atol=1e-12 * np.abs(expected).max())
 
     def test_reconstruction(self, grid64):
+        # f = (d_y psi, -d_x psi), with the derivatives of psi's grid values
+        # taken by a full-spectrum FFT
         f = random_divergence_free(grid64, 14, seed=2)
-        rec = _grad_perp(grid64, stream_function(f))
-        assert l2_norm(rec - f) < 1e-12 * l2_norm(f)
+        psi = grid64.to_grid(f.psi)
+        k1, k2 = _full_wavenumbers(grid64)
+        spec = np.fft.fft2(psi)
+        dpsi_dx = np.real(np.fft.ifft2(1j * k1 * spec))
+        dpsi_dy = np.real(np.fft.ifft2(1j * k2 * spec))
+        vals = f.to_grid()
+        scale = np.abs(vals).max()
+        assert np.abs(vals[0] - dpsi_dy).max() < 1e-12 * scale
+        assert np.abs(vals[1] + dpsi_dx).max() < 1e-12 * scale
 
     def test_roundtrip_from_scalar(self, grid32):
-        rng = np.random.default_rng(8)
-        raw = rng.standard_normal(grid32.shape) + 1j * rng.standard_normal(grid32.shape)
-        raw = 0.5 * (raw + np.conj(np.roll(raw[::-1, ::-1], (1, 1), axis=(0, 1))))
+        raw = _random_half(grid32, 1, 8)[0]
         raw[0, 0] = 0.0
-        back = stream_function(_grad_perp(grid32, raw))
+        raw[grid32.nyquist_mask] = 0.0
+        f = SpectralField2D(grid32, raw)
+        back = SpectralField2D.from_components(grid32, f.components()).psi
         assert np.max(np.abs(back - raw)) < 1e-12 * np.max(np.abs(raw))
+
 
 
 class TestFieldAlgebra:
@@ -371,20 +396,97 @@ class TestFieldAlgebra:
         a = make_taylor(TaylorSpec(1, 2), 1.0, grid32)
         b = make_tilde_t1(grid32)
         combo = 2.0 * a + b - a
-        assert np.allclose(combo.coeffs, a.coeffs + b.coeffs)
+        assert np.allclose(combo.psi, a.psi + b.psi)
 
     def test_grid_mismatch_rejected(self, grid32, grid64):
         with pytest.raises(ConfigurationError):
             make_tilde_t1(grid32) + make_tilde_t1(grid64)
 
     def test_validate_catches_divergence(self, grid32):
+        # (sin x, 0) is a gradient
         c = np.zeros((2, 32, 32), dtype=complex)
         c[0, 1, 0] = -0.5j
         c[0, -1, 0] = 0.5j
-        with pytest.raises(ConfigurationError):
-            SpectralField2D(grid32, c).validate()
+        with pytest.raises(ConfigurationError, match="b1/b2 is not divergence-free"):
+            SpectralField2D.from_components(grid32, c, name="b1/b2")
 
     def test_coeffs_read_only(self, grid32):
         f = make_tilde_t1(grid32)
         with pytest.raises(ValueError):
-            f.coeffs[0, 0, 0] = 1.0
+            f.psi[0, 1] = 1.0
+
+
+class TestVectorView:
+    def test_components_of_taylor_fields(self, grid32):
+        # T_21 = (sin 2x sin y, 2 cos 2x cos y) and tilde T_1 = (sin y, sin(x) / 2)
+        c = make_taylor(TaylorSpec(2, 1), 1.0, grid32).components()
+        assert (c[0, 2, 1], c[0, 2, -1], c[1, -2, 1]) == (-0.25, 0.25, 0.5)
+        assert np.count_nonzero(c) == 8
+        c = make_tilde_t1(grid32).components()
+        assert (c[0, 0, 1], c[0, 0, -1], c[1, 1, 0], c[1, -1, 0]) == (-0.5j, 0.5j, -0.25j, 0.25j)
+        assert np.count_nonzero(c) == 4
+
+    def test_grid_values_match_components(self, grid32):
+        f = random_divergence_free(grid32, 10, seed=6)
+        vals = np.real(np.fft.ifft2(f.components())) * grid32.resolution**2
+        assert np.abs(vals - f.to_grid()).max() < 1e-13 * np.abs(vals).max()
+
+    def test_rejects_complex_valued_field(self, grid32):
+        c = make_tilde_t1(grid32).components()
+        c[0, 0, 1] += 0.1  # no conjugate partner at (0, -1)
+        with pytest.raises(ConfigurationError, match="u1/u2 is not Hermitian"):
+            SpectralField2D.from_components(grid32, c, name="u1/u2")
+
+    def test_rejects_nonzero_average(self, grid32):
+        c = make_tilde_t1(grid32).components()
+        c[1, 0, 0] = 0.3
+        with pytest.raises(ConfigurationError, match="zero average"):
+            SpectralField2D.from_components(grid32, c)
+
+    def test_rejects_wrong_shape(self, grid32):
+        with pytest.raises(ConfigurationError, match="shape"):
+            SpectralField2D.from_components(grid32, np.zeros((2, 16, 16)))
+        with pytest.raises(ConfigurationError, match="shape"):
+            SpectralField2D(grid32, np.zeros((32, 32)))
+
+    def test_nyquist_content_dropped(self, grid32):
+        # cos(M/2 y) e_x is real and divergence-free, but lies on a Nyquist line
+        c = make_tilde_t1(grid32).components()
+        c[0, 0, 16] = 0.1
+        f = SpectralField2D.from_components(grid32, c)
+        assert np.array_equal(f.psi, make_tilde_t1(grid32).psi)
+
+
+def _full_spectrum_kept(f):
+    """Full-spectrum modes (k1, k2) kept by the weighted-tail rule applied to
+    the vector view, as a set."""
+    c = f.components()
+    k1, k2 = _full_wavenumbers(f.grid)
+    weight = ((1.0 + np.maximum(np.abs(k1), np.abs(k2))) * np.abs(c).sum(axis=0)).ravel()
+    order = np.argsort(weight, kind="stable")
+    cut = np.searchsorted(np.cumsum(weight[order]), fields._EVAL_TAIL_RTOL * weight.sum(),
+                          side="right")
+    keep = order[cut:]
+    return set(zip(k1.ravel()[keep].astype(int), k2.ravel()[keep].astype(int)))
+
+
+class TestActiveModes:
+    @pytest.mark.parametrize("make", [
+        lambda g: make_taylor(TaylorSpec(3, 2), 0.3, g) + 1e-3 * make_tilde_t1(g),
+        lambda g: random_divergence_free(g, 12, seed=1),
+        lambda g: random_divergence_free(g, 30, seed=2) * 1e-3 + make_tilde_t1(g),
+    ], ids=["taylor", "band", "tail"])
+    def test_same_modes_as_the_full_spectrum_rule(self, grid64, make):
+        # the kept entries k2 >= 0 with their conjugates -k are the modes the
+        # rule keeps on the full spectrum, up to completing a conjugate pair
+        # that the cut splits
+        f = make(grid64)
+        keep = fields._active_modes(f)
+        k1 = grid64.k1.ravel()[keep].astype(int)
+        k2 = grid64.k2.ravel()[keep].astype(int)
+        half = set(zip(k1, k2)) | set(zip(-k1, -k2))
+        full = _full_spectrum_kept(f)
+        assert half == full | {(-a, -b) for a, b in full}
+        n_full = grid64.multiplicity.ravel()[keep].sum()
+        assert FieldEvaluator(f)._dense == (n_full > 4 * grid64.resolution)
+        assert n_full - len(full) in (0, 1)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mhdrecon.fields import (
     ConfigurationError,
-    SpectralField2D,
     TaylorSpec,
     l2_norm,
     laplacian,
@@ -23,7 +22,6 @@ from mhdrecon.oracles import (
     duhamel_envelopes,
     forced_exact_b,
     forced_exact_b_dt,
-    forcing_f1,
     remark2_error_bound,
     remark2_exact_b,
     remark2_exact_error,
@@ -41,7 +39,7 @@ class TestDecayingTaylor:
         st = decaying_taylor(oracle, 0.0, grid32)
         assert l2_norm(st.u) == 0.0
         expected = make_taylor(TaylorSpec(2, 2), 0.25, grid32)
-        assert np.allclose(st.b.coeffs, expected.coeffs)
+        assert np.allclose(st.b.psi, expected.psi)
 
     def test_half_life(self, grid32):
         spec = TaylorSpec(1, 2)
@@ -66,7 +64,7 @@ class TestForcedExact:
 
     def test_initial_value(self, grid32):
         b = forced_exact_b(self.oracle, 0.0, grid32)
-        assert np.allclose(b.coeffs, make_taylor(TaylorSpec(4, 4), 1.0, grid32).coeffs)
+        assert np.allclose(b.psi, make_taylor(TaylorSpec(4, 4), 1.0, grid32).psi)
 
     def test_long_time_limit(self, grid32):
         b = forced_exact_b(self.oracle, 1e3, grid32)
@@ -79,28 +77,8 @@ class TestForcedExact:
         b = forced_exact_b(self.oracle, t, grid32)
         dbdt = forced_exact_b_dt(self.oracle, t, grid32)
         f2 = make_taylor(TaylorSpec(1, 1), 1.0, grid32)
-        resid = SpectralField2D(
-            grid32, dbdt.coeffs - ETA * laplacian(b).coeffs - f2.coeffs
-        )
+        resid = dbdt - ETA * laplacian(b) - f2
         assert l2_norm(resid) < 1e-10
-
-
-class TestForcingF1:
-    oracle = ForcedOracle(spec_nm=TaylorSpec(4, 4), spec_2=TaylorSpec(1, 1), eta=ETA)
-
-    def test_vanishes_at_zero_time(self, grid32):
-        assert l2_norm(forcing_f1(self.oracle, 0.0, grid32)) == 0.0
-
-    def test_zero_average(self, grid32):
-        f1 = forcing_f1(self.oracle, 0.8, grid32)
-        assert np.abs(f1.coeffs[:, 0, 0]).max() < 1e-14 * np.abs(f1.coeffs).max()
-
-    def test_scales_with_coefficient_product(self, grid32):
-        f_a = forcing_f1(self.oracle, 0.3, grid32)
-        f_b = forcing_f1(self.oracle, 0.6, grid32)
-        ca = np.prod(self.oracle.coefficients(0.3))
-        cb = np.prod(self.oracle.coefficients(0.6))
-        assert np.allclose(f_a.coeffs * cb, f_b.coeffs * ca, atol=1e-14)
 
 
 class TestStabilityEnvelope:
@@ -171,12 +149,7 @@ class TestRemark2:
         spec = TaylorSpec(4, 4)
         t_end, r = 1.5, 3
         direct = sobolev_norm(
-            SpectralField2D(
-                grid32,
-                ETA * remark2_exact_b(spec, ETA, t_end, grid32).coeffs
-                - make_tilde_t1(grid32).coeffs,
-            ),
-            r,
+            ETA * remark2_exact_b(spec, ETA, t_end, grid32) - make_tilde_t1(grid32), r
         )
         assert remark2_exact_error(spec, r, ETA, t_end, grid32) == pytest.approx(
             direct, rel=1e-12
@@ -214,9 +187,7 @@ class TestRemark2:
             d2 = np.exp(-ETA * t)
             big = make_taylor(spec, 1.0, grid32)
             tilde = make_tilde_t1(grid32)
-            dbdt = SpectralField2D(grid32, d1 * big.coeffs + d2 * tilde.coeffs)
+            dbdt = d1 * big + d2 * tilde
             b = remark2_exact_b(spec, ETA, t, grid32)
-            resid = SpectralField2D(
-                grid32, dbdt.coeffs - ETA * laplacian(b).coeffs - tilde.coeffs
-            )
+            resid = dbdt - ETA * laplacian(b) - tilde
             assert l2_norm(resid) < 1e-10

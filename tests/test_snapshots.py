@@ -8,8 +8,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mhdrecon.fields import TaylorSpec, TorusGrid, make_taylor, zero_field
+from mhdrecon.fields import (
+    ConfigurationError,
+    TaylorSpec,
+    TorusGrid,
+    make_taylor,
+    make_tilde_t1,
+    zero_field,
+)
 from mhdrecon.snapshots import (
+    MAGIC,
     DiagnosticsRecord,
     Snapshot,
     SnapshotFormatError,
@@ -43,7 +51,7 @@ class TestSnapshotRoundTrip:
     @given(
         data=hnp.arrays(
             dtype=np.complex128,
-            shape=(4, 4),
+            shape=(8, 8),
             elements=st.complex_numbers(
                 allow_nan=False, allow_infinity=False, max_magnitude=1e100
             ),
@@ -66,12 +74,17 @@ class TestSnapshotRoundTrip:
         path = tmp_path / "state.snap"
         write_state_snapshot(path, st_in, nu=0.1, eta=0.2)
         snap = read_snapshot(path)
+        # the file holds the vector view bit for bit; reading it back into
+        # stream functions is exact up to roundoff
+        assert np.array_equal(np.stack([snap.arrays["b1"], snap.arrays["b2"]]),
+                              st_in.b.components())
         st_out = snapshot_to_state(snap)
         assert st_out.t == 1.5
-        assert np.array_equal(st_out.b.coeffs, st_in.b.coeffs)
-        assert np.array_equal(st_out.u.coeffs, st_in.u.coeffs)
+        scale = np.abs(st_in.b.psi).max()
+        assert np.abs(st_out.b.psi - st_in.b.psi).max() <= 1e-15 * scale
+        assert np.array_equal(st_out.u.psi, st_in.u.psi)
         field = snapshot_to_field(snap, "b")
-        assert np.array_equal(field.coeffs, st_in.b.coeffs)
+        assert np.array_equal(field.psi, st_out.b.psi)
 
     def test_header_metadata(self, tmp_path):
         grid = TorusGrid(16)
@@ -110,6 +123,114 @@ class TestSnapshotErrors:
     def test_empty_field_list(self, tmp_path):
         with pytest.raises(SnapshotFormatError):
             write_snapshot(tmp_path / "e.snap", {}, time=0, nu=0, eta=0)
+
+    def test_resolution_below_eight_not_written(self, tmp_path):
+        with pytest.raises(SnapshotFormatError, match="resolution"):
+            write_snapshot(tmp_path / "r.snap", {"b1": np.zeros((4, 4), dtype=complex)},
+                           time=0, nu=0, eta=0)
+
+
+def _valid_snapshot_bytes(tmp_path) -> bytes:
+    path = tmp_path / "valid.snap"
+    b = make_tilde_t1(TorusGrid(8)).components()
+    write_snapshot(path, {"b1": b[0], "b2": b[1]}, time=0.5, nu=0.0, eta=0.0)
+    return path.read_bytes()
+
+
+def _with_header(header, payload_fields: int = 1, m: int = 8) -> bytes:
+    """A snapshot file with the given JSON header and a payload of zero arrays."""
+    blob = json.dumps(header).encode("utf-8")
+    return (MAGIC + np.uint32(1).tobytes() + np.uint32(len(blob)).tobytes() + blob
+            + bytes(16 * m * m * payload_fields))
+
+
+_GOOD_HEADER = {"format_version": 1, "time": 0.0, "nu": 0.0, "eta": 0.0, "resolution": 8,
+                "fields": ["b1"]}
+
+
+class TestMalformedSnapshots:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_proper_prefix_rejected(self, tmp_path, data):
+        raw = _valid_snapshot_bytes(tmp_path)
+        cut = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+        path = tmp_path / "prefix.snap"
+        path.write_bytes(raw[:cut])
+        with pytest.raises(SnapshotFormatError):
+            read_snapshot(path)
+
+    def test_prefixes_at_the_section_boundaries_rejected(self, tmp_path):
+        raw = _valid_snapshot_bytes(tmp_path)
+        hlen = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
+        path = tmp_path / "prefix.snap"
+        for cut in (0, 3, 4, 7, 8, 11, 12, 12 + hlen - 1, 12 + hlen, len(raw) - 1):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(SnapshotFormatError):
+                read_snapshot(path)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("resolution", None, "'resolution' is missing"),
+        ("resolution", 7, "'resolution'"),
+        ("resolution", 4, "'resolution'"),
+        ("resolution", "8", "'resolution'"),
+        ("resolution", 8.0, "'resolution'"),
+        ("resolution", True, "'resolution'"),
+        ("fields", None, "'fields' is missing"),
+        ("fields", "b1", "'fields'"),
+        ("fields", [], "'fields'"),
+        ("fields", [1], "'fields'"),
+        ("fields", ["b1", "b1"], "'fields'"),
+        ("time", None, "'time' is missing"),
+        ("time", "0", "'time'"),
+        ("time", float("nan"), "'time'"),
+    ])
+    def test_bad_header_key_named(self, tmp_path, key, value, match):
+        header = dict(_GOOD_HEADER)
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        path = tmp_path / "bad.snap"
+        path.write_bytes(_with_header(header))
+        with pytest.raises(SnapshotFormatError, match=match):
+            read_snapshot(path)
+
+    @given(header=st.one_of(
+        st.none(), st.booleans(), st.integers(), st.text(max_size=8),
+        st.lists(st.integers(), max_size=3),
+        st.dictionaries(st.sampled_from(["time", "resolution", "fields", "nu"]),
+                        st.one_of(st.none(), st.integers(-4, 64), st.floats(allow_nan=True),
+                                  st.text(max_size=4), st.lists(st.text(max_size=3), max_size=3)),
+                        max_size=4),
+    ))
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_headers_raise_format_errors(self, tmp_path, header):
+        path = tmp_path / "mutated.snap"
+        path.write_bytes(_with_header(header))
+        try:
+            snap = read_snapshot(path)
+        except SnapshotFormatError:
+            return
+        # a header that passes is a valid one: its payload is exactly one zero field
+        assert snap.header["resolution"] == 8 and snap.header["fields"] == [header["fields"][0]]
+
+    def test_non_solenoidal_field_rejected_by_name(self, tmp_path):
+        # b = (sin x, 0) is a gradient, not a magnetic field
+        grid = TorusGrid(16)
+        b1 = np.zeros(grid.shape, dtype=complex)
+        b1[1, 0], b1[-1, 0] = -0.5j, 0.5j
+        path = tmp_path / "grad.snap"
+        write_snapshot(path, {"b1": b1, "b2": np.zeros_like(b1)}, time=0.0, nu=0.0, eta=0.0)
+        with pytest.raises(ConfigurationError, match="snapshot field 'b' is not divergence-free"):
+            snapshot_to_field(read_snapshot(path))
+
+    def test_missing_component_named(self, tmp_path):
+        path = tmp_path / "half.snap"
+        write_snapshot(path, {"b1": np.zeros((8, 8), dtype=complex)}, time=0.0, nu=0.0, eta=0.0)
+        with pytest.raises(SnapshotFormatError, match="'b2'"):
+            snapshot_to_field(read_snapshot(path))
 
 
 class TestDiagnosticsNDJSON:

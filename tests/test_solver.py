@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from mhdrecon.fields import (
+    ConfigurationError,
     SpectralField2D,
     TaylorSpec,
     TorusGrid,
+    c1_norm,
     l2_norm,
     make_taylor,
     make_tilde_t1,
@@ -14,14 +16,15 @@ from mhdrecon.fields import (
     sobolev_norm,
     zero_field,
 )
-from mhdrecon.oracles import ForcedOracle, forced_exact_b
+from mhdrecon.oracles import ForcedOracle, forced_exact_b, forced_exact_b_dt, remark2_exact_b
 from mhdrecon.solver import (
     BlowUpError,
     ForcingSpec,
     MHDState,
     SimConfig,
     TrajectoryRecorder,
-    advective_cross_term,
+    _Forcing,
+    _HalfSpectrum,
     duhamel_remainder,
     energy,
     heat_propagate,
@@ -37,6 +40,24 @@ ETA = NU = 0.5
 
 def taylor_state(grid, n=1, m=1, amp=1.0):
     return MHDState(zero_field(grid), make_taylor(TaylorSpec(n, m), amp, grid), 0.0)
+
+
+def _half(f):
+    """Half-spectrum columns k2 >= 0 of the vector view of f, shape (2, M, M/2 + 1)."""
+    return f.components()[..., : f.grid.resolution // 2 + 1]
+
+
+def _advective_cross_term(a, b):
+    """(a . grad) b + (b . grad) a of two fields, formed on the grid in vector form."""
+    g = a.grid
+    ca, cb = _half(a), _half(b)
+    ag, bg = g.to_grid(ca), g.to_grid(cb)
+    out = []
+    for i in range(2):
+        prod = (ag[0] * g.to_grid(1j * g.k1 * cb[i]) + ag[1] * g.to_grid(1j * g.k2 * cb[i])
+                + bg[0] * g.to_grid(1j * g.k1 * ca[i]) + bg[1] * g.to_grid(1j * g.k2 * ca[i]))
+        out.append(g.from_grid(prod))
+    return np.stack(out)
 
 
 class TestNonlinearRHS:
@@ -57,8 +78,8 @@ class TestNonlinearRHS:
         t44 = make_taylor(TaylorSpec(4, 4), 1.0, grid64)
         t11 = make_taylor(TaylorSpec(1, 1), 1.0, grid64)
         du, _ = nonlinear_rhs(MHDState(zero_field(grid64), t44 + t11, 0.0))
-        cross = project_coeffs(advective_cross_term(t44, t11), grid64)
-        assert np.max(np.abs(du.coeffs - cross)) < 1e-12 * np.max(np.abs(cross))
+        cross = project_coeffs(_advective_cross_term(t44, t11), grid64)
+        assert np.max(np.abs(_half(du) - cross)) < 1e-12 * np.max(np.abs(cross))
 
 
 class TestStep:
@@ -96,10 +117,12 @@ class TestStep:
         st = MHDState(u0, b0, 0.0)
         for _ in range(5):
             st = step(st, cfg)
+        k = grid64.wavenumbers
         for f in (st.u, st.b):
-            div = grid64.k1 * f.coeffs[0] + grid64.k2 * f.coeffs[1]
+            c = f.components()
+            div = k[:, None] * c[0] + k[None, :] * c[1]
             assert np.max(np.abs(div)) < 1e-10 * l2_norm(f)
-            assert np.abs(f.coeffs[:, 0, 0]).max() == 0.0
+            assert np.abs(c[:, 0, 0]).max() == 0.0
 
 
 class TestSimulate:
@@ -107,7 +130,7 @@ class TestSimulate:
         cfg = SimConfig(nu=NU, eta=ETA, grid=grid32, dt=1e-2, t_end=0.0)
         st = taylor_state(grid32)
         out = simulate(cfg, st)
-        assert np.array_equal(out.b.coeffs, st.b.coeffs)
+        assert np.array_equal(out.b.psi, st.b.psi)
 
     def test_exact_eigenmode_decay(self, grid32):
         cfg = SimConfig(nu=NU, eta=ETA, grid=grid32, dt=1e-3, t_end=1.0)
@@ -178,7 +201,7 @@ class TestSimulate:
                 simulate(cfg, MHDState(u0, zero_field(grid32), 0.0), sinks=[seen.append])
         assert err.value.time > 0
         assert len(seen) >= 2  # initial state plus the flushed last good state
-        assert np.all(np.isfinite(seen[-1].u.coeffs))
+        assert np.all(np.isfinite(seen[-1].u.psi))
 
     def test_cfl_warning_on_step(self, grid32):
         u0 = 100.0 * make_tilde_t1(grid32)
@@ -191,11 +214,11 @@ class TestHeatPropagate:
     def test_eigenmode(self, grid32):
         f = make_taylor(TaylorSpec(2, 3), 1.0, grid32)
         out = heat_propagate(f, ETA, 0.3)
-        assert np.allclose(out.coeffs, np.exp(-ETA * 13 * 0.3) * f.coeffs)
+        assert np.allclose(out.psi, np.exp(-ETA * 13 * 0.3) * f.psi)
 
     def test_identity_at_zero_time(self, grid32):
         f = make_tilde_t1(grid32)
-        assert np.array_equal(heat_propagate(f, ETA, 0.0).coeffs, f.coeffs)
+        assert np.array_equal(heat_propagate(f, ETA, 0.0).psi, f.psi)
 
     @pytest.mark.parametrize("r", [0, 2, 4])
     def test_sobolev_contraction(self, grid64, r):
@@ -204,8 +227,6 @@ class TestHeatPropagate:
             assert sobolev_norm(heat_propagate(f, ETA, t), r) <= sobolev_norm(f, r)
 
     def test_negative_time_rejected(self, grid32):
-        from mhdrecon.fields import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             heat_propagate(make_tilde_t1(grid32), ETA, -0.1)
 
@@ -216,7 +237,7 @@ class TestDuhamelRemainder:
         rec = TrajectoryRecorder(cfg)
         simulate(cfg, taylor_state(grid32, 2, 2), sinks=[rec])
         remainders = duhamel_remainder(rec.trajectory, ETA)
-        assert remainders[0][1].coeffs.max() == 0.0  # t = 0 gives D = 0 exactly
+        assert np.abs(remainders[0][1].psi).max() == 0.0  # t = 0 gives D = 0 exactly
         assert max(l2_norm(d) for _, d in remainders) < 1e-9
 
     def test_envelope_shape_bounds_remainder(self, grid64):
@@ -253,14 +274,10 @@ class TestDuhamelRemainder:
 
 class TestForcingSpec:
     def test_unknown_kind_rejected(self):
-        from mhdrecon.fields import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             ForcingSpec(kind="quadratic")
 
     def test_theorem2_requires_mode_ordering(self):
-        from mhdrecon.fields import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             ForcingSpec(kind="theorem2", spec_nm=TaylorSpec(1, 1), spec_2=TaylorSpec(4, 4))
 
@@ -273,8 +290,52 @@ class TestForcingSpec:
         assert l2_norm(out.u) == pytest.approx(expected, rel=1e-8)
 
 
+class TestForcedCrossTerm:
+    """At the closed-form state (0, b(t)) of the forced runs the velocity force
+    cancels the nonlinear vorticity tendency, so u stays zero."""
+
+    @staticmethod
+    def _tendencies(kind, b, t, grid):
+        """(nonlinear, nonlinear + forcing) tendencies of (psi, a), diffusion-free."""
+        half = _HalfSpectrum(grid, dealias=True)
+        fs = ForcingSpec(kind=kind, spec_nm=TaylorSpec(4, 4),
+                         spec_2=TaylorSpec(1, 1) if kind == "theorem2" else None)
+        nonlinear = np.empty((2, *grid.spectral_shape), dtype=np.complex128)
+        half.rhs(half.from_fields(zero_field(grid), b), nonlinear)
+        total = nonlinear.copy()
+        _Forcing(fs, half, ETA).add_to(total, t)
+        return nonlinear, total
+
+    @pytest.mark.parametrize("kind", ["theorem2", "remark2"])
+    @pytest.mark.parametrize("t", [0.1, 0.3, 0.8])
+    def test_omega_tendency_vanishes(self, grid32, kind, t):
+        if kind == "theorem2":
+            oracle = ForcedOracle(spec_nm=TaylorSpec(4, 4), spec_2=TaylorSpec(1, 1), eta=ETA)
+            b = forced_exact_b(oracle, t, grid32)
+        else:
+            b = remark2_exact_b(TaylorSpec(4, 4), ETA, t, grid32)
+        nonlinear, total = self._tendencies(kind, b, t, grid32)
+        # omega = |k|^2 psi; the tendency is measured against the size
+        # N |b|_C1^2 of curl div(b b^T), and the cross term must be present
+        omega_nonlinear, omega_total = grid32.ksq * nonlinear[0], grid32.ksq * total[0]
+        scale = np.sqrt(32.0) * c1_norm(b) ** 2
+        assert np.abs(omega_nonlinear).max() > 1e-8 * scale
+        assert np.abs(omega_total).max() < 1e-13 * scale
+
+    @pytest.mark.parametrize("t", [0.1, 0.8])
+    def test_potential_tendency_is_the_closed_form_derivative(self, grid32, t):
+        # d_t a = eta Lap a + psi(f2) along b(t): the induction term vanishes for u = 0
+        oracle = ForcedOracle(spec_nm=TaylorSpec(4, 4), spec_2=TaylorSpec(1, 1), eta=ETA)
+        b = forced_exact_b(oracle, t, grid32)
+        _, total = self._tendencies("theorem2", b, t, grid32)
+        dadt = total[1] - ETA * grid32.ksq * b.psi
+        exact = forced_exact_b_dt(oracle, t, grid32).psi
+        assert np.abs(dadt - exact).max() < 1e-13 * np.abs(exact).max()
+
+
 def _vector_rhs(uc, bc, grid, dealias):
-    """Leray-projected nonlinear tendencies of (u, b), formed in vector form."""
+    """Leray-projected nonlinear tendencies of the half-spectrum vector
+    coefficients (u, b), formed in vector form."""
     k1, k2 = grid.k1, grid.k2
     ug, bg = grid.to_grid(uc), grid.to_grid(bc)
     mask = grid.dealias_mask if dealias else 1.0
@@ -327,17 +388,17 @@ class TestPotentialFormCore:
     def test_nonlinear_rhs_matches_vector_form(self, case):
         cfg, st = case
         du, db = nonlinear_rhs(st, dealias=cfg.dealias)
-        ref_u, ref_b = _vector_rhs(st.u.coeffs, st.b.coeffs, cfg.grid, cfg.dealias)
-        assert _rel_max(du.coeffs, ref_u) < 1e-12
-        assert _rel_max(db.coeffs, ref_b) < 1e-12
+        ref_u, ref_b = _vector_rhs(_half(st.u), _half(st.b), cfg.grid, cfg.dealias)
+        assert _rel_max(_half(du), ref_u) < 1e-12
+        assert _rel_max(_half(db), ref_b) < 1e-12
 
     def test_twenty_steps_match_vector_form(self, case):
         cfg, st = case
         out = simulate(cfg, st)
-        ref_u, ref_b = _vector_simulate(cfg, st.u.coeffs, st.b.coeffs, 20)
+        ref_u, ref_b = _vector_simulate(cfg, _half(st.u), _half(st.b), 20)
         assert out.t == pytest.approx(0.02)
-        assert _rel_max(out.u.coeffs, ref_u) < 1e-12
-        assert _rel_max(out.b.coeffs, ref_b) < 1e-12
+        assert _rel_max(_half(out.u), ref_u) < 1e-12
+        assert _rel_max(_half(out.b), ref_b) < 1e-12
 
     def test_every_emitted_state_is_valid(self, case):
         cfg, st = case
@@ -345,10 +406,10 @@ class TestPotentialFormCore:
         simulate(cfg, st, sinks=[seen.append])
         assert [s.t for s in seen] == pytest.approx([0.0, 0.005, 0.01, 0.015, 0.02])
         for s in seen:
-            s.u.validate()
-            s.b.validate()
-            for c in (s.u.coeffs, s.b.coeffs):
-                assert np.array_equal(c, cfg.grid.hermitianize(c))  # exactly real
+            # the vector view passes the checks of from_components and reads back
+            for f in (s.u, s.b):
+                back = SpectralField2D.from_components(cfg.grid, f.components())
+                assert _rel_max(back.psi, f.psi) < 1e-13
 
     def test_step_equals_one_step_of_simulate(self, case):
         cfg, st = case
@@ -356,20 +417,21 @@ class TestPotentialFormCore:
                         dealias=cfg.dealias)
         a, b = step(st, cfg), simulate(one, st)
         assert a.t == b.t == cfg.dt
-        assert np.array_equal(a.u.coeffs, b.u.coeffs)
-        assert np.array_equal(a.b.coeffs, b.b.coeffs)
+        assert np.array_equal(a.u.psi, b.u.psi)
+        assert np.array_equal(a.b.psi, b.b.psi)
 
     def test_nyquist_content_removed_after_first_step(self, grid32):
         ny = grid32.resolution // 2
         u0 = 0.3 * make_taylor(TaylorSpec(2, 1), 1.0, grid32)
-        b = make_taylor(TaylorSpec(1, 1), 1.0, grid32).coeffs.copy()
-        # a real, divergence-free mode cos(M/2 y) e_x on the Nyquist line k2 = M/2
+        b = make_taylor(TaylorSpec(1, 1), 1.0, grid32).components()
+        # a real, divergence-free mode cos(M/2 y) e_x on the Nyquist line k2 = M/2:
+        # reading the vector view drops it
         b[0, 0, ny] = 0.1
-        b0 = SpectralField2D(grid32, b)
-        b0.validate()
+        b0 = SpectralField2D.from_components(grid32, b)
+        assert np.all(b0.components()[:, :, ny] == 0.0)
         cfg = SimConfig(nu=NU, eta=ETA, grid=grid32, dt=1e-3, t_end=1.0)
         out = step(MHDState(u0, b0, 0.0), cfg)
         for f in (out.u, out.b):
-            assert np.all(f.coeffs[:, grid32.nyquist_mask] == 0.0)
-            f.validate()
+            c = f.components()
+            assert np.all(c[:, ny, :] == 0.0) and np.all(c[:, :, ny] == 0.0)
         assert l2_norm(out.b) > 0.9 * l2_norm(make_taylor(TaylorSpec(1, 1), 1.0, grid32))

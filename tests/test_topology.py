@@ -19,7 +19,6 @@ from mhdrecon.fields import (
     c1_norm,
     make_taylor,
     make_tilde_t1,
-    stream_function,
     zero_field,
 )
 from mhdrecon.solver import MHDState, SimConfig, TrajectoryRecorder, simulate
@@ -163,7 +162,7 @@ class TestTraceIntegralLine:
         f = make_taylor(TaylorSpec(2, 2), 1.0, grid64) + 0.01 * make_tilde_t1(grid64)
         line = trace_integral_line(f, [1.3, 0.4], arclen=8.0)
         vals = f.evaluator.potential(line)
-        psi_grid = grid64.to_grid(stream_function(f))
+        psi_grid = grid64.to_grid(f.psi)
         assert vals.max() - vals.min() < 1e-5 * (psi_grid.max() - psi_grid.min())
 
     def test_seed_at_critical_point_rejected(self, grid64):
@@ -218,7 +217,7 @@ def _connections_with_stall_evaluation(f, saddles, tol=Tolerances()):
     evaluator = FieldEvaluator(f)
     sup_f, sup_grad = sup_field_and_gradient(f)
     stop_tol = tol.stop_tol_factor * (sup_f + sup_grad)
-    psi_grid = f.grid.to_grid(stream_function(f))
+    psi_grid = f.grid.to_grid(f.psi)
     psi_tol = tol.psi_tol_factor * (psi_grid.max() - psi_grid.min())
     positions = np.array([cp.position for cp in saddles])
     psi_levels = evaluator.potential(positions)
