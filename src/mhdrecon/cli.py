@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from .fields import (
     ConfigurationError,
@@ -35,12 +34,25 @@ from .scenarios import (
 )
 from .snapshots import read_ndjson, read_snapshot, snapshot_to_field, write_snapshot
 from .solver import BlowUpError
-from .topology import Tolerances, extract_signature
+from .topology import extract_signature
 
 # failures reported as an "error:" line with exit code 1
 _FAILURES = (ConfigurationError, OSError, ValueError, BlowUpError)
 
 SCENARIO_COMMANDS = ("theorem1", "theorem2", "remark2", "frozen-in", "stability")
+
+
+def _amplitude(term: str, parts: list[str], i: int) -> float:
+    """The finite amplitude parts[i] of a field term, 1 when it is absent."""
+    if len(parts) <= i:
+        return 1.0
+    try:
+        amp = float(parts[i])
+    except ValueError as exc:
+        raise ConfigurationError(f"bad amplitude in field term {term!r}") from exc
+    if not math.isfinite(amp):
+        raise ConfigurationError(f"field term {term!r}: the amplitude must be finite")
+    return amp
 
 
 def parse_field_spec(spec: str, grid: TorusGrid) -> SpectralField2D:
@@ -57,11 +69,9 @@ def parse_field_spec(spec: str, grid: TorusGrid) -> SpectralField2D:
                 n, m = (int(v) for v in parts[1].split(","))
             except ValueError as exc:
                 raise ConfigurationError(f"bad taylor indices in {term!r}") from exc
-            amp = float(parts[2]) if len(parts) > 2 else 1.0
-            f = make_taylor(TaylorSpec(n, m), amp, grid)
+            f = make_taylor(TaylorSpec(n, m), _amplitude(term, parts, 2), grid)
         elif kind in ("tilde-t1", "tilde_t1"):
-            amp = float(parts[1]) if len(parts) > 1 else 1.0
-            f = make_tilde_t1(grid, amp)
+            f = make_tilde_t1(grid, _amplitude(term, parts, 1))
         else:
             raise ConfigurationError(f"unknown field kind {kind!r} in {spec!r}")
         total = f if total is None else total + f
@@ -122,6 +132,8 @@ def _out_dir(args, command: str) -> Path:
 
 
 def cmd_gen_field(args) -> int:
+    if not math.isfinite(args.amplitude):
+        raise ConfigError(f"flag --amplitude: expected a finite number, got {args.amplitude}")
     grid = TorusGrid(args.resolution)
     f = parse_field_spec(args.field, grid) * args.amplitude
     out = _out_dir(args, "gen-field")
@@ -142,8 +154,7 @@ def cmd_topology(args) -> int:
         raise ConfigurationError("topology needs --field or --snapshot")
     if args.seed_grid is not None and not _is_even_grid(args.seed_grid):
         raise ConfigError(f"flag --seed-grid: expected an even integer >= 8, got {args.seed_grid}")
-    tol = Tolerances() if args.seed_grid is None else Tolerances(seed_resolution=args.seed_grid)
-    sig, points = extract_signature(f, tol)
+    sig, points = extract_signature(f, args.seed_grid)
     report = {
         "signature": sig.to_dict(),
         "n_points": len(points),
@@ -201,6 +212,13 @@ def cmd_simulate(args) -> int:
     return _finish(report, out, args.emit_plots)
 
 
+def _is_file_name(name) -> bool:
+    """A non-empty string naming one entry of a directory: each sweep run
+    writes its outputs to the directory <out>/<name>."""
+    return (isinstance(name, str) and name not in ("", ".", "..")
+            and not any(c in name for c in "/\\\0"))
+
+
 def cmd_sweep(args) -> int:
     if not args.config:
         raise ConfigError("sweep requires --config with a {\"runs\": [...]} file")
@@ -212,14 +230,28 @@ def cmd_sweep(args) -> int:
         raise ConfigError(
             f"malformed JSON in {args.config} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(data, dict):
+        raise ConfigError("sweep config root must be a JSON object")
     runs = data.get("runs")
     if not isinstance(runs, list) or not runs:
         raise ConfigError("field 'runs': must be a non-empty list of configs")
     root = _out_dir(args, "sweep")
     configs = []
     for i, entry in enumerate(runs):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"runs[{i}]: expected a JSON object, got {entry!r}")
+        entry = dict(entry)
         name = entry.pop("name", f"run_{i:03d}")
-        configs.append((name, ExperimentConfig.from_dict(entry)))
+        if not _is_file_name(name):
+            raise ConfigError(
+                f"runs[{i}].name: expected a non-empty file name without a path separator, "
+                f"got {name!r}")
+        if any(name == other for other, _ in configs):
+            raise ConfigError(f"runs[{i}].name: {name!r} names an earlier run too")
+        try:
+            configs.append((name, ExperimentConfig.from_dict(entry)))
+        except ConfigError as exc:
+            raise ConfigError(f"runs[{i}]: {exc}") from exc
 
     def one(item):
         name, cfg = item

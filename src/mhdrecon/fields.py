@@ -203,14 +203,18 @@ class SpectralField2D:
         """The field of a vector view: full-complex coefficients (2, M, M).
 
         Raises ConfigurationError naming ``name`` unless the coefficients are
-        Hermitian-symmetric (a real field), divergence-free and zero-average,
-        each to 1e-12 relative to their scale. Nyquist-line content is dropped.
+        finite, Hermitian-symmetric (a real field), divergence-free and
+        zero-average, the last three to 1e-12 relative to their scale.
+        Nyquist-line content is dropped.
         """
         rtol = 1e-12
         c = np.asarray(coeffs, dtype=np.complex128)
         m = grid.resolution
         if c.shape != (2, m, m):
             raise ConfigurationError(f"{name}: components of shape {c.shape}, expected (2, {m}, {m})")
+        # every comparison with NaN is false, so the tests below would pass it
+        if not np.all(np.isfinite(c)):
+            raise ConfigurationError(f"{name} has non-finite coefficients")
         scale = float(np.max(np.abs(c))) or 1.0
         mirror = np.conj(np.roll(c[:, ::-1, ::-1], 1, axis=(1, 2)))  # conj c(-k)
         if 0.5 * np.max(np.abs(c - mirror)) > rtol * scale:
@@ -430,31 +434,24 @@ def l2_inner(f: SpectralField2D, g: SpectralField2D) -> float:
     return float((2.0 * np.pi) ** 2 * total)
 
 
-def sup_field_and_gradient(
-    f: SpectralField2D, oversample: int = _SUP_OVERSAMPLE
-) -> tuple[float, float]:
+def sup_field_and_gradient(f: SpectralField2D) -> tuple[float, float]:
     """(sup |f|, sup ||grad f||) in max norms, on an oversampled grid.
 
-    The suprema are approximated by sampling at oversample*M points per axis:
-    the 5 series of _series, zero-padded, go through one inverse real FFT.
+    The suprema are approximated by sampling at _SUP_OVERSAMPLE * M points
+    per axis: the 5 series of _series, zero-padded, go through one inverse
+    real FFT. Fields cache the pair as SpectralField2D.sup_norms.
     """
-    if oversample < 2:
-        raise ConfigurationError("oversample must be >= 2")
     g = f.grid
-    big = oversample * g.resolution
+    big = _SUP_OVERSAMPLE * g.resolution
     pad = np.zeros((5, big, big // 2 + 1), dtype=np.complex128)
     pad[:, g.wavenumbers % big, : g.spectral_shape[1]] = _series(g.k1, g.k2, f.psi)
     vals = sfft.irfft2(pad, s=(big, big), axes=(-2, -1), norm="forward", overwrite_x=True)
     return float(np.max(np.abs(vals[:2]))), float(np.max(np.abs(vals[2:])))
 
 
-def c1_norm(f: SpectralField2D, oversample: int = _SUP_OVERSAMPLE) -> float:
+def c1_norm(f: SpectralField2D) -> float:
     """sup |f| + sup ||grad f||, the sum of the two sup_field_and_gradient values."""
-    if oversample == _SUP_OVERSAMPLE:
-        sup_f, sup_grad = f.sup_norms
-    else:
-        sup_f, sup_grad = sup_field_and_gradient(f, oversample)
-    return sup_f + sup_grad
+    return sum(f.sup_norms)
 
 
 def project_coeffs(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:

@@ -29,6 +29,9 @@ from .fields import (
 )
 from .solver import MHDState, forced_time_coefficients
 
+# sigma of the stability envelope as a fraction of min(nu, eta)
+_SIGMA_SAFETY = 0.9
+
 
 @dataclass(frozen=True)
 class DecayingTaylorOracle:
@@ -69,8 +72,8 @@ class ForcedOracle:
 class StabilityBound:
     """Parameters of the perturbation-decay envelope delta^2 N^{2r} e^{-2 sigma t}.
 
-    sigma must lie strictly below min(nu, eta) of the run it describes; use
-    for_run to derive it with the default safety factor 0.9. gamma is the
+    sigma must lie strictly below min(nu, eta) of the run it describes;
+    for_run derives it as 0.9 min(nu, eta). gamma is the
     aggregate initial-energy constant (1 + sum of squared L2 norms of the
     four initial fields); it enters only the untestable constant and is
     carried for reporting.
@@ -97,13 +100,10 @@ class StabilityBound:
         delta: float,
         n_scale: float,
         gamma: float = 1.0,
-        safety: float = 0.9,
     ) -> "StabilityBound":
-        if not 0 < safety < 1:
-            raise ConfigurationError("safety factor must lie in (0, 1)")
         if min(nu, eta) <= 0:
             raise ConfigurationError("stability bound needs nu, eta > 0")
-        return cls(sigma=safety * min(nu, eta), r=r, delta=delta, n_scale=n_scale, gamma=gamma)
+        return cls(sigma=_SIGMA_SAFETY * min(nu, eta), r=r, delta=delta, n_scale=n_scale, gamma=gamma)
 
 
 def decaying_taylor(oracle: DecayingTaylorOracle, t: float, grid: TorusGrid) -> MHDState:

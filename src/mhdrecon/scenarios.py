@@ -16,12 +16,14 @@ a Report whose verdict the CLI compares against the expected one. Scenarios:
     frozen-in  ideal run (eta = 0) from the moving datum (T_21, tilde T_1);
                checks the pull-back identity and the transport of a traced
                magnetic line by the flow map
-    stability  reference vs perturbed run; fits the late-time decay rate of
-               the squared H^r perturbation norm against the envelope
+    stability  perturbed run against the closed-form decaying reference;
+               fits the late-time decay rate of the squared H^r perturbation
+               norm against the envelope
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -58,7 +60,6 @@ from .solver import (
     simulate,
 )
 from .topology import (
-    Tolerances,
     TopologySignature,
     distance_to_polyline,
     extract_signature,
@@ -194,25 +195,7 @@ class ExperimentConfig:
         return cls.for_scenario(data["scenario"], **overrides)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "nu": self.nu,
-            "eta": self.eta,
-            "resolution": self.resolution,
-            "dt": self.dt,
-            "t_end": self.t_end,
-            "n": self.n,
-            "m": self.m,
-            "n2": self.n2,
-            "m2": self.m2,
-            "delta": self.delta,
-            "r": self.r,
-            "output_cadence": self.output_cadence,
-            "dealias": self.dealias,
-            "expect": self.expect,
-            "seed_grid": self.seed_grid,
-            "topology_cadence": self.topology_cadence,
-        }
+        return dataclasses.asdict(self)
 
     def grid(self) -> TorusGrid:
         return TorusGrid(self.resolution)
@@ -228,11 +211,6 @@ class ExperimentConfig:
             dealias=self.dealias,
             output_cadence=self.output_cadence,
         )
-
-    def tolerances(self) -> Tolerances:
-        if self.seed_grid is None:
-            return Tolerances()
-        return Tolerances(seed_resolution=self.seed_grid)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -293,16 +271,16 @@ class _DiagnosticsSink:
     carries the signature counts of the magnetic field at that time.
     """
 
-    def __init__(self, r_max: int, topology_cadence: int | None, tol: Tolerances):
+    def __init__(self, r_max: int, topology_cadence: int | None, seed_resolution: int | None):
         self.r_max = r_max
         self.topology_cadence = topology_cadence
-        self.tol = tol
+        self.seed_resolution = seed_resolution
         self.records: list[DiagnosticsRecord] = []
 
     def __call__(self, state: MHDState) -> None:
         signature = None
         if self.topology_cadence and len(self.records) % self.topology_cadence == 0:
-            sig, _ = extract_signature(state.b, self.tol)
+            sig, _ = extract_signature(state.b, self.seed_resolution)
             signature = sig.to_dict()
         self.records.append(
             DiagnosticsRecord(
@@ -325,7 +303,7 @@ def _run_with_diagnostics(
 ):
     """Simulate with a trajectory recorder, diagnostics and extra sinks; persist if asked."""
     recorder = TrajectoryRecorder(sim_cfg)
-    diags = _DiagnosticsSink(cfg.r, cfg.topology_cadence, cfg.tolerances())
+    diags = _DiagnosticsSink(cfg.r, cfg.topology_cadence, cfg.seed_grid)
     final = simulate(sim_cfg, initial, sinks=[recorder, diags, *extra_sinks])
     if out_dir is not None:
         out = Path(out_dir)
@@ -337,9 +315,9 @@ def _run_with_diagnostics(
 
 
 @lru_cache(maxsize=None)
-def _reference_signature(grid: TorusGrid, tol: Tolerances) -> TopologySignature:
-    """Signature of tilde T_1, the same for every run on one grid and tolerances."""
-    sig, _ = extract_signature(make_tilde_t1(grid), tol)
+def _reference_signature(grid: TorusGrid, seed_resolution: int | None) -> TopologySignature:
+    """Signature of tilde T_1, the same for every run on one grid and seeding lattice."""
+    sig, _ = extract_signature(make_tilde_t1(grid), seed_resolution)
     return sig
 
 
@@ -347,12 +325,11 @@ def run_theorem1(cfg: ExperimentConfig, out_dir=None) -> Report:
     """Unforced reconnection run: perturbed large Taylor mode decays onto the
     structurally stable small field."""
     grid = cfg.grid()
-    tol = cfg.tolerances()
     spec = TaylorSpec(cfg.n, cfg.m)
     n_scale = float(np.sqrt(spec.eigenvalue))
     tilde = make_tilde_t1(grid)
     b0 = (1.0 / n_scale) * make_taylor(spec, 1.0, grid) + cfg.delta * tilde
-    sig0, pts0 = extract_signature(b0, tol)
+    sig0, pts0 = extract_signature(b0, cfg.seed_grid)
 
     final, trajectory, _ = _run_with_diagnostics(
         cfg.sim_config(), MHDState(zero_field(grid), b0, 0.0), cfg, out_dir, "theorem1"
@@ -366,8 +343,8 @@ def run_theorem1(cfg: ExperimentConfig, out_dir=None) -> Report:
         # and no reconnection can be certified
         rescale = float(np.exp(cfg.eta * spec.eigenvalue * cfg.t_end) * n_scale)
     b_tilde = rescale * final.b
-    sig_t, pts_t = extract_signature(b_tilde, tol)
-    ref_sig = _reference_signature(grid, tol)
+    sig_t, pts_t = extract_signature(b_tilde, cfg.seed_grid)
+    ref_sig = _reference_signature(grid, cfg.seed_grid)
     c1_dist = c1_norm(b_tilde - tilde)
 
     changed = signatures_equivalent(sig0, sig_t) == "distinct"
@@ -401,14 +378,13 @@ def run_theorem1(cfg: ExperimentConfig, out_dir=None) -> Report:
 def run_theorem2(cfg: ExperimentConfig, out_dir=None) -> Report:
     """Forced reconnection run checked against the closed-form solution."""
     grid = cfg.grid()
-    tol = cfg.tolerances()
     spec_nm = TaylorSpec(cfg.n, cfg.m)
     spec_2 = TaylorSpec(cfg.n2, cfg.m2)
     oracle = oracles.ForcedOracle(spec_nm=spec_nm, spec_2=spec_2, eta=cfg.eta)
     forcing = ForcingSpec(kind="theorem2", spec_nm=spec_nm, spec_2=spec_2)
 
     b0 = make_taylor(spec_nm, 1.0, grid)
-    sig0, _ = extract_signature(b0, tol)
+    sig0, _ = extract_signature(b0, cfg.seed_grid)
 
     oracle_errors: list[tuple[float, float]] = []
     u_norms: list[tuple[float, float]] = []
@@ -427,7 +403,7 @@ def run_theorem2(cfg: ExperimentConfig, out_dir=None) -> Report:
     b_tilde = (cfg.eta * spec_2.eigenvalue) * final.b
     small = make_taylor(spec_2, 1.0, grid)
     hr_dist = sobolev_norm(b_tilde - small, cfg.r)
-    sig_t, _ = extract_signature(b_tilde, tol)
+    sig_t, _ = extract_signature(b_tilde, cfg.seed_grid)
 
     verdict = (
         "reconnection"
@@ -458,11 +434,10 @@ def run_theorem2(cfg: ExperimentConfig, out_dir=None) -> Report:
 def run_remark2(cfg: ExperimentConfig, out_dir=None) -> Report:
     """Forced run toward tilde T_1 with the closed-form error/bound comparison."""
     grid = cfg.grid()
-    tol = cfg.tolerances()
     spec_nm = TaylorSpec(cfg.n, cfg.m)
     forcing = ForcingSpec(kind="remark2", spec_nm=spec_nm)
     b0 = make_taylor(spec_nm, 1.0, grid)
-    sig0, _ = extract_signature(b0, tol)
+    sig0, _ = extract_signature(b0, cfg.seed_grid)
 
     final, _, _ = _run_with_diagnostics(
         cfg.sim_config(forcing), MHDState(zero_field(grid), b0, 0.0), cfg, out_dir, "remark2"
@@ -474,8 +449,8 @@ def run_remark2(cfg: ExperimentConfig, out_dir=None) -> Report:
     err_exact = oracles.remark2_exact_error(spec_nm, cfg.r, cfg.eta, cfg.t_end, grid)
     bound = oracles.remark2_error_bound(spec_nm.eigenvalue, cfg.r, cfg.eta, cfg.t_end)
     explicit = oracles.remark2_explicit_bound(spec_nm, cfg.r, cfg.eta, cfg.t_end, grid)
-    sig_t, _ = extract_signature(b_tilde, tol)
-    ref_sig = _reference_signature(grid, tol)
+    sig_t, _ = extract_signature(b_tilde, cfg.seed_grid)
+    ref_sig = _reference_signature(grid, cfg.seed_grid)
 
     settled = (
         sig_t.structurally_stable
@@ -551,6 +526,10 @@ def run_frozen_in(cfg: ExperimentConfig, out_dir=None) -> Report:
     )
 
 
+# relative slack of the fitted decay rate against the envelope rate 2 sigma
+_DECAY_RATE_TOL = 0.1
+
+
 def fit_log_slope(times: np.ndarray, values: np.ndarray) -> float:
     """Least-squares slope of ln(values) against time."""
     mask = values > 0
@@ -563,9 +542,14 @@ def fit_log_slope(times: np.ndarray, values: np.ndarray) -> float:
     return float(slope)
 
 
-def run_stability_decay(cfg: ExperimentConfig, out_dir=None, tol_rate: float = 0.1) -> Report:
-    """Reference vs perturbed run; the squared H^r difference must decay at
-    least at the envelope rate 2 sigma (up to tol_rate)."""
+def run_stability_decay(cfg: ExperimentConfig, out_dir=None) -> Report:
+    """Perturbed run against the reference (0, N^-1 T_nm); the squared H^r
+    difference must decay at least at the envelope rate 2 sigma, up to
+    _DECAY_RATE_TOL.
+
+    The reference is the decaying Taylor solution in closed form
+    (oracles.decaying_taylor), so only the perturbed run is simulated.
+    """
     if min(cfg.nu, cfg.eta) <= 0:
         raise ConfigError("field 'nu'/'eta': stability decay requires nu, eta > 0")
     grid = cfg.grid()
@@ -575,17 +559,16 @@ def run_stability_decay(cfg: ExperimentConfig, out_dir=None, tol_rate: float = 0
     tilde = make_tilde_t1(grid)
     perturbed_b0 = base + cfg.delta * tilde
 
-    sim = cfg.sim_config()
-    _, traj_ref, _ = _run_with_diagnostics(
-        sim, MHDState(zero_field(grid), base, 0.0), cfg, out_dir, "stability_reference"
+    _, traj, _ = _run_with_diagnostics(
+        cfg.sim_config(), MHDState(zero_field(grid), perturbed_b0, 0.0), cfg, out_dir,
+        "stability_perturbed",
     )
-    _, traj_per, _ = _run_with_diagnostics(
-        sim, MHDState(zero_field(grid), perturbed_b0, 0.0), cfg, out_dir, "stability_perturbed"
-    )
+    reference = oracles.DecayingTaylorOracle(spec, cfg.eta, amplitude=1.0 / n_scale)
 
-    times = np.array(traj_ref.times)
+    times = np.array(traj.times)
     q = []
-    for s_ref, s_per in zip(traj_ref.states, traj_per.states):
+    for s_per in traj.states:
+        s_ref = oracles.decaying_taylor(reference, s_per.t, grid)
         v = s_per.u - s_ref.u
         h = s_per.b - s_ref.b
         q.append(sobolev_norm(v, cfg.r) ** 2 + sobolev_norm(h, cfg.r) ** 2)
@@ -599,7 +582,7 @@ def run_stability_decay(cfg: ExperimentConfig, out_dir=None, tol_rate: float = 0
 
     late = times >= 0.5 * cfg.t_end
     slope = fit_log_slope(times[late], q[late])
-    target = -2.0 * bound.sigma * (1.0 - tol_rate)
+    target = -2.0 * bound.sigma * (1.0 - _DECAY_RATE_TOL)
     verdict = "decay-confirmed" if slope <= target else "decay-too-slow"
 
     return Report(

@@ -77,7 +77,6 @@ class ForcingSpec:
                 exact solution keeps u = 0 (c1, c2 are the time coefficients
                 of the two modes in the closed-form magnetic field)
       remark2   same construction with the small mode replaced by tilde T_1
-      custom    static Taylor forces given as (target, spec, amplitude) tuples
 
     Both forces always have zero average. Only the curl of f1 acts (the
     pressure absorbs its gradient part), so f1 need not be solenoidal.
@@ -86,10 +85,9 @@ class ForcingSpec:
     kind: str = "none"
     spec_nm: TaylorSpec | None = None
     spec_2: TaylorSpec | None = None
-    custom: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("none", "theorem2", "remark2", "custom"):
+        if self.kind not in ("none", "theorem2", "remark2"):
             raise ConfigurationError(f"unknown forcing kind {self.kind!r}")
         if self.kind == "theorem2":
             if self.spec_nm is None or self.spec_2 is None:
@@ -122,25 +120,6 @@ class SimConfig:
             raise ConfigurationError("t_end must be >= 0")
         if self.output_cadence < 1:
             raise ConfigurationError("output_cadence must be >= 1")
-
-    def to_dict(self) -> dict:
-        d = {
-            "nu": self.nu,
-            "eta": self.eta,
-            "resolution": self.grid.resolution,
-            "dt": self.dt,
-            "t_end": self.t_end,
-            "dealias": self.dealias,
-            "output_cadence": self.output_cadence,
-            "forcing": {"kind": self.forcing.kind},
-        }
-        if self.forcing.spec_nm is not None:
-            d["forcing"]["n"] = self.forcing.spec_nm.n
-            d["forcing"]["m"] = self.forcing.spec_nm.m
-        if self.forcing.spec_2 is not None:
-            d["forcing"]["n2"] = self.forcing.spec_2.n
-            d["forcing"]["m2"] = self.forcing.spec_2.m
-        return d
 
 
 def forced_time_coefficients(eta: float, nsq: float, n2sq: float, t: float) -> tuple[float, float]:
@@ -251,7 +230,6 @@ class _Forcing:
         self._static: np.ndarray | None = None
         self._cross: np.ndarray | None = None
         self._nsq = self._n2sq = 0.0
-        fu = fb = zero_field(grid)
         kind = spec.kind
         if kind in ("theorem2", "remark2"):
             if eta <= 0:
@@ -264,30 +242,15 @@ class _Forcing:
                 small = make_tilde_t1(grid)
                 self._n2sq = 1.0
             self._nsq = float(spec.spec_nm.eigenvalue)
-            fb = small
+            # f2 = small is static; f1 is the time-dependent cross term alone
+            self._static = half.from_fields(zero_field(grid), small)
             self._cross = _cross_potential(half, big, small)
-        elif kind == "custom":
-            for target, tspec, amp in spec.custom:
-                f = (
-                    make_tilde_t1(grid, amp)
-                    if tspec == "tilde_t1"
-                    else make_taylor(tspec, amp, grid)
-                )
-                if target == "u":
-                    fu = fu + f
-                elif target == "b":
-                    fb = fb + f
-                else:
-                    raise ConfigurationError(f"custom forcing target must be u or b, got {target!r}")
-        if np.any(fu.psi) or np.any(fb.psi):
-            self._static = half.from_fields(fu, fb)
 
     def add_to(self, out: np.ndarray, t: float) -> None:
         """Add the stream functions of f1(t) and f2(t) to the tendencies out."""
-        if self._static is not None:
-            out += self._static
         if self._cross is not None:
             c1, c2 = forced_time_coefficients(self.eta, self._nsq, self._n2sq, t)
+            out += self._static
             out[0] += (-c1 * c2) * self._cross
 
 
@@ -416,9 +379,10 @@ class Trajectory:
     times: list[float] = field(default_factory=list)
     states: list[MHDState] = field(default_factory=list)
 
-    def state_at(self, t: float, atol: float = 1e-9) -> MHDState:
+    def state_at(self, t: float) -> MHDState:
+        """The snapshot at time t, matched to within 1e-9."""
         for st in self.states:
-            if abs(st.t - t) <= atol:
+            if abs(st.t - t) <= 1e-9:
                 return st
         raise ValueError(f"no snapshot at t = {t}")
 

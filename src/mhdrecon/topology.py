@@ -13,7 +13,7 @@ stream function is a first integral, so connected saddles share a level).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -38,26 +38,19 @@ class MisuseError(ValueError):
     """An operation was called on a run that violates its preconditions."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Knobs for critical-point refinement and separatrix tracing.
-
-    Scale-free defaults validated on the analytically known phase portraits
-    of the low Taylor modes.
-    """
-
-    newton_tol: float = 1e-12          # residual target, relative to the C1 norm
-    max_newton_iter: int = 50
-    deg_tol_factor: float = 1e-8       # degeneracy band: |det| <= factor * C1^2
-    dedup_factor: float = 10.0         # dedup radius = factor * newton_tol
-    eps_launch: float = 1e-4
-    arrival_radius: float = 1e-2
-    psi_tol_factor: float = 1e-6       # connection level test, relative to osc(psi)
-    arclength_cap: float = 50.0 * TWO_PI
-    trace_step: float = 2e-3
-    connect_step: float = 1e-2
-    stop_tol_factor: float = 1e-6      # stall threshold on |f|, relative to C1
-    seed_resolution: int | None = None
+# Critical-point refinement and separatrix tracing: scale-free thresholds
+# validated on the analytically known phase portraits of the low Taylor modes.
+_NEWTON_TOL = 1e-12          # residual target, relative to the C1 norm
+_MAX_NEWTON_ITER = 50
+_DEG_TOL_FACTOR = 1e-8       # degeneracy band: |det| <= factor * C1^2
+_DEDUP_RADIUS = 10.0 * _NEWTON_TOL
+_EPS_LAUNCH = 1e-4           # separatrix launch offset from its saddle
+_ARRIVAL_RADIUS = 1e-2
+_PSI_TOL_FACTOR = 1e-6       # connection level test, relative to osc(psi)
+_ARCLENGTH_CAP = 50.0 * TWO_PI
+_TRACE_STEP = 2e-3           # arclength step of trace_integral_line
+_CONNECT_STEP = 1e-2         # largest arclength step of a separatrix trace
+_STOP_TOL_FACTOR = 1e-6      # stall threshold on |f|, relative to C1
 
 
 @dataclass(frozen=True)
@@ -193,13 +186,14 @@ def _dedup_wrapped(points: np.ndarray, residuals: np.ndarray, radius: float):
 
 def find_critical_points(
     f: SpectralField2D,
-    tol: Tolerances = Tolerances(),
+    seed_resolution: int | None = None,
     diagnostics: list | None = None,
 ) -> list[CriticalPoint]:
     """Locate and classify all zeros of f.
 
-    Every grid cell in which either component changes sign seeds a damped
-    Newton iteration on the exact spectral field; converged positions are
+    Every cell of the seeding lattice (the field's grid, or a
+    seed_resolution grid) in which either component changes sign seeds a
+    damped Newton iteration on the exact spectral field; converged positions are
     deduplicated on the torus and classified by the determinant rule.
     Seeds that fail to converge are appended to ``diagnostics`` (position and
     last residual), never raised.
@@ -209,10 +203,10 @@ def find_critical_points(
     c1 = sup_f + sup_grad
     if c1 == 0.0:
         raise ConfigurationError("cannot extract critical points of the zero field")
-    res_target = tol.newton_tol * c1
+    res_target = _NEWTON_TOL * c1
     det_floor = 1e-14 * max(sup_grad, 1e-300) ** 2
 
-    x = wrap(_sign_change_seeds(f, tol.seed_resolution))
+    x = wrap(_sign_change_seeds(f, seed_resolution))
     if len(x) == 0:
         return []
     fx = evaluator.values(x)
@@ -220,7 +214,7 @@ def find_critical_points(
     active = res >= res_target
     stalled = np.zeros(len(x), dtype=bool)
 
-    for it in range(tol.max_newton_iter):
+    for it in range(_MAX_NEWTON_ITER):
         if not active.any():
             break
         idx = np.nonzero(active)[0]
@@ -265,10 +259,10 @@ def find_critical_points(
     pts = x[converged]
     if len(pts) == 0:
         return []
-    keep = _dedup_wrapped(pts, res[converged], tol.dedup_factor * tol.newton_tol)
+    keep = _dedup_wrapped(pts, res[converged], _DEDUP_RADIUS)
     pts = pts[keep]
     vals, jacs = evaluator.values_and_jacobians(pts)
-    deg_tol = tol.deg_tol_factor * c1**2
+    deg_tol = _DEG_TOL_FACTOR * c1**2
     points = []
     for p, v, j in zip(pts, vals, jacs):
         det = float(j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0])
@@ -302,22 +296,17 @@ def _unit_rk4_step(evaluator: FieldEvaluator, x: np.ndarray, v: np.ndarray, h) -
     return wrap(x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
-def trace_integral_line(
-    f: SpectralField2D,
-    x0,
-    arclen: float,
-    h: float | None = None,
-    tol: Tolerances = Tolerances(),
-) -> np.ndarray:
+def trace_integral_line(f: SpectralField2D, x0, arclen: float) -> np.ndarray:
     """Integrate the normalized field dx/ds = f/|f| from x0 for total arclength.
 
-    Positions wrap on the torus; the polyline of visited points is returned.
+    RK4 steps of arclength _TRACE_STEP; positions wrap on the torus, and the
+    polyline of visited points is returned.
     Tracing stops early when |f| drops below the stall threshold (approach to
     a critical point). Seeding at a critical point raises ConfigurationError.
     """
-    h = tol.trace_step if h is None else h
+    h = _TRACE_STEP
     evaluator = f.evaluator
-    stop_tol = tol.stop_tol_factor * sum(f.sup_norms)
+    stop_tol = _STOP_TOL_FACTOR * sum(f.sup_norms)
     x = np.atleast_2d(np.asarray(x0, dtype=np.float64)).copy()
     v = evaluator.values(x)
     if np.linalg.norm(v) < stop_tol:
@@ -354,7 +343,6 @@ def _eigen_directions(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def detect_saddle_connections(
     f: SpectralField2D,
     saddles: list[CriticalPoint],
-    tol: Tolerances = Tolerances(),
 ) -> tuple[int, int]:
     """Count separatrix traces arriving at a saddle: (heteroclinic, self).
 
@@ -369,9 +357,9 @@ def detect_saddle_connections(
         return 0, 0
     evaluator = f.evaluator
     sup_f, sup_grad = f.sup_norms
-    stop_tol = tol.stop_tol_factor * (sup_f + sup_grad)
+    stop_tol = _STOP_TOL_FACTOR * (sup_f + sup_grad)
     psi_grid = f.grid.to_grid(f.psi)
-    psi_tol = tol.psi_tol_factor * float(psi_grid.max() - psi_grid.min())
+    psi_tol = _PSI_TOL_FACTOR * float(psi_grid.max() - psi_grid.min())
 
     positions = np.array([cp.position for cp in saddles])
     psi_levels = evaluator.potential(positions)
@@ -380,7 +368,7 @@ def detect_saddle_connections(
     for i, cp in enumerate(saddles):
         vu, vs = _eigen_directions(cp.jacobian)
         for vec, sign in ((vu, 1.0), (-vu, 1.0), (vs, -1.0), (-vs, -1.0)):
-            starts.append(cp.position + tol.eps_launch * vec)
+            starts.append(cp.position + _EPS_LAUNCH * vec)
             signs.append(sign)
             origins.append(i)
     x = wrap(np.array(starts))
@@ -392,7 +380,7 @@ def detect_saddle_connections(
     left_origin = np.zeros(n, dtype=bool)
     arc = np.zeros(n)
     outcome = np.full(n, "none", dtype=object)
-    h0 = tol.connect_step
+    h0 = _CONNECT_STEP
     j_scale = max(sup_grad, 1e-300)
 
     while active.any():
@@ -420,9 +408,9 @@ def detect_saddle_connections(
         dmin = d.min(axis=1)
         nearest = d.argmin(axis=1)
         own = torus_distance(x[live], positions[origins[live]])
-        left_origin[live] |= own > 2.0 * tol.arrival_radius
+        left_origin[live] |= own > 2.0 * _ARRIVAL_RADIUS
 
-        arrived = dmin < tol.arrival_radius
+        arrived = dmin < _ARRIVAL_RADIUS
         for j in np.nonzero(arrived)[0]:
             t = live[j]
             target = nearest[j]
@@ -433,7 +421,7 @@ def detect_saddle_connections(
             elif abs(psi_levels[target] - psi_levels[origins[t]]) < psi_tol:
                 outcome[t] = "hetero"
                 active[t] = False
-        capped = arc[live] > tol.arclength_cap
+        capped = arc[live] > _ARCLENGTH_CAP
         active[live[capped]] = False
 
     hetero = int(np.sum(outcome == "hetero"))
@@ -442,17 +430,21 @@ def detect_saddle_connections(
 
 
 def extract_signature(
-    f: SpectralField2D, tol: Tolerances = Tolerances()
+    f: SpectralField2D, seed_resolution: int | None = None
 ) -> tuple[TopologySignature, list[CriticalPoint]]:
-    """Full topology pass: critical points, connection counts, stability verdict."""
+    """Full topology pass: critical points, connection counts, stability verdict.
+
+    seed_resolution sets the lattice that seeds the critical-point search
+    (find_critical_points); by default it is the field's grid.
+    """
     if sum(f.sup_norms) == 0.0:
         # zero field: no nondegenerate structure, unstable by convention
         return TopologySignature(), []
-    points = find_critical_points(f, tol)
+    points = find_critical_points(f, seed_resolution)
     saddles = [cp for cp in points if cp.kind == "saddle"]
     centers = [cp for cp in points if cp.kind == "center"]
     degenerate = [cp for cp in points if cp.kind == "degenerate"]
-    hetero, selfc = detect_saddle_connections(f, saddles, tol)
+    hetero, selfc = detect_saddle_connections(f, saddles)
     stable = len(degenerate) == 0 and hetero == 0 and len(points) > 0
     sig = TopologySignature(
         n_saddles=len(saddles),
@@ -465,10 +457,8 @@ def extract_signature(
     return sig, points
 
 
-def is_structurally_stable(
-    f: SpectralField2D, tol: Tolerances = Tolerances()
-) -> tuple[bool, TopologySignature]:
-    sig, _ = extract_signature(f, tol)
+def is_structurally_stable(f: SpectralField2D) -> tuple[bool, TopologySignature]:
+    sig, _ = extract_signature(f)
     return sig.structurally_stable, sig
 
 
@@ -533,15 +523,13 @@ class _VelocityInterpolant:
         return ev.values(pts)
 
 
-def flow_map(
-    trajectory: Trajectory, seeds: np.ndarray, t: float, substeps: int = 1
-) -> FlowMapSample:
+def flow_map(trajectory: Trajectory, seeds: np.ndarray, t: float) -> FlowMapSample:
     """Integrate the fluid flow and its Jacobian from the trajectory start to t.
 
     Positions follow dPhi/dt = u(t, Phi) by RK4 with cubic time interpolation
     of the velocity snapshots; Jacobians follow the variational equation
-    d(grad Phi)/dt = grad u(Phi) grad Phi alongside. The default of one RK4
-    step per snapshot interval matches the interpolation order.
+    d(grad Phi)/dt = grad u(Phi) grad Phi alongside. One RK4 step per
+    snapshot interval matches the interpolation order.
     """
     interp = _VelocityInterpolant(trajectory)
     t0 = float(interp.times[0])
@@ -551,11 +539,11 @@ def flow_map(
     pos = seeds.copy()
     jac = np.broadcast_to(np.eye(2), (len(seeds), 2, 2)).copy()
 
+    # one step per snapshot interval
     if len(interp.times) > 1:
-        dt_snap = float(interp.times[1] - interp.times[0])
+        h = float(interp.times[1] - interp.times[0])
     else:
-        dt_snap = max(t - t0, 1e-12)
-    h = dt_snap / substeps
+        h = max(t - t0, 1e-12)
     n_steps = int(round((t - t0) / h)) if h > 0 else 0
     h = (t - t0) / n_steps if n_steps else 0.0
 

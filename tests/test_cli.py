@@ -39,6 +39,20 @@ class TestFieldSpecParsing:
         with pytest.raises(ConfigurationError):
             parse_field_spec("fourier:1", TorusGrid(32))
 
+    @pytest.mark.parametrize("spec, term", [
+        ("taylor:1,1:nan", "taylor:1,1:nan"),
+        ("tilde-t1:inf", "tilde-t1:inf"),
+        ("taylor:2,1+tilde-t1:-inf", "tilde-t1:-inf"),
+    ])
+    def test_non_finite_amplitude_names_the_term(self, spec, term):
+        with pytest.raises(ConfigurationError,
+                           match=f"field term '{term}': the amplitude must be finite"):
+            parse_field_spec(spec, TorusGrid(16))
+
+    def test_bad_amplitude_names_the_term(self):
+        with pytest.raises(ConfigurationError, match="bad amplitude in field term 'tilde-t1:x'"):
+            parse_field_spec("tilde-t1:x", TorusGrid(16))
+
 
 class TestTopologyCommand:
     def test_taylor_11_report(self, tmp_path, capsys):
@@ -80,6 +94,23 @@ class TestTopologyCommand:
         write_snapshot(path, {"b1": b1, "b2": np.zeros_like(b1)}, time=0.0, nu=0.0, eta=0.0)
         assert main(["topology", "--snapshot", str(path), "--out", str(tmp_path)]) == 1
         assert "snapshot field 'b' is not divergence-free" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["taylor:1,1:nan", "tilde-t1:inf"])
+    def test_non_finite_field_exits_one(self, tmp_path, capsys, field):
+        code = main(["topology", "--field", field, "--resolution", "16", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: field term '{field}': the amplitude must be finite")
+        assert not (tmp_path / "topology.json").exists()
+
+    @pytest.mark.parametrize("amplitude", ["nan", "inf", "-inf"])
+    def test_gen_field_rejects_non_finite_amplitude(self, tmp_path, capsys, amplitude):
+        code = main(["gen-field", "--field", "taylor:1,1", f"--amplitude={amplitude}",
+                     "--resolution", "16", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: flag --amplitude: expected a finite number, got ")
+        assert not (tmp_path / "field.snap").exists()
 
 
 class TestScenarioCommands:
@@ -161,6 +192,10 @@ class TestFlagsPerCommand:
         assert report["config"]["seed_grid"] == 48
 
 
+# a valid sweep run, quick to check
+RUN = {"scenario": "custom", "resolution": 16, "dt": 2e-3, "t_end": 0.01}
+
+
 class TestSweepCommand:
     def test_concurrent_runs(self, tmp_path, capsys):
         sweep = {
@@ -186,6 +221,32 @@ class TestSweepCommand:
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"runs": []}))
         assert main(["sweep", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("config, message", [
+        ([1], "sweep config root must be a JSON object"),
+        ({"runs": [1]}, "runs[0]: expected a JSON object, got 1"),
+        ({"runs": [RUN, "x"]}, "runs[1]: expected a JSON object, got 'x'"),
+        ({"runs": [{**RUN, "name": 5}]}, "runs[0].name: expected a non-empty file name"),
+        ({"runs": [{**RUN, "name": ""}]}, "runs[0].name: expected a non-empty file name"),
+        ({"runs": [{**RUN, "name": "."}]}, "runs[0].name: expected a non-empty file name"),
+        ({"runs": [{**RUN, "name": ".."}]}, "runs[0].name: expected a non-empty file name"),
+        ({"runs": [{**RUN, "name": "../escape"}]}, "runs[0].name: expected a non-empty file name"),
+        ({"runs": [{**RUN, "name": "a/b"}]}, "runs[0].name: expected a non-empty file name"),
+        ({"runs": [{**RUN, "name": "a"}, {**RUN, "name": "a"}]},
+         "runs[1].name: 'a' names an earlier run too"),
+        ({"runs": [RUN, {**RUN, "name": "run_000"}]},
+         "runs[1].name: 'run_000' names an earlier run too"),
+        ({"runs": [RUN, {**RUN, "dt": -1}]}, "runs[1]: field 'dt': expected a finite number > 0"),
+    ])
+    def test_bad_run_named(self, tmp_path, capsys, config, message):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config))
+        out_dir = tmp_path / "sub" / "sweepout"
+        assert main(["sweep", "--config", str(path), "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+        # nothing was run, inside or outside --out
+        assert not (tmp_path / "sub").exists()
 
 
 # Ideal, undamped and stepped far beyond the CFL limit: the roundoff-level

@@ -257,15 +257,10 @@ class TestC1Norm:
         f = make_taylor(TaylorSpec(2, 3), 1.0, grid32)
         assert c1_norm(-2.5 * f) == pytest.approx(2.5 * c1_norm(f), rel=1e-12)
 
-    def test_oversample_validation(self, grid32):
-        with pytest.raises(ConfigurationError):
-            c1_norm(make_tilde_t1(grid32), oversample=1)
-
     def test_sum_of_the_sup_norm_pair(self, grid32):
         f = make_taylor(TaylorSpec(2, 3), 1.0, grid32) + 0.3 * make_tilde_t1(grid32)
         sup_f, sup_grad = sup_field_and_gradient(f)
         assert c1_norm(f) == sup_f + sup_grad
-        assert c1_norm(f, oversample=8) == sum(sup_field_and_gradient(f, oversample=8))
 
 
 class TestCachedPerField:

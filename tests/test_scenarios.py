@@ -173,7 +173,6 @@ class TestConfig:
         assert set(data) <= set(cfg.to_dict())
         cfg.grid()
         cfg.sim_config()
-        cfg.tolerances()
 
 
 

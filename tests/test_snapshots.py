@@ -226,6 +226,16 @@ class TestMalformedSnapshots:
         with pytest.raises(ConfigurationError, match="snapshot field 'b' is not divergence-free"):
             snapshot_to_field(read_snapshot(path))
 
+    @pytest.mark.parametrize("component, bad", [(0, np.nan), (1, np.inf), (1, complex(0, -np.inf))])
+    def test_non_finite_field_rejected_by_name(self, tmp_path, component, bad):
+        comps = make_tilde_t1(TorusGrid(16)).components()
+        comps[component, 0, 1] = bad
+        path = tmp_path / "bad.snap"
+        write_snapshot(path, {"b1": comps[0], "b2": comps[1]}, time=0.0, nu=0.0, eta=0.0)
+        with pytest.raises(ConfigurationError,
+                           match="snapshot field 'b' has non-finite coefficients"):
+            snapshot_to_field(read_snapshot(path))
+
     def test_missing_component_named(self, tmp_path):
         path = tmp_path / "half.snap"
         write_snapshot(path, {"b1": np.zeros((8, 8), dtype=complex)}, time=0.0, nu=0.0, eta=0.0)

@@ -281,14 +281,6 @@ class TestForcingSpec:
         with pytest.raises(ConfigurationError):
             ForcingSpec(kind="theorem2", spec_nm=TaylorSpec(1, 1), spec_2=TaylorSpec(4, 4))
 
-    def test_custom_static_force_drives_velocity(self, grid32):
-        fs = ForcingSpec(kind="custom", custom=(("u", "tilde_t1", 2.0),))
-        cfg = SimConfig(nu=NU, eta=ETA, grid=grid32, dt=1e-3, t_end=0.05, forcing=fs)
-        out = simulate(cfg, MHDState(zero_field(grid32), zero_field(grid32), 0.0))
-        # linear response: u(t) = 2 (1 - e^{-nu t}) / nu * tilde T1
-        expected = 2.0 * -np.expm1(-NU * 0.05) / NU * l2_norm(make_tilde_t1(grid32))
-        assert l2_norm(out.u) == pytest.approx(expected, rel=1e-8)
-
 
 class TestForcedCrossTerm:
     """At the closed-form state (0, b(t)) of the forced runs the velocity force

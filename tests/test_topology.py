@@ -24,7 +24,6 @@ from mhdrecon.fields import (
 from mhdrecon.solver import MHDState, SimConfig, TrajectoryRecorder, simulate
 from mhdrecon.topology import (
     MisuseError,
-    Tolerances,
     TopologySignature,
     classify,
     detect_saddle_connections,
@@ -42,7 +41,16 @@ from mhdrecon.topology import (
     verify_frozen_in,
     wrap,
 )
-from mhdrecon.topology import _sign_change_seeds
+from mhdrecon.topology import (
+    _ARCLENGTH_CAP,
+    _ARRIVAL_RADIUS,
+    _CONNECT_STEP,
+    _EPS_LAUNCH,
+    _PSI_TOL_FACTOR,
+    _STOP_TOL_FACTOR,
+    _TRACE_STEP,
+    _sign_change_seeds,
+)
 
 from .conftest import random_divergence_free
 
@@ -184,13 +192,13 @@ def values_calls(monkeypatch):
     return calls
 
 
-def _trace_with_stall_evaluation(f, x0, arclen, tol=Tolerances()):
+def _trace_with_stall_evaluation(f, x0, arclen):
     """Integral-line RK4 that evaluates the field once more per step for the
     stall test: the polyline trace_integral_line must reproduce bit for bit."""
-    h = tol.trace_step
+    h = _TRACE_STEP
     evaluator = FieldEvaluator(f)
     sup_f, sup_grad = sup_field_and_gradient(f)
-    stop_tol = tol.stop_tol_factor * (sup_f + sup_grad)
+    stop_tol = _STOP_TOL_FACTOR * (sup_f + sup_grad)
 
     def direction(pts):
         vals = evaluator.values(pts)
@@ -210,15 +218,15 @@ def _trace_with_stall_evaluation(f, x0, arclen, tol=Tolerances()):
     return np.array(line)
 
 
-def _connections_with_stall_evaluation(f, saddles, tol=Tolerances()):
+def _connections_with_stall_evaluation(f, saddles):
     """Separatrix tracing that evaluates the field again at the live points for
     the first RK4 stage, after the speed evaluation; (hetero, self, loop
     iterations). detect_saddle_connections must give the same counts."""
     evaluator = FieldEvaluator(f)
     sup_f, sup_grad = sup_field_and_gradient(f)
-    stop_tol = tol.stop_tol_factor * (sup_f + sup_grad)
+    stop_tol = _STOP_TOL_FACTOR * (sup_f + sup_grad)
     psi_grid = f.grid.to_grid(f.psi)
-    psi_tol = tol.psi_tol_factor * (psi_grid.max() - psi_grid.min())
+    psi_tol = _PSI_TOL_FACTOR * (psi_grid.max() - psi_grid.min())
     positions = np.array([cp.position for cp in saddles])
     psi_levels = evaluator.potential(positions)
 
@@ -233,7 +241,7 @@ def _connections_with_stall_evaluation(f, saddles, tol=Tolerances()):
         vs = np.real(v[:, np.argmin(np.real(w))])
         vu, vs = vu / np.linalg.norm(vu), vs / np.linalg.norm(vs)
         for vec, sign in ((vu, 1.0), (-vu, 1.0), (vs, -1.0), (-vs, -1.0)):
-            starts.append(cp.position + tol.eps_launch * vec)
+            starts.append(cp.position + _EPS_LAUNCH * vec)
             signs.append(sign)
             origins.append(i)
     x, signs, origins = wrap(np.array(starts)), np.array(signs), np.array(origins)
@@ -247,8 +255,8 @@ def _connections_with_stall_evaluation(f, saddles, tol=Tolerances()):
         iterations += 1
         idx = np.nonzero(active)[0]
         speed = np.linalg.norm(evaluator.values(x[idx]), axis=-1)
-        h = np.minimum(tol.connect_step,
-                       np.maximum(0.5 * speed / max(sup_grad, 1e-300), tol.connect_step / 256.0))
+        h = np.minimum(_CONNECT_STEP,
+                       np.maximum(0.5 * speed / max(sup_grad, 1e-300), _CONNECT_STEP / 256.0))
         stalled = speed < stop_tol
         active[idx[stalled]] = False
         live = idx[~stalled]
@@ -262,15 +270,15 @@ def _connections_with_stall_evaluation(f, saddles, tol=Tolerances()):
         x[live] = wrap(p + (hs / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
         arc[live] += hs[:, 0]
         d = torus_distance(x[live][:, None, :], positions[None, :, :])
-        left_origin[live] |= torus_distance(x[live], positions[origins[live]]) > 2 * tol.arrival_radius
-        for j in np.nonzero(d.min(axis=1) < tol.arrival_radius)[0]:
+        left_origin[live] |= torus_distance(x[live], positions[origins[live]]) > 2 * _ARRIVAL_RADIUS
+        for j in np.nonzero(d.min(axis=1) < _ARRIVAL_RADIUS)[0]:
             t, target = live[j], d[j].argmin()
             if target == origins[t]:
                 if left_origin[t]:
                     outcome[t], active[t] = "self", False
             elif abs(psi_levels[target] - psi_levels[origins[t]]) < psi_tol:
                 outcome[t], active[t] = "hetero", False
-        active[live[arc[live] > tol.arclength_cap]] = False
+        active[live[arc[live] > _ARCLENGTH_CAP]] = False
     return int(np.sum(outcome == "hetero")), int(np.sum(outcome == "self")), iterations
 
 
@@ -328,7 +336,7 @@ class TestEvaluationCounts:
         monkeypatch.setattr(fields, "sup_field_and_gradient", counting_sup)
         monkeypatch.setattr(FieldEvaluator, "__init__", counting_init)
         f = make_taylor(TaylorSpec(3, 2), 1.0, grid64) + 1e-3 * make_tilde_t1(grid64)
-        sig, _ = extract_signature(f, Tolerances(seed_resolution=seed_resolution))
+        sig, _ = extract_signature(f, seed_resolution)
         assert sig.n_saddles == 24 and sig.hetero_connections > 0
         assert len(sup_calls) == len(built) == 1
 
