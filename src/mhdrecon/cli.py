@@ -15,6 +15,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from .fields import (
     ConfigurationError,
     SpectralField2D,
@@ -135,11 +137,15 @@ def cmd_gen_field(args) -> int:
     if not math.isfinite(args.amplitude):
         raise ConfigError(f"flag --amplitude: expected a finite number, got {args.amplitude}")
     grid = TorusGrid(args.resolution)
-    f = parse_field_spec(args.field, grid) * args.amplitude
+    with np.errstate(over="ignore", invalid="ignore"):
+        components = (parse_field_spec(args.field, grid) * args.amplitude).components()
+    if not np.isfinite(components).all():
+        raise ConfigError(f"flag --amplitude: the field {args.field!r} scaled by "
+                          f"{args.amplitude!r} is not finite")
     out = _out_dir(args, "gen-field")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "field.snap"
-    b1, b2 = f.components()
+    b1, b2 = components
     write_snapshot(path, {"b1": b1, "b2": b2}, time=0.0, nu=0.0, eta=0.0)
     print(path)
     return 0
@@ -154,7 +160,11 @@ def cmd_topology(args) -> int:
         raise ConfigurationError("topology needs --field or --snapshot")
     if args.seed_grid is not None and not _is_even_grid(args.seed_grid):
         raise ConfigError(f"flag --seed-grid: expected an even integer >= 8, got {args.seed_grid}")
-    sig, points = extract_signature(f, args.seed_grid)
+    try:
+        sig, points = extract_signature(f, args.seed_grid)
+    except ConfigurationError as exc:
+        source = f"snapshot {args.snapshot}" if args.snapshot else f"field {args.field!r}"
+        raise ConfigurationError(f"{source}: {exc}") from exc
     report = {
         "signature": sig.to_dict(),
         "n_points": len(points),

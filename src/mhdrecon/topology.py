@@ -4,10 +4,16 @@ A nondegenerate zero of a divergence-free planar field is a saddle
 (det grad f < 0) or a center (det grad f > 0). The structural-stability
 criterion used throughout: a Hamiltonian field is stable under Hamiltonian
 C1 perturbations iff all zeros are nondegenerate and every saddle connection
-is a self connection. Saddle connections are detected by launching
-separatrix traces along the Jacobian eigendirections of each saddle and
-corroborating candidate arrivals with the stream-function level test (the
-stream function is a first integral, so connected saddles share a level).
+is a self connection. The stream function psi is single-valued on T^2
+(fields have zero mean) and a first integral, so a separatrix lies in the
+level component of its saddle and connected saddles share a level. Saddles
+are therefore grouped by level: a saddle whose level no other saddle shares
+(within the level tolerance) has only self connections and is not traced;
+the others launch separatrix traces along their Jacobian eigendirections,
+and a trace can arrive only at its origin or at a saddle of its level group.
+On T^2 the indices sum to the Euler characteristic 0 (Poincare-Hopf), so
+without degenerate points there are as many saddles as centers;
+extract_signature logs a warning when the counts differ.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ class MisuseError(ValueError):
 _NEWTON_TOL = 1e-12          # residual target, relative to the C1 norm
 _MAX_NEWTON_ITER = 50
 _DEG_TOL_FACTOR = 1e-8       # degeneracy band: |det| <= factor * C1^2
+_C1_RANGE = (1e-150, 1e150)  # keeps C1^2 and the degeneracy band normal floats
 _DEDUP_RADIUS = 10.0 * _NEWTON_TOL
 _EPS_LAUNCH = 1e-4           # separatrix launch offset from its saddle
 _ARRIVAL_RADIUS = 1e-2
@@ -198,11 +205,16 @@ def find_critical_points(
     Seeds that fail to converge are appended to ``diagnostics`` (position and
     last residual), never raised.
     """
-    evaluator = f.evaluator
     sup_f, sup_grad = f.sup_norms
     c1 = sup_f + sup_grad
     if c1 == 0.0:
         raise ConfigurationError("cannot extract critical points of the zero field")
+    lo, hi = _C1_RANGE
+    if not lo <= c1 <= hi:
+        raise ConfigurationError(
+            f"C1 norm {c1:.6g} is outside [{lo:.0e}, {hi:.0e}], the range of the critical-point "
+            "search: Jacobian determinants scale with C1^2")
+    evaluator = f.evaluator
     res_target = _NEWTON_TOL * c1
     det_floor = 1e-14 * max(sup_grad, 1e-300) ** 2
 
@@ -279,8 +291,17 @@ def find_critical_points(
     return points
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over a last axis of length 2.
+
+    np.linalg.norm(v, axis=-1) sums the same two squares in the same order,
+    so the two agree bit for bit; this form skips its per-call overhead.
+    """
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
+
+
 def _unit(vals: np.ndarray) -> np.ndarray:
-    return vals / np.maximum(np.linalg.norm(vals, axis=-1, keepdims=True), 1e-300)
+    return vals / np.maximum(_norm(vals)[..., None], 1e-300)
 
 
 def _unit_rk4_step(evaluator: FieldEvaluator, x: np.ndarray, v: np.ndarray, h) -> np.ndarray:
@@ -340,18 +361,49 @@ def _eigen_directions(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vu, vs
 
 
+def _level_partners(psi_levels: np.ndarray, psi_tol: float) -> np.ndarray:
+    """Arrival targets of each saddle's traces, as an (n_saddles, width) table.
+
+    Row i holds saddle i in column 0, then its level partners (the other
+    saddles whose stream function level lies within psi_tol of its own) in
+    index order, padded with i. A padding column repeats column 0, so an
+    argmin over a row never picks it.
+    """
+    match = np.abs(psi_levels[:, None] - psi_levels[None, :]) < psi_tol
+    np.fill_diagonal(match, False)
+    counts = match.sum(axis=1)
+    table = np.repeat(np.arange(len(psi_levels))[:, None], 1 + int(counts.max()), axis=1)
+    for i in np.nonzero(counts)[0]:
+        table[i, 1 : 1 + counts[i]] = np.nonzero(match[i])[0]
+    return table
+
+
+# outcomes of a separatrix trace
+_RUNNING, _HETERO, _SELF, _STALLED, _CAPPED = range(5)
+
+
 def detect_saddle_connections(
     f: SpectralField2D,
     saddles: list[CriticalPoint],
 ) -> tuple[int, int]:
     """Count separatrix traces arriving at a saddle: (heteroclinic, self).
 
-    From every saddle four traces are launched along the eigendirections
-    (unstable branches forward, stable branches backward). A trace
-    terminating within arrival_radius of a different saddle whose stream
-    function level matches the origin's counts as heteroclinic; returning to
-    its own saddle after leaving counts as a self connection. Traces hitting
-    the arclength cap are non-connecting.
+    The stream function psi is single-valued on T^2 (every field has zero
+    mean) and constant along the lines of f, so a separatrix stays in the
+    level component of its saddle. A saddle whose level matches no other
+    saddle's within psi_tol is lone: its component holds no other critical
+    point (a center is an isolated extremum of psi), so all four of its
+    branches return to it. It adds four self connections and is not traced.
+
+    From every other saddle four traces are launched along the
+    eigendirections (unstable branches forward, stable branches backward).
+    A trace is tested for arrival only against its origin and the origin's
+    level partners (_level_partners): ending within arrival_radius of a
+    partner counts as heteroclinic, returning to its own saddle after
+    leaving counts as a self connection. Traces that stall at a critical
+    point or hit the arclength cap are non-connecting. A saddle outside the
+    partners cannot end a trace, even if it is the nearest one; that takes
+    two saddles closer than 2 * arrival_radius.
     """
     if not saddles:
         return 0, 0
@@ -362,39 +414,40 @@ def detect_saddle_connections(
     psi_tol = _PSI_TOL_FACTOR * float(psi_grid.max() - psi_grid.min())
 
     positions = np.array([cp.position for cp in saddles])
-    psi_levels = evaluator.potential(positions)
+    partners = _level_partners(evaluator.potential(positions), psi_tol)
+    lone = np.all(partners == partners[:, :1], axis=1)
 
     starts, signs, origins = [], [], []
-    for i, cp in enumerate(saddles):
+    for i in np.nonzero(~lone)[0]:
+        cp = saddles[i]
         vu, vs = _eigen_directions(cp.jacobian)
         for vec, sign in ((vu, 1.0), (-vu, 1.0), (vs, -1.0), (-vs, -1.0)):
             starts.append(cp.position + _EPS_LAUNCH * vec)
             signs.append(sign)
             origins.append(i)
-    x = wrap(np.array(starts))
+    n = len(starts)
+    x = wrap(np.array(starts).reshape(n, 2))
     signs = np.array(signs)
     origins = np.array(origins, dtype=np.intp)
 
-    n = len(x)
     active = np.ones(n, dtype=bool)
     left_origin = np.zeros(n, dtype=bool)
     arc = np.zeros(n)
-    outcome = np.full(n, "none", dtype=object)
+    outcome = np.full(n, _RUNNING)
     h0 = _CONNECT_STEP
     j_scale = max(sup_grad, 1e-300)
 
     while active.any():
         idx = np.nonzero(active)[0]
         vals = evaluator.values(x[idx])
-        speed = np.linalg.norm(vals, axis=-1)
+        speed = _norm(vals)
 
         # adaptive arclength step: resolve the turning scale near zeros
         h = np.minimum(h0, np.maximum(0.5 * speed / j_scale, h0 / 256.0))
 
         stalled = speed < stop_tol
-        if stalled.any():
-            outcome[idx[stalled]] = "stalled"
-            active[idx[stalled]] = False
+        outcome[idx[stalled]] = _STALLED
+        active[idx[stalled]] = False
 
         live = idx[~stalled]
         if len(live) == 0:
@@ -403,30 +456,29 @@ def detect_saddle_connections(
         x[live] = _unit_rk4_step(evaluator, x[live], vals[~stalled], (signs[live] * hs)[:, None])
         arc[live] += hs
 
-        # arrival bookkeeping
-        d = torus_distance(x[live][:, None, :], positions[None, :, :])
-        dmin = d.min(axis=1)
+        # arrival bookkeeping against the origin (column 0) and its level partners
+        targets = partners[origins[live]]
+        d = _norm(torus_delta(x[live][:, None, :], positions[targets]))
+        left_origin[live] |= d[:, 0] > 2.0 * _ARRIVAL_RADIUS
         nearest = d.argmin(axis=1)
-        own = torus_distance(x[live], positions[origins[live]])
-        left_origin[live] |= own > 2.0 * _ARRIVAL_RADIUS
+        arrived = d[np.arange(len(live)), nearest] < _ARRIVAL_RADIUS
+        home = nearest == 0
+        ends = [(arrived & ~home, _HETERO), (arrived & home & left_origin[live], _SELF),
+                (arc[live] > _ARCLENGTH_CAP, _CAPPED)]
+        for hit, kind in ends:
+            done = live[hit & active[live]]
+            outcome[done] = kind
+            active[done] = False
 
-        arrived = dmin < _ARRIVAL_RADIUS
-        for j in np.nonzero(arrived)[0]:
-            t = live[j]
-            target = nearest[j]
-            if target == origins[t]:
-                if left_origin[t]:
-                    outcome[t] = "self"
-                    active[t] = False
-            elif abs(psi_levels[target] - psi_levels[origins[t]]) < psi_tol:
-                outcome[t] = "hetero"
-                active[t] = False
-        capped = arc[live] > _ARCLENGTH_CAP
-        active[live[capped]] = False
-
-    hetero = int(np.sum(outcome == "hetero"))
-    selfc = int(np.sum(outcome == "self"))
-    return hetero, selfc
+    counts = np.bincount(outcome, minlength=5)
+    n_lone = int(lone.sum())
+    log.debug(
+        "saddle connections: %d lone saddles, %d traced; traces: %d hetero, %d self, "
+        "%d stalled, %d capped",
+        n_lone, len(saddles) - n_lone, counts[_HETERO], counts[_SELF],
+        counts[_STALLED], counts[_CAPPED],
+    )
+    return int(counts[_HETERO]), int(counts[_SELF]) + 4 * n_lone
 
 
 def extract_signature(
@@ -444,6 +496,13 @@ def extract_signature(
     saddles = [cp for cp in points if cp.kind == "saddle"]
     centers = [cp for cp in points if cp.kind == "center"]
     degenerate = [cp for cp in points if cp.kind == "degenerate"]
+    if not degenerate and len(saddles) != len(centers):
+        # Poincare-Hopf on T^2: the indices (-1 per saddle, +1 per center) sum to chi = 0
+        log.warning(
+            "critical points break Poincare-Hopf: %d saddles but %d centers and no "
+            "degenerate point; the search missed or invented a point",
+            len(saddles), len(centers),
+        )
     hetero, selfc = detect_saddle_connections(f, saddles)
     stable = len(degenerate) == 0 and hetero == 0 and len(points) > 0
     sig = TopologySignature(

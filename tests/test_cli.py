@@ -103,6 +103,25 @@ class TestTopologyCommand:
             f"error: field term '{field}': the amplitude must be finite")
         assert not (tmp_path / "topology.json").exists()
 
+    @pytest.mark.parametrize("field, c1", [("taylor:1,1:1e308", "inf"),
+                                           ("taylor:1,1:1e-160", "2e-160")])
+    def test_field_out_of_range_names_the_field(self, tmp_path, capsys, field, c1):
+        code = main(["topology", "--field", field, "--resolution", "16", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: field '{field}': C1 norm {c1} is outside [1e-150, 1e+150], the range of "
+            "the critical-point search: Jacobian determinants scale with C1^2")
+        assert not (tmp_path / "topology.json").exists()
+
+    def test_gen_field_rejects_overflowing_scale(self, tmp_path, capsys):
+        code = main(["gen-field", "--field", "taylor:1,1:1e300", "--amplitude", "1e300",
+                     "--resolution", "16", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: flag --amplitude: the field 'taylor:1,1:1e300' scaled by 1e+300 "
+            "is not finite")
+        assert not (tmp_path / "field.snap").exists()
+
     @pytest.mark.parametrize("amplitude", ["nan", "inf", "-inf"])
     def test_gen_field_rejects_non_finite_amplitude(self, tmp_path, capsys, amplitude):
         code = main(["gen-field", "--field", "taylor:1,1", f"--amplitude={amplitude}",

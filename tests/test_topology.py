@@ -6,10 +6,14 @@ fully connected separatrix web, while (sin y, sin(x)/2) has two unconnected
 saddles and two centers.
 """
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mhdrecon import fields
+from mhdrecon import fields, topology
 from mhdrecon.fields import (
     ConfigurationError,
     FieldEvaluator,
@@ -49,6 +53,7 @@ from mhdrecon.topology import (
     _PSI_TOL_FACTOR,
     _STOP_TOL_FACTOR,
     _TRACE_STEP,
+    _norm,
     _sign_change_seeds,
 )
 
@@ -219,9 +224,11 @@ def _trace_with_stall_evaluation(f, x0, arclen):
 
 
 def _connections_with_stall_evaluation(f, saddles):
-    """Separatrix tracing that evaluates the field again at the live points for
-    the first RK4 stage, after the speed evaluation; (hetero, self, loop
-    iterations). detect_saddle_connections must give the same counts."""
+    """Brute-force separatrix tracing: every saddle is traced and every trace is
+    tested for arrival against every saddle, and the field is evaluated again
+    at the live points for the first RK4 stage, after the speed evaluation;
+    (hetero, self, loop iterations). detect_saddle_connections, which traces
+    only saddles with level partners, must give the same counts."""
     evaluator = FieldEvaluator(f)
     sup_f, sup_grad = sup_field_and_gradient(f)
     stop_tol = _STOP_TOL_FACTOR * (sup_f + sup_grad)
@@ -358,6 +365,103 @@ class TestSaddleConnections:
     def test_no_saddles_gives_zero(self, grid64):
         f = make_tilde_t1(grid64)
         assert detect_saddle_connections(f, []) == (0, 0)
+
+
+def _saddles(f):
+    return [p for p in find_critical_points(f) if p.kind == "saddle"]
+
+
+class TestLevelGroups:
+    """Saddles whose psi level is matched by no other saddle are not traced;
+    the counts must equal those of the brute-force reference."""
+
+    @staticmethod
+    def _lone_fields(grid):
+        t1 = make_tilde_t1(grid)
+        return [t1, t1 + 0.01 * make_taylor(TaylorSpec(4, 4), 1.0, grid)]
+
+    @staticmethod
+    def _grouped_fields(grid):
+        return [make_taylor(TaylorSpec(1, 1), 1.0, grid),
+                (1.0 / np.sqrt(13.0)) * make_taylor(TaylorSpec(3, 2), 1.0, grid)
+                + 5e-4 * make_tilde_t1(grid)]
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_lone_saddles_match_reference(self, grid64, which):
+        f = self._lone_fields(grid64)[which]
+        saddles = _saddles(f)
+        hetero, selfc, _ = _connections_with_stall_evaluation(f, saddles)
+        assert (hetero, selfc) == (0, 4 * len(saddles))
+        assert detect_saddle_connections(f, saddles) == (hetero, selfc)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_level_groups_match_reference(self, grid64, which):
+        f = self._grouped_fields(grid64)[which]
+        saddles = _saddles(f)
+        hetero, selfc, _ = _connections_with_stall_evaluation(f, saddles)
+        assert hetero > 0
+        assert detect_saddle_connections(f, saddles) == (hetero, selfc)
+
+    # delta from 1e-4 to 10 draws fields with only level groups, only lone
+    # saddles, and both
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 3), log_delta=st.floats(-4.0, 1.0))
+    def test_perturbed_taylor_matches_reference(self, n, m, log_delta):
+        grid = TorusGrid(32)
+        delta = 10.0 ** log_delta
+        f = make_taylor(TaylorSpec(n, m), 1.0 / np.hypot(n, m), grid) \
+            + delta * make_tilde_t1(grid)
+        saddles = _saddles(f)
+        hetero, selfc, _ = _connections_with_stall_evaluation(f, saddles)
+        assert detect_saddle_connections(f, saddles) == (hetero, selfc)
+
+    def test_lone_saddles_are_not_traced(self, grid64, values_calls):
+        f = make_tilde_t1(grid64)
+        saddles = _saddles(f)
+        values_calls.clear()
+        assert detect_saddle_connections(f, saddles) == (0, 8)
+        assert values_calls == []
+
+    @pytest.mark.parametrize("which, expected", [
+        ("lone", "2 lone saddles, 0 traced; traces: 0 hetero, 0 self, 0 stalled, 0 capped"),
+        ("grouped", "0 lone saddles, 4 traced; traces: 16 hetero, 0 self, 0 stalled, 0 capped"),
+    ])
+    def test_trace_statistics_logged(self, grid64, caplog, which, expected):
+        f = self._lone_fields(grid64)[0] if which == "lone" else self._grouped_fields(grid64)[0]
+        saddles = _saddles(f)
+        with caplog.at_level(logging.DEBUG, logger="mhdrecon.topology"):
+            detect_saddle_connections(f, saddles)
+        assert [r.getMessage() for r in caplog.records] == [f"saddle connections: {expected}"]
+
+    def test_norm_is_bit_identical_to_numpy(self):
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal((4096, 2)) * 10.0 ** rng.uniform(-8, 3, (4096, 1))
+        assert np.array_equal(_norm(v), np.linalg.norm(v, axis=-1))
+        assert np.array_equal(_norm(v.reshape(64, 64, 2)),
+                              np.linalg.norm(v.reshape(64, 64, 2), axis=-1))
+
+
+class TestPoincareHopf:
+    def test_no_warning_on_tilde_t1(self, grid64, caplog):
+        with caplog.at_level(logging.WARNING, logger="mhdrecon.topology"):
+            extract_signature(make_tilde_t1(grid64))
+        assert not caplog.records
+
+    def test_missing_center_warns(self, grid64, caplog, monkeypatch):
+        find = topology.find_critical_points
+
+        def drop_a_center(f, *args, **kwargs):
+            points = find(f, *args, **kwargs)
+            first = next(i for i, p in enumerate(points) if p.kind == "center")
+            return points[:first] + points[first + 1:]
+
+        monkeypatch.setattr(topology, "find_critical_points", drop_a_center)
+        with caplog.at_level(logging.WARNING, logger="mhdrecon.topology"):
+            sig, points = extract_signature(make_tilde_t1(grid64))
+        assert sig.to_dict() == TopologySignature(
+            n_saddles=2, n_centers=1, self_connections=8, structurally_stable=True).to_dict()
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "2 saddles but 1 centers" in caplog.records[0].getMessage()
 
 
 class TestStructuralStability:
