@@ -8,8 +8,10 @@ one, 2 when the run completes but the verdict differs, 1 on failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import logging
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -42,6 +44,8 @@ from .topology import extract_signature
 _FAILURES = (ConfigurationError, OSError, ValueError, BlowUpError)
 
 SCENARIO_COMMANDS = ("theorem1", "theorem2", "remark2", "frozen-in", "stability")
+
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 def _amplitude(term: str, parts: list[str], i: int) -> float:
@@ -101,6 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mhdrecon",
         description="2D incompressible MHD runs with magnetic-line topology verdicts",
     )
+    parser.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
+                        help="level of the mhdrecon log lines printed on stderr "
+                             "(default: warning)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-field", help="write a field snapshot")
@@ -345,23 +352,44 @@ def emit_plots(out_dir) -> None:
     (out / "plot_all.py").write_text(PLOT_SCRIPT, encoding="utf-8")
 
 
+@contextlib.contextmanager
+def _log_to_stderr(level: str):
+    """Print the mhdrecon log records of one command on stderr from level up.
+
+    The handler and the level are taken off again when the command ends, so
+    calling main many times in one process does not stack handlers.
+    """
+    logger = logging.getLogger("mhdrecon")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    saved = logger.level
+    logger.setLevel(level.upper())
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(saved)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "gen-field":
-            return cmd_gen_field(args)
-        if args.command == "topology":
-            return cmd_topology(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command in SCENARIO_COMMANDS:
-            return cmd_scenario(args, args.command)
-        raise ConfigurationError(f"unknown command {args.command!r}")
-    except _FAILURES as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with _log_to_stderr(args.log_level):
+        try:
+            if args.command == "gen-field":
+                return cmd_gen_field(args)
+            if args.command == "topology":
+                return cmd_topology(args)
+            if args.command == "simulate":
+                return cmd_simulate(args)
+            if args.command == "sweep":
+                return cmd_sweep(args)
+            if args.command in SCENARIO_COMMANDS:
+                return cmd_scenario(args, args.command)
+            raise ConfigurationError(f"unknown command {args.command!r}")
+        except _FAILURES as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

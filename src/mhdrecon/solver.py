@@ -29,7 +29,7 @@ forcing. An MHDState holds the fields of psi and a themselves.
 from __future__ import annotations
 
 import dataclasses
-import warnings
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,12 +48,15 @@ from .fields import (
 # Not called here: bench/tracer.py looks the projection up as solver.project_coeffs.
 from .fields import project_coeffs  # noqa: F401
 
+log = logging.getLogger(__name__)
+
 
 class BlowUpError(RuntimeError):
     """Raised when a coefficient becomes non-finite during time stepping."""
 
-    def __init__(self, time: float):
-        super().__init__(f"non-finite spectral coefficient at t = {time:.6g}")
+    def __init__(self, time: float, detail: str = ""):
+        message = f"non-finite spectral coefficient at t = {time:.6g}"
+        super().__init__(f"{message} ({detail})" if detail else message)
         self.time = time
 
 
@@ -269,8 +272,29 @@ def _exp_factors(cfg: SimConfig, half: _HalfSpectrum, h: float):
     return np.exp(-visc * h), np.exp(-visc * (0.5 * h))
 
 
-def _step(z, t: float, h: float, half: _HalfSpectrum, forcing: _Forcing, exps) -> np.ndarray:
-    """One integrating-factor RK4 step of (psi, a); z itself is left as it is."""
+class _CflTally:
+    """The steps of one run whose CFL number reached 0.5, and the worst of them."""
+
+    def __init__(self):
+        self.over = 0
+        self.worst = 0.0
+
+    def add(self, cfl: float) -> None:
+        self.over += 1
+        self.worst = max(self.worst, cfl)
+
+    def summary(self, n_steps: int | None = None) -> str:
+        of = "" if n_steps is None else f" of {n_steps}"
+        return f"CFL number >= 0.5 on {self.over}{of} steps, at worst {self.worst:.3g}"
+
+
+def _step(z, t: float, h: float, half: _HalfSpectrum, forcing: _Forcing, exps,
+          cfl_tally: _CflTally) -> np.ndarray:
+    """One integrating-factor RK4 step of (psi, a); z itself is left as it is.
+
+    A step whose CFL number, from max |u| at its start, is 0.5 or more is
+    added to cfl_tally.
+    """
     e_f, e_h = exps
     n1, n2, n3, n4, zs = half.stages
 
@@ -282,11 +306,7 @@ def _step(z, t: float, h: float, half: _HalfSpectrum, forcing: _Forcing, exps) -
     umax = rhs(z, t, n1)
     cfl = h * umax * half.grid.resolution / (2.0 * np.pi)
     if cfl >= 0.5:
-        warnings.warn(
-            f"CFL number {cfl:.2f} >= 0.5; the time step under-resolves advection",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        cfl_tally.add(cfl)
     # the stage states e_h (z + h/2 n1), e_h z + h/2 n2 and e_f z + h e_h n3
     np.multiply(n1, 0.5 * h, out=zs)
     zs += z
@@ -325,7 +345,9 @@ def simulate(cfg: SimConfig, initial: MHDState, sinks=()) -> MHDState:
     The final step is shortened to land exactly on t_end. Sinks are callables
     receiving an MHDState; they fire at the initial state, every
     cfg.output_cadence-th step, and the final state. On blow-up the last good
-    state is flushed before the error propagates.
+    state is flushed before the error propagates. Steps whose CFL number
+    reaches 0.5 are summed up in one logged warning at the end of the run,
+    or in the message of the blow-up error.
     """
     t0 = initial.t
     total = cfg.t_end - t0
@@ -349,18 +371,24 @@ def simulate(cfg: SimConfig, initial: MHDState, sinks=()) -> MHDState:
     if leftover < 1e-12 * max(1.0, abs(cfg.t_end)):
         leftover = 0.0
     exps = _exp_factors(cfg, half, cfg.dt)
+    tally = _CflTally()
     t = t0
     try:
         for i in range(n_full):
-            z = _step(z, t, cfg.dt, half, forcing, exps)
+            z = _step(z, t, cfg.dt, half, forcing, exps, tally)
             t = t0 + (i + 1) * cfg.dt
             if (i + 1) % cfg.output_cadence == 0 and not (i + 1 == n_full and leftover == 0.0):
                 emit(half.to_state(z, t))
         if leftover > 0.0:
-            z = _step(z, t, leftover, half, forcing, _exp_factors(cfg, half, leftover))
-    except BlowUpError:
+            z = _step(z, t, leftover, half, forcing, _exp_factors(cfg, half, leftover), tally)
+    except BlowUpError as exc:
         emit(half.to_state(z, t))  # flush the last good state before propagating
+        if tally.over:
+            raise BlowUpError(exc.time, tally.summary()) from None
         raise
+    if tally.over:
+        log.warning("%s; the time step under-resolves advection",
+                    tally.summary(n_full + (leftover > 0.0)))
     return emit(half.to_state(z, cfg.t_end))
 
 

@@ -649,6 +649,10 @@ def polyline_arclength(line: np.ndarray) -> float:
 def distance_to_polyline(points: np.ndarray, line: np.ndarray) -> float:
     """Largest torus distance from any of ``points`` to the segments of ``line``.
 
+    Not called by the program: the frozen-in line check tests the level of
+    the magnetic potential instead. Kept because bench/tracer.py looks the
+    function up as topology.distance_to_polyline.
+
     One-sided: it asks whether every point lies on the polyline, not whether
     the points cover it. Each segment is unwrapped from its start vertex, so
     a wrapped line may cross the seam, and each must be shorter than pi. A

@@ -3,11 +3,24 @@ import pytest
 from hypothesis import settings
 
 from mhdrecon.fields import SpectralField2D, TorusGrid
+from mhdrecon.scenarios import ExperimentConfig, run_frozen_in
 
 # Property tests draw the same examples on every host and run, and keep no
 # example database between runs.
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
+
+
+# the frozen-in scenario at desk scale: M = 64 up to t = 0.1, ten snapshot intervals
+FROZEN_IN_MINI = ExperimentConfig.for_scenario(
+    "frozen-in", resolution=64, dt=2e-3, t_end=0.1, output_cadence=10)
+
+
+@pytest.fixture(scope="session")
+def frozen_in_mini(tmp_path_factory):
+    """(report, output directory) of one FROZEN_IN_MINI run."""
+    out = tmp_path_factory.mktemp("frozen_in_mini")
+    return run_frozen_in(FROZEN_IN_MINI, out), out
 
 
 @pytest.fixture(scope="session")

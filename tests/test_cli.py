@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, config diagnostics, plot emission."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -305,6 +306,45 @@ class TestBlowUp:
         assert lines[1] == {"run": "fine", "verdict": "completed", "as_expected": True}
         assert captured.err.strip() == f"error: run blows: {lines[0]['error']}"
         assert (out_dir / "fine" / "report.json").exists()
+
+
+class TestLogLevel:
+    TOPOLOGY = ["topology", "--field", "taylor:1,1", "--resolution", "16"]
+
+    def test_debug_prints_the_trace_statistics(self, tmp_path, capsys):
+        assert main(["--log-level", "debug", *self.TOPOLOGY, "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "saddle connections:" in line] == [
+            "DEBUG mhdrecon.topology: saddle connections: 0 lone saddles, 4 traced; "
+            "traces: 16 hetero, 0 self, 0 stalled, 0 capped"]
+
+    def test_default_level_hides_debug_lines(self, tmp_path, capsys):
+        assert main([*self.TOPOLOGY, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_handlers_do_not_stack(self, tmp_path, capsys):
+        logger = logging.getLogger("mhdrecon")
+        handlers, level = list(logger.handlers), logger.level
+        for _ in range(3):
+            assert main(["--log-level", "debug", *self.TOPOLOGY, "--out", str(tmp_path)]) == 0
+            assert capsys.readouterr().err.count("saddle connections:") == 1
+        assert logger.handlers == handlers and logger.level == level
+
+    def test_info_prints_the_frozen_in_certificate(self, tmp_path, capsys):
+        path = write_config(tmp_path, scenario="frozen-in", resolution=32, t_end=0.1,
+                            output_cadence=10)
+        code = main(["--log-level", "info", "frozen-in", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("INFO mhdrecon.scenarios: frozen-in certificate: residual ")
+
+    def test_unknown_level_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--log-level", "loud", *self.TOPOLOGY])
+        assert exc.value.code == 2
+        assert "invalid choice: 'loud'" in capsys.readouterr().err
 
 
 class TestOutDirDefault:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mhdrecon import scenarios
 from mhdrecon.scenarios import (
     SCENARIOS,
     ConfigError,
@@ -26,6 +27,9 @@ from mhdrecon.scenarios import (
     run_theorem1,
     run_theorem2,
 )
+from mhdrecon.topology import FlowMapSample, wrap
+
+from .conftest import FROZEN_IN_MINI
 
 
 # JSON scalars and lists, non-finite floats, and values near the valid ranges
@@ -243,14 +247,48 @@ class TestRemark2Mini:
 
 
 class TestFrozenInMini:
-    def test_frozen_verdict(self, tmp_path):
-        cfg = mini("frozen-in", resolution=64, t_end=0.1, output_cadence=10)
-        report = run_frozen_in(cfg, tmp_path)
+    def test_frozen_verdict(self, frozen_in_mini):
+        report, _ = frozen_in_mini
         assert report.verdict == "frozen"
         assert report.metrics["frozen_in_residual"] < 1e-3
         assert report.metrics["pushed_line_distance"] < 5e-3
         # the fluid moves (||T21|| ~ 7), so the checks above measure transport
         assert report.metrics["u_l2_max"] > 1
+        # the certificates: a continuous pushed curve, a level a0 along line0,
+        # and |b(T)| bounded away from 0 where it divides
+        assert report.metrics["pushed_line_max_gap"] < 1e-2
+        assert report.metrics["line0_potential_spread"] < 1e-12
+        assert report.metrics["pushed_line_min_b"] > 0.5
+
+    def test_identity_flow_map_drifts(self, monkeypatch):
+        # a flow map that moves nothing leaves line0 where a(T) has moved on
+        def identity(trajectory, seeds, t):
+            seeds = np.asarray(seeds, dtype=np.float64)
+            return FlowMapSample(seeds, wrap(seeds), np.broadcast_to(np.eye(2), (len(seeds), 2, 2)))
+
+        monkeypatch.setattr(scenarios, "flow_map", identity)
+        report = run_frozen_in(ExperimentConfig.for_scenario("frozen-in", resolution=32))
+        assert report.verdict == "topology-drift"
+        assert report.metrics["pushed_line_distance"] > 5e-3
+        assert report.metrics["pushed_line_distance"] == pytest.approx(0.21, abs=0.01)
+        # the pull-back residual keeps its own flow map and still passes
+        assert report.metrics["frozen_in_residual"] < 1e-3
+
+    def test_shuffled_images_trip_the_gap_guard(self, monkeypatch, frozen_in_mini):
+        # every pushed point still lies on the level line, but out of order
+        # the points no longer form a continuous curve
+        def shuffled(trajectory, seeds, t):
+            sample = flow_map(trajectory, seeds, t)
+            order = np.random.default_rng(0).permutation(len(seeds))
+            return FlowMapSample(sample.seeds, sample.images[order], sample.jacobians[order])
+
+        flow_map = scenarios.flow_map
+        monkeypatch.setattr(scenarios, "flow_map", shuffled)
+        report = run_frozen_in(FROZEN_IN_MINI)
+        assert report.verdict == "topology-drift"
+        assert report.metrics["pushed_line_max_gap"] >= np.pi
+        assert report.metrics["pushed_line_distance"] == (
+            frozen_in_mini[0].metrics["pushed_line_distance"])
 
     def test_nonzero_eta_rejected(self):
         with pytest.raises(ConfigError, match="eta"):
@@ -298,10 +336,10 @@ class TestReportPlumbing:
         assert (tmp_path / "custom_final.snap").exists()
 
     def test_runs_are_deterministic(self):
-        cfg = mini("theorem2", t_end=0.25)
-        a = run_theorem2(cfg).to_dict()
-        b = run_theorem2(cfg).to_dict()
-        assert a == b
+        for cfg in (mini("theorem2", t_end=0.25), FROZEN_IN_MINI):
+            a = run_scenario(cfg).to_dict()
+            b = run_scenario(cfg).to_dict()
+            assert a == b, cfg.scenario
 
     def test_topology_cadence_annotates_records(self, tmp_path):
         from mhdrecon.snapshots import read_ndjson

@@ -1,5 +1,7 @@
 """Time integration: exact diffusion handling, conservation, forcing, blow-up."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -196,18 +198,36 @@ class TestSimulate:
         u0 = 50.0 * (make_tilde_t1(grid32) + make_taylor(TaylorSpec(2, 1), 1.0, grid32))
         cfg = SimConfig(nu=0.0, eta=0.0, grid=grid32, dt=0.5, t_end=20.0, output_cadence=1)
         seen = []
-        with pytest.warns(RuntimeWarning, match="CFL"):
-            with pytest.raises(BlowUpError) as err:
-                simulate(cfg, MHDState(u0, zero_field(grid32), 0.0), sinks=[seen.append])
+        with pytest.raises(BlowUpError) as err:
+            simulate(cfg, MHDState(u0, zero_field(grid32), 0.0), sinks=[seen.append])
         assert err.value.time > 0
+        # the error, not a separate warning, tells of the CFL numbers
+        assert "(CFL number >= 0.5 on " in str(err.value)
         assert len(seen) >= 2  # initial state plus the flushed last good state
         assert np.all(np.isfinite(seen[-1].u.psi))
 
-    def test_cfl_warning_on_step(self, grid32):
+    def test_cfl_warning_on_step(self, grid32, caplog):
         u0 = 100.0 * make_tilde_t1(grid32)
         cfg = SimConfig(nu=0.0, eta=0.0, grid=grid32, dt=0.5, t_end=1.0)
-        with pytest.warns(RuntimeWarning, match="CFL"):
+        with caplog.at_level(logging.WARNING, logger="mhdrecon.solver"):
             step(MHDState(u0, zero_field(grid32), 0.0), cfg)
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "CFL number >= 0.5 on 1 of 1 steps" in caplog.records[0].getMessage()
+
+    @pytest.mark.parametrize("dt, warned", [(0.05, True), (0.04, False)])
+    def test_cfl_warned_once_per_run(self, grid32, caplog, dt, warned):
+        # tilde T1 is Euler-stationary with max |u| = 2 at amplitude 2, so
+        # every step has CFL number 2 dt M / 2 pi: 0.51 at dt = 0.05, 0.41 at 0.04
+        u0 = 2.0 * make_tilde_t1(grid32)
+        cfg = SimConfig(nu=0.0, eta=0.0, grid=grid32, dt=dt, t_end=10 * dt, output_cadence=1)
+        with caplog.at_level(logging.WARNING, logger="mhdrecon.solver"):
+            simulate(cfg, MHDState(u0, zero_field(grid32), 0.0))
+        messages = [r.getMessage() for r in caplog.records]
+        if warned:
+            assert len(messages) == 1
+            assert messages[0].startswith("CFL number >= 0.5 on 10 of 10 steps, at worst 0.509;")
+        else:
+            assert messages == []
 
 
 class TestHeatPropagate:

@@ -25,6 +25,7 @@ from mhdrecon.fields import (
     make_tilde_t1,
     zero_field,
 )
+from mhdrecon.snapshots import read_snapshot, snapshot_to_state
 from mhdrecon.solver import MHDState, SimConfig, TrajectoryRecorder, simulate
 from mhdrecon.topology import (
     MisuseError,
@@ -177,6 +178,15 @@ class TestTraceIntegralLine:
         vals = f.evaluator.potential(line)
         psi_grid = grid64.to_grid(f.psi)
         assert vals.max() - vals.min() < 1e-5 * (psi_grid.max() - psi_grid.min())
+
+    def test_potential_is_level_on_a_simulated_field(self, frozen_in_mini):
+        # b(T) of an ideal run holds modes up to the 2/3 cut-off, so its
+        # evaluator is dense; a line traced on it keeps a(T) level to roundoff
+        _, out = frozen_in_mini
+        b = snapshot_to_state(read_snapshot(out / "frozen_in_final.snap")).b
+        assert b.evaluator._dense
+        line = trace_integral_line(b, [np.pi / 2, np.pi / 2], arclen=2.0 * np.pi)
+        assert np.ptp(b.evaluator.potential(line)) < 1e-12
 
     def test_seed_at_critical_point_rejected(self, grid64):
         with pytest.raises(ConfigurationError):
