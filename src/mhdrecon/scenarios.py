@@ -53,6 +53,7 @@ from .snapshots import (
     write_state_snapshot,
 )
 from .solver import (
+    BlowUpError,
     ForcingSpec,
     MHDState,
     SimConfig,
@@ -79,18 +80,25 @@ SCENARIOS = ("theorem1", "theorem2", "remark2", "frozen-in", "stability", "custo
 # accepted spelling variants for the scenario name
 _SCENARIO_ALIASES = {"stability-decay": "stability"}
 
+# The diffusive runs step at dt = 5e-3: their time_error_estimate is at most
+# 8e-11 at these configs, far below what a verdict needs, and theorem2's field
+# meets its closed form to 1.4e-10 (dt = 1e-2 would give 2e-9). Every
+# scenario keeps the snapshot interval dt * output_cadence = 0.05. frozen-in
+# keeps 1e-3: it is ideal and advective (CFL number 0.14 at max |u| = 7), and
+# its residual is set by the snapshot interval.
 _DEFAULTS = {
-    "theorem1": dict(nu=0.5, eta=0.5, resolution=128, dt=1e-3, t_end=2.0, delta=1e-3,
+    "theorem1": dict(nu=0.5, eta=0.5, resolution=128, dt=5e-3, output_cadence=10, t_end=2.0,
+                     delta=1e-3, expect="reconnection"),
+    "theorem2": dict(nu=0.5, eta=0.5, resolution=128, dt=5e-3, output_cadence=10, t_end=2.0,
                      expect="reconnection"),
-    "theorem2": dict(nu=0.5, eta=0.5, resolution=128, dt=1e-3, t_end=2.0,
-                     expect="reconnection"),
-    "remark2": dict(nu=0.5, eta=0.5, resolution=128, dt=1e-3, t_end=2.0,
+    "remark2": dict(nu=0.5, eta=0.5, resolution=128, dt=5e-3, output_cadence=10, t_end=2.0,
                     expect="reconnection"),
-    "frozen-in": dict(nu=0.1, eta=0.0, resolution=128, dt=1e-3, t_end=0.25,
+    "frozen-in": dict(nu=0.1, eta=0.0, resolution=128, dt=1e-3, output_cadence=50, t_end=0.25,
                       expect="frozen"),
-    "stability": dict(nu=0.5, eta=0.5, resolution=128, dt=1e-3, t_end=2.0, delta=1e-3,
-                      expect="decay-confirmed"),
-    "custom": dict(nu=0.5, eta=0.5, resolution=64, dt=1e-3, t_end=1.0, expect="completed"),
+    "stability": dict(nu=0.5, eta=0.5, resolution=128, dt=5e-3, output_cadence=10, t_end=2.0,
+                      delta=1e-3, expect="decay-confirmed"),
+    "custom": dict(nu=0.5, eta=0.5, resolution=64, dt=1e-3, output_cadence=50, t_end=1.0,
+                   expect="completed"),
 }
 
 
@@ -318,6 +326,30 @@ def _run_with_diagnostics(
     return final, recorder.trajectory, diags.records
 
 
+def _time_error_estimate(sim_cfg: SimConfig, initial: MHDState, final: MHDState) -> float | None:
+    """Richardson estimate of the relative time-stepping error of final.
+
+    A companion run of the same config at 2 dt, with no sinks, ends about
+    2^4 - 1 = 15 times the error of the fourth-order IF-RK4 run away from
+    it, so the estimate is ||z_h - z_2h|| / ||z_h|| / 15 with z = (u, b) in
+    the combined L2 norm. u alone can be roundoff-small (about 1e-10 on
+    theorem2), so the ratio is taken over both fields together. None, with
+    a warning, when the companion run blows up.
+    """
+    try:
+        coarse = simulate(dataclasses.replace(sim_cfg, dt=2.0 * sim_cfg.dt), initial)
+    except BlowUpError as exc:
+        log.warning("companion run at 2 dt = %g blew up (%s); no time error estimate",
+                    2.0 * sim_cfg.dt, exc)
+        return None
+    size = energy(final)
+    gap = energy(MHDState(final.u - coarse.u, final.b - coarse.b))
+    estimate = math.sqrt(gap / size) / 15.0 if size > 0 else 0.0
+    log.info("time_error_estimate %.3g at dt = %g (companion run at 2 dt)",
+             estimate, sim_cfg.dt)
+    return estimate
+
+
 @lru_cache(maxsize=None)
 def _reference_signature(grid: TorusGrid, seed_resolution: int | None) -> TopologySignature:
     """Signature of tilde T_1, the same for every run on one grid and seeding lattice."""
@@ -335,9 +367,9 @@ def run_theorem1(cfg: ExperimentConfig, out_dir=None) -> Report:
     b0 = (1.0 / n_scale) * make_taylor(spec, 1.0, grid) + cfg.delta * tilde
     sig0, pts0 = extract_signature(b0, cfg.seed_grid)
 
-    final, trajectory, _ = _run_with_diagnostics(
-        cfg.sim_config(), MHDState(zero_field(grid), b0, 0.0), cfg, out_dir, "theorem1"
-    )
+    sim_cfg, initial = cfg.sim_config(), MHDState(zero_field(grid), b0, 0.0)
+    final, _, _ = _run_with_diagnostics(sim_cfg, initial, cfg, out_dir, "theorem1")
+    time_error = _time_error_estimate(sim_cfg, initial, final)
 
     if cfg.delta > 0:
         rescale = float(np.exp(cfg.eta * cfg.t_end) / cfg.delta)
@@ -370,6 +402,7 @@ def run_theorem1(cfg: ExperimentConfig, out_dir=None) -> Report:
             "rescale_factor": rescale,
             "c1_distance_to_reference": c1_dist,
             "expected_min_count_t0": 8 * cfg.n * cfg.m,
+            "time_error_estimate": time_error,
         },
         signatures={
             "t0": sig0.to_dict(),
@@ -399,10 +432,10 @@ def run_theorem2(cfg: ExperimentConfig, out_dir=None) -> Report:
         oracle_errors.append((state.t, rel))
         u_norms.append((state.t, l2_norm(state.u)))
 
-    final, _, _ = _run_with_diagnostics(
-        cfg.sim_config(forcing), MHDState(zero_field(grid), b0, 0.0), cfg, out_dir, "theorem2",
-        extra_sinks=[compare],
-    )
+    sim_cfg, initial = cfg.sim_config(forcing), MHDState(zero_field(grid), b0, 0.0)
+    final, _, _ = _run_with_diagnostics(sim_cfg, initial, cfg, out_dir, "theorem2",
+                                        extra_sinks=[compare])
+    time_error = _time_error_estimate(sim_cfg, initial, final)
 
     b_tilde = (cfg.eta * spec_2.eigenvalue) * final.b
     small = make_taylor(spec_2, 1.0, grid)
@@ -425,6 +458,7 @@ def run_theorem2(cfg: ExperimentConfig, out_dir=None) -> Report:
             "max_oracle_rel_l2_error": max(e for _, e in oracle_errors),
             "max_u_l2": max(v for _, v in u_norms),
             "hr_distance_rescaled_to_small": hr_dist,
+            "time_error_estimate": time_error,
             "r": cfg.r,
         },
         signatures={"t0": sig0.to_dict(), "tT": sig_t.to_dict()},
@@ -443,9 +477,9 @@ def run_remark2(cfg: ExperimentConfig, out_dir=None) -> Report:
     b0 = make_taylor(spec_nm, 1.0, grid)
     sig0, _ = extract_signature(b0, cfg.seed_grid)
 
-    final, _, _ = _run_with_diagnostics(
-        cfg.sim_config(forcing), MHDState(zero_field(grid), b0, 0.0), cfg, out_dir, "remark2"
-    )
+    sim_cfg, initial = cfg.sim_config(forcing), MHDState(zero_field(grid), b0, 0.0)
+    final, _, _ = _run_with_diagnostics(sim_cfg, initial, cfg, out_dir, "remark2")
+    time_error = _time_error_estimate(sim_cfg, initial, final)
 
     tilde = make_tilde_t1(grid)
     b_tilde = cfg.eta * final.b
@@ -476,6 +510,7 @@ def run_remark2(cfg: ExperimentConfig, out_dir=None) -> Report:
             "explicit_bound": explicit,
             "explicit_bound_satisfied": bool(err_exact <= explicit),
             "u_l2_final": l2_norm(final.u),
+            "time_error_estimate": time_error,
             "r": cfg.r,
         },
         signatures={"t0": sig0.to_dict(), "tT": sig_t.to_dict(), "reference": ref_sig.to_dict()},
@@ -587,10 +622,9 @@ def run_stability_decay(cfg: ExperimentConfig, out_dir=None) -> Report:
     tilde = make_tilde_t1(grid)
     perturbed_b0 = base + cfg.delta * tilde
 
-    _, traj, _ = _run_with_diagnostics(
-        cfg.sim_config(), MHDState(zero_field(grid), perturbed_b0, 0.0), cfg, out_dir,
-        "stability_perturbed",
-    )
+    sim_cfg, initial = cfg.sim_config(), MHDState(zero_field(grid), perturbed_b0, 0.0)
+    final, traj, _ = _run_with_diagnostics(sim_cfg, initial, cfg, out_dir, "stability_perturbed")
+    time_error = _time_error_estimate(sim_cfg, initial, final)
     reference = oracles.DecayingTaylorOracle(spec, cfg.eta, amplitude=1.0 / n_scale)
 
     times = np.array(traj.times)
@@ -625,6 +659,7 @@ def run_stability_decay(cfg: ExperimentConfig, out_dir=None) -> Report:
             "q_initial": float(q[0]),
             "q_initial_predicted": float(cfg.delta**2 * sobolev_norm(tilde, cfg.r) ** 2),
             "gamma": gamma,
+            "time_error_estimate": time_error,
             "r": cfg.r,
         },
         series={

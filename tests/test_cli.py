@@ -275,7 +275,7 @@ BLOW_UP = {"scenario": "custom", "nu": 0.0, "eta": 0.0, "resolution": 16, "dt": 
            "t_end": 200.0, "n": 2, "m": 1}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBlowUp:
     def test_simulate_reports_error_and_exits_one(self, tmp_path, capsys):
         path = tmp_path / "blow.json"

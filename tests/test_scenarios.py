@@ -5,6 +5,7 @@ seconds on coarser grids and shorter horizons.
 """
 
 import json
+import logging
 import re
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhdrecon import scenarios
+from mhdrecon.fields import TaylorSpec, TorusGrid, make_taylor, make_tilde_t1, zero_field
 from mhdrecon.scenarios import (
     SCENARIOS,
     ConfigError,
@@ -27,6 +29,7 @@ from mhdrecon.scenarios import (
     run_theorem1,
     run_theorem2,
 )
+from mhdrecon.solver import MHDState, SimConfig, simulate
 from mhdrecon.topology import FlowMapSample, wrap
 
 from .conftest import FROZEN_IN_MINI
@@ -72,11 +75,25 @@ def mini(scenario, **kw):
     return ExperimentConfig.for_scenario(scenario, **defaults)
 
 
+# the scenarios that step at dt = 5e-3 and report a time_error_estimate
+DIFFUSIVE = ("theorem1", "theorem2", "remark2", "stability")
+
+
 class TestConfig:
     def test_defaults_resolve(self):
         cfg = ExperimentConfig.for_scenario("theorem1")
         assert cfg.resolution == 128 and cfg.t_end == 2.0 and cfg.delta == 1e-3
         assert cfg.expect == "reconnection"
+        frozen = ExperimentConfig.for_scenario("frozen-in")
+        assert (frozen.dt, frozen.output_cadence) == (1e-3, 50)
+        # the diffusive defaults keep the snapshot interval 0.05 and certify their step
+        for scenario in DIFFUSIVE:
+            cfg = ExperimentConfig.for_scenario(scenario)
+            assert cfg.dt == 5e-3 and cfg.dt * cfg.output_cadence == 0.05, scenario
+            report = scenarios.RUNNERS[scenario](mini(scenario, resolution=32, t_end=0.1,
+                                                      n=2, m=2))
+            estimate = report.metrics["time_error_estimate"]
+            assert np.isfinite(estimate) and estimate >= 0, scenario
 
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError, match="scenario"):
@@ -209,6 +226,40 @@ class TestTheorem2Mini:
             cfg = mini("theorem2", t_end=t_end)
             d[t_end] = run_theorem2(cfg).metrics["hr_distance_rescaled_to_small"]
         assert d[1.0] < d[0.5]
+
+
+class TestTimeErrorEstimate:
+    """theorem2 has a closed form, so the Richardson estimate of its time
+    error can be held to the true error of its final field."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return {dt: run_theorem2(ExperimentConfig.for_scenario(
+                    "theorem2", resolution=32, dt=dt, t_end=0.4, output_cadence=10))
+                for dt in (2e-2, 1e-2)}
+
+    def test_estimate_within_a_factor_two_of_the_true_error(self, reports):
+        for dt, report in reports.items():
+            t, true_error = report.series["oracle_rel_l2_error"][-1]
+            assert t == pytest.approx(0.4)
+            estimate = report.metrics["time_error_estimate"]
+            assert 0.5 * true_error <= estimate <= 2.0 * true_error, (dt, estimate, true_error)
+
+    def test_halving_dt_shrinks_the_estimate_at_fourth_order(self, reports):
+        ratio = (reports[2e-2].metrics["time_error_estimate"]
+                 / reports[1e-2].metrics["time_error_estimate"])
+        assert 10.0 <= ratio <= 22.0
+
+    def test_companion_blow_up_gives_no_estimate(self, caplog):
+        # stable at dt, but the companion run at 2 dt exceeds the CFL limit
+        grid = TorusGrid(16)
+        u0 = 10.0 * (make_tilde_t1(grid) + make_taylor(TaylorSpec(2, 1), 1.0, grid))
+        initial = MHDState(u0, zero_field(grid), 0.0)
+        sim_cfg = SimConfig(nu=0.0, eta=0.0, grid=grid, dt=0.02, t_end=2.0)
+        final = simulate(sim_cfg, initial)
+        with caplog.at_level(logging.WARNING, logger="mhdrecon.scenarios"):
+            assert scenarios._time_error_estimate(sim_cfg, initial, final) is None
+        assert "no time error estimate" in caplog.text
 
 
 class TestTheorem1Mini:

@@ -191,8 +191,6 @@ class TestSimulate:
         ratio = errs[0] / errs[1]
         assert 12.0 <= ratio <= 20.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_blowup_raises_and_flushes(self, grid32):
         # ideal run stepped far beyond the CFL limit goes non-finite
         u0 = 50.0 * (make_tilde_t1(grid32) + make_taylor(TaylorSpec(2, 1), 1.0, grid32))
