@@ -337,8 +337,10 @@ class TestLogLevel:
                      "--out", str(tmp_path / "out")])
         assert code == 0
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("INFO mhdrecon.scenarios: frozen-in certificate: residual ")
+        # the solver's line on the worst CFL number of the run, then the certificate
+        assert len(err) == 2
+        assert err[0].startswith("INFO mhdrecon.solver: CFL number at worst ")
+        assert err[1].startswith("INFO mhdrecon.scenarios: frozen-in certificate: residual ")
 
     def test_unknown_level_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:

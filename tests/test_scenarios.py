@@ -4,6 +4,7 @@ Full-scale parameter sets live in test_acceptance; here each scenario runs in
 seconds on coarser grids and shorter horizons.
 """
 
+import dataclasses
 import json
 import logging
 import re
@@ -29,7 +30,7 @@ from mhdrecon.scenarios import (
     run_theorem1,
     run_theorem2,
 )
-from mhdrecon.solver import MHDState, SimConfig, simulate
+from mhdrecon.solver import MHDState, SimConfig, energy, simulate
 from mhdrecon.topology import FlowMapSample, wrap
 
 from .conftest import FROZEN_IN_MINI
@@ -75,7 +76,7 @@ def mini(scenario, **kw):
     return ExperimentConfig.for_scenario(scenario, **defaults)
 
 
-# the scenarios that step at dt = 5e-3 and report a time_error_estimate
+# the scenarios that certify their step with a time_error_estimate
 DIFFUSIVE = ("theorem1", "theorem2", "remark2", "stability")
 
 
@@ -86,10 +87,13 @@ class TestConfig:
         assert cfg.expect == "reconnection"
         frozen = ExperimentConfig.for_scenario("frozen-in")
         assert (frozen.dt, frozen.output_cadence) == (1e-3, 50)
+        steps = {"theorem1": (1e-2, 5), "stability": (1e-2, 5),
+                 "theorem2": (5e-2, 1), "remark2": (5e-2, 1)}
         # the diffusive defaults keep the snapshot interval 0.05 and certify their step
         for scenario in DIFFUSIVE:
             cfg = ExperimentConfig.for_scenario(scenario)
-            assert cfg.dt == 5e-3 and cfg.dt * cfg.output_cadence == 0.05, scenario
+            assert (cfg.dt, cfg.output_cadence) == steps[scenario], scenario
+            assert cfg.dt * cfg.output_cadence == 0.05, scenario
             report = scenarios.RUNNERS[scenario](mini(scenario, resolution=32, t_end=0.1,
                                                       n=2, m=2))
             estimate = report.metrics["time_error_estimate"]
@@ -229,25 +233,30 @@ class TestTheorem2Mini:
 
 
 class TestTimeErrorEstimate:
-    """theorem2 has a closed form, so the Richardson estimate of its time
-    error can be held to the true error of its final field."""
+    """The Richardson estimate of theorem1's time error, held to the true
+    error of its final state against a run at an 8 times finer step."""
 
     @pytest.fixture(scope="class")
-    def reports(self):
-        return {dt: run_theorem2(ExperimentConfig.for_scenario(
-                    "theorem2", resolution=32, dt=dt, t_end=0.4, output_cadence=10))
-                for dt in (2e-2, 1e-2)}
+    def errors(self):
+        out = {}
+        for dt in (2e-2, 1e-2):
+            cfg = ExperimentConfig.for_scenario("theorem1", resolution=32, dt=dt, t_end=0.4)
+            grid, spec = cfg.grid(), TaylorSpec(cfg.n, cfg.m)
+            b0 = ((1.0 / np.sqrt(spec.eigenvalue)) * make_taylor(spec, 1.0, grid)
+                  + cfg.delta * make_tilde_t1(grid))
+            initial, sim_cfg = MHDState(zero_field(grid), b0, 0.0), cfg.sim_config()
+            final = simulate(sim_cfg, initial)
+            ref = simulate(dataclasses.replace(sim_cfg, dt=dt / 8), initial)
+            true_error = np.sqrt(energy(MHDState(final.u - ref.u, final.b - ref.b)) / energy(ref))
+            out[dt] = (scenarios._time_error_estimate(sim_cfg, initial, final), true_error)
+        return out
 
-    def test_estimate_within_a_factor_two_of_the_true_error(self, reports):
-        for dt, report in reports.items():
-            t, true_error = report.series["oracle_rel_l2_error"][-1]
-            assert t == pytest.approx(0.4)
-            estimate = report.metrics["time_error_estimate"]
+    def test_estimate_within_a_factor_two_of_the_true_error(self, errors):
+        for dt, (estimate, true_error) in errors.items():
             assert 0.5 * true_error <= estimate <= 2.0 * true_error, (dt, estimate, true_error)
 
-    def test_halving_dt_shrinks_the_estimate_at_fourth_order(self, reports):
-        ratio = (reports[2e-2].metrics["time_error_estimate"]
-                 / reports[1e-2].metrics["time_error_estimate"])
+    def test_halving_dt_shrinks_the_estimate_at_fourth_order(self, errors):
+        ratio = errors[2e-2][0] / errors[1e-2][0]
         assert 10.0 <= ratio <= 22.0
 
     def test_companion_blow_up_gives_no_estimate(self, caplog):
@@ -260,6 +269,39 @@ class TestTimeErrorEstimate:
         with caplog.at_level(logging.WARNING, logger="mhdrecon.scenarios"):
             assert scenarios._time_error_estimate(sim_cfg, initial, final) is None
         assert "no time error estimate" in caplog.text
+
+
+class TestForcedRunsStepExactly:
+    """With u = 0 and a static force the induction equation of theorem2 and
+    remark2 is linear, and ETDRK4 integrates it exactly: one step per
+    snapshot interval meets the closed forms to roundoff."""
+
+    @staticmethod
+    def _config(scenario):
+        return ExperimentConfig.for_scenario(scenario, resolution=32, dt=0.05,
+                                             output_cadence=1, t_end=0.5)
+
+    def test_theorem2_meets_its_closed_form(self):
+        report = run_theorem2(self._config("theorem2"))
+        assert report.metrics["max_oracle_rel_l2_error"] < 1e-13
+
+    def test_remark2_error_is_the_closed_form(self):
+        m = run_remark2(self._config("remark2")).metrics
+        assert m["exact_error_sim"] == pytest.approx(m["exact_error_closed_form"], rel=1e-12)
+
+
+class TestCflReport:
+    def test_theorem1_default_step_resolves_advection(self, caplog):
+        # the run and its companion at 2 dt each log their worst CFL number
+        with caplog.at_level(logging.INFO, logger="mhdrecon.solver"):
+            run_theorem1(ExperimentConfig.for_scenario("theorem1"))
+        lines = [r for r in caplog.records if r.name == "mhdrecon.solver"]
+        assert [r.levelname for r in lines] == ["INFO", "INFO"]
+        for record in lines:
+            found = re.fullmatch(r"CFL number at worst (\S+) over (\d+) steps", record.getMessage())
+            assert found, record.getMessage()
+            assert 0.0 < float(found.group(1)) < 0.5
+        assert [int(re.search(r"over (\d+)", r.getMessage()).group(1)) for r in lines] == [200, 100]
 
 
 class TestTheorem1Mini:
