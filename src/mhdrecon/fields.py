@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as sfft
 
 
 class ConfigurationError(ValueError):
@@ -141,11 +140,11 @@ class TorusGrid:
 
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """Real collocation values of half-spectrum coefficients (last two axes)."""
-        return sfft.irfft2(coeffs, s=self.shape, axes=(-2, -1), norm="forward")
+        return np.fft.irfft2(coeffs, s=self.shape, axes=(-2, -1), norm="forward")
 
     def from_grid(self, values: np.ndarray) -> np.ndarray:
         """Half-spectrum coefficients of real collocation values (last two axes)."""
-        return sfft.rfft2(values, axes=(-2, -1), norm="forward")
+        return np.fft.rfft2(values, axes=(-2, -1), norm="forward")
 
 
 @dataclass(frozen=True)
@@ -438,14 +437,20 @@ def sup_field_and_gradient(f: SpectralField2D) -> tuple[float, float]:
     """(sup |f|, sup ||grad f||) in max norms, on an oversampled grid.
 
     The suprema are approximated by sampling at _SUP_OVERSAMPLE * M points
-    per axis: the 5 series of _series, zero-padded, go through one inverse
-    real FFT. Fields cache the pair as SpectralField2D.sup_norms.
+    per axis: the 5 series of _series, zero-padded, go through an inverse
+    real FFT. Of the pad's big/2 + 1 columns only the first M/2 + 1 are
+    non-zero, so the complex pass over k1 runs in place on those columns
+    alone, and one real pass over k2 follows; the zero columns stay exactly
+    zero, so the values are those of the full 2-D transform bit for bit.
+    Fields cache the pair as SpectralField2D.sup_norms.
     """
     g = f.grid
     big = _SUP_OVERSAMPLE * g.resolution
     pad = np.zeros((5, big, big // 2 + 1), dtype=np.complex128)
-    pad[:, g.wavenumbers % big, : g.spectral_shape[1]] = _series(g.k1, g.k2, f.psi)
-    vals = sfft.irfft2(pad, s=(big, big), axes=(-2, -1), norm="forward", overwrite_x=True)
+    cols = pad[..., : g.spectral_shape[1]]
+    cols[:, g.wavenumbers % big] = _series(g.k1, g.k2, f.psi)
+    np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
+    vals = np.fft.irfft(pad, n=big, axis=-1, norm="forward")
     return float(np.max(np.abs(vals[:2]))), float(np.max(np.abs(vals[2:])))
 
 

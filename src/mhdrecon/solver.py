@@ -19,7 +19,10 @@ become
 with psi(f2) the stream function of f2; the first is stepped as the equation
 of psi = omega / |k|^2. Pressure and the divergence constraint never appear,
 so the step needs no Leray projection and no Hermitian symmetrization.
-Nonlinear terms are formed on the collocation grid with 2/3-rule dealiasing.
+Nonlinear terms are formed on the collocation grid with 2/3-rule dealiasing;
+their transforms are numpy.fft's, each 2-D transform as two 1-D passes (a
+complex one over k1, a real one over k2) that write into work arrays kept
+from call to call.
 The step is the fourth-order exponential time differencing scheme ETDRK4
 (Cox & Matthews, J. Comput. Phys. 176, 2002) with the linear part
 L = -(nu, eta) |k|^2: the diffusion semigroups are applied exactly, and the
@@ -39,7 +42,6 @@ from math import factorial
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft as sfft
 
 from .fields import (
     ConfigurationError,
@@ -167,8 +169,11 @@ class _HalfSpectrum:
         self.shear = keep * (self.k1**2 - self.k2**2) * self.inv_ksq
         # work arrays, reused by every call: allocating arrays of this size
         # afresh faults their pages in again each time, about a third of the
-        # RHS time at M = 128
+        # RHS time at M = 128. The transforms write into them through out=:
+        # _spec holds the four spectra of u and b, then (its first three
+        # slots) the spectra of the products; _grid their grid values.
         self._spec = np.empty((4, m, half), dtype=np.complex128)
+        self._grid = np.empty((4, m, m))
         self._prod = np.empty((3, m, m))
         self._tmp = np.empty((m, m))
         self.stages = np.empty((5, 2, m, half), dtype=np.complex128)
@@ -191,7 +196,9 @@ class _HalfSpectrum:
         c, prod, tmp = self._spec, self._prod, self._tmp
         np.multiply(self.perp, z[0], out=c[:2])
         np.multiply(self.perp, z[1], out=c[2:])
-        u1, u2, b1, b2 = sfft.irfft2(c, s=(m, m), axes=(-2, -1), norm="forward", overwrite_x=True)
+        # the 2-D transforms as two 1-D passes, complex over k1 and real over k2
+        np.fft.ifft(c, axis=-2, norm="forward", out=c)
+        u1, u2, b1, b2 = np.fft.irfft(c, n=m, axis=-1, norm="forward", out=self._grid)
         umax = max(float(np.max(np.abs(u1))), float(np.max(np.abs(u2))))
         np.multiply(u2, u2, out=prod[0])
         prod[0] -= np.multiply(b2, b2, out=tmp)
@@ -201,7 +208,8 @@ class _HalfSpectrum:
         prod[1] -= np.multiply(b1, b2, out=tmp)
         np.multiply(u1, b2, out=prod[2])
         prod[2] -= np.multiply(u2, b1, out=tmp)
-        s = sfft.rfft2(prod, axes=(-2, -1), norm="forward", overwrite_x=True)
+        s = np.fft.rfft(prod, axis=-1, norm="forward", out=c[:3])
+        np.fft.fft(s, axis=-2, norm="forward", out=s)
         np.multiply(self.strain, s[0], out=out[0])
         out[0] += np.multiply(self.shear, s[1], out=s[1])
         np.multiply(self.keep, s[2], out=out[1])

@@ -2,10 +2,15 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mhdrecon
 from mhdrecon.cli import main, parse_field_spec
 from mhdrecon.fields import ConfigurationError, TorusGrid, eval_field
 from mhdrecon.snapshots import read_snapshot
@@ -355,3 +360,30 @@ class TestOutDirDefault:
         code = main(["gen-field", "--field", "taylor:1,1", "--resolution", "32"])
         assert code == 0
         assert (tmp_path / "root" / "gen-field" / "field.snap").exists()
+
+
+# Runs a topology request and a tiny simulation in one fresh interpreter and
+# prints, as its last line, the scipy modules they left imported.
+_START_UP_SCRIPT = """
+import json, sys
+from mhdrecon.cli import main
+out, config = sys.argv[1:]
+assert main(["topology", "--field", "taylor:1,1", "--resolution", "16",
+             "--out", out + "/topology"]) == 0
+assert main(["simulate", "--config", config, "--out", out + "/simulate"]) == 0
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
+"""
+
+
+class TestStartUp:
+    def test_topology_and_simulate_import_no_scipy(self, tmp_path):
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps({"scenario": "custom", "resolution": 16, "t_end": 0.01}))
+        src = str(Path(mhdrecon.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", _START_UP_SCRIPT, str(tmp_path / "out"), str(config)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
