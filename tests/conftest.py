@@ -24,6 +24,12 @@ def frozen_in_mini(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def frozen_in_default():
+    """The report of one frozen-in run at its default config (M = 128)."""
+    return run_frozen_in(ExperimentConfig.for_scenario("frozen-in"))
+
+
+@pytest.fixture(scope="session")
 def grid32() -> TorusGrid:
     return TorusGrid(32)
 

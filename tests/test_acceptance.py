@@ -73,12 +73,9 @@ def stability_outcomes():
 
 
 @pytest.fixture(scope="module")
-def frozen_outcomes():
-    reports = {}
-    for resolution in (128, 256):
-        cfg = ExperimentConfig.for_scenario("frozen-in", resolution=resolution)
-        reports[resolution] = run_frozen_in(cfg)
-    return reports
+def frozen_outcomes(frozen_in_default):
+    cfg = ExperimentConfig.for_scenario("frozen-in", resolution=256)
+    return {128: frozen_in_default, 256: run_frozen_in(cfg)}
 
 
 def test_criterion_01_taylor_eigenfunction_suite():

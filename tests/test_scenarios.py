@@ -22,6 +22,7 @@ from mhdrecon.scenarios import (
     ExperimentConfig,
     Report,
     fit_log_slope,
+    frozen_in_initial,
     load_config,
     run_frozen_in,
     run_remark2,
@@ -86,7 +87,8 @@ class TestConfig:
         assert cfg.resolution == 128 and cfg.t_end == 2.0 and cfg.delta == 1e-3
         assert cfg.expect == "reconnection"
         frozen = ExperimentConfig.for_scenario("frozen-in")
-        assert (frozen.dt, frozen.output_cadence) == (1e-3, 50)
+        assert (frozen.dt, frozen.output_cadence) == (2.5e-3, 20)
+        assert frozen.dt * frozen.output_cadence == 0.05
         steps = {"theorem1": (1e-2, 5), "stability": (1e-2, 5),
                  "theorem2": (5e-2, 1), "remark2": (5e-2, 1)}
         # the diffusive defaults keep the snapshot interval 0.05 and certify their step
@@ -352,6 +354,8 @@ class TestFrozenInMini:
         assert report.metrics["pushed_line_max_gap"] < 1e-2
         assert report.metrics["line0_potential_spread"] < 1e-12
         assert report.metrics["pushed_line_min_b"] > 0.5
+        # ideal induction conserves sum_k w(k) |a(k)|^2 up to time-stepping error
+        assert 0.0 <= report.metrics["potential_l2_drift"] < 1e-10
 
     def test_identity_flow_map_drifts(self, monkeypatch):
         # a flow map that moves nothing leaves line0 where a(T) has moved on
@@ -386,6 +390,32 @@ class TestFrozenInMini:
     def test_nonzero_eta_rejected(self):
         with pytest.raises(ConfigError, match="eta"):
             run_frozen_in(mini("frozen-in", eta=0.5))
+
+
+class TestFrozenInDefaultStep:
+    """The default frozen-in step is held to the error budget of the
+    diffusive runs, and to a CFL number below 0.5 up to M = 256."""
+
+    def test_richardson_estimate_within_budget(self):
+        cfg = ExperimentConfig.for_scenario("frozen-in")
+        initial, sim_cfg = frozen_in_initial(cfg.grid()), cfg.sim_config()
+        final = simulate(sim_cfg, initial)
+        assert scenarios._time_error_estimate(sim_cfg, initial, final) <= 1e-10
+
+    def test_no_cfl_warning_at_m256(self, caplog):
+        # the worst CFL number of the whole run (0.204) is reached in its first steps
+        cfg = ExperimentConfig.for_scenario("frozen-in", resolution=256, t_end=0.025)
+        with caplog.at_level(logging.INFO, logger="mhdrecon.solver"):
+            simulate(cfg.sim_config(), frozen_in_initial(cfg.grid()))
+        lines = [r for r in caplog.records if r.name == "mhdrecon.solver"]
+        assert [r.levelname for r in lines] == ["INFO"]
+        assert re.fullmatch(r"CFL number at worst \S+ over 10 steps", lines[0].getMessage())
+
+    def test_default_run_certificates(self, frozen_in_default):
+        m = frozen_in_default.metrics
+        assert m["frozen_in_residual"] == pytest.approx(5.0046e-7, rel=1e-3)
+        assert m["pushed_line_distance"] < 2e-7
+        assert 0.0 <= m["potential_l2_drift"] < 1e-10
 
 
 @pytest.fixture(scope="module")
