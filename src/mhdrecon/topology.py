@@ -19,6 +19,7 @@ extract_signature logs a warning when the counts differ.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -56,7 +57,8 @@ _ARRIVAL_RADIUS = 1e-2
 _PSI_TOL_FACTOR = 1e-6       # connection level test, relative to osc(psi)
 _ARCLENGTH_CAP = 50.0 * TWO_PI
 _TRACE_STEP = 2e-3           # arclength step of trace_integral_line
-_CONNECT_STEP = 1e-2         # largest arclength step of a separatrix trace
+_STEP_CAP = 5e-2             # largest arclength step of a separatrix trace
+_STEP_FLOOR = 1e-2 / 256     # smallest arclength step of a separatrix trace
 _STOP_TOL_FACTOR = 1e-6      # stall threshold on |f|, relative to C1
 
 
@@ -164,31 +166,38 @@ def _solve_2x2(jac: np.ndarray, rhs: np.ndarray, det_floor: float):
 
 
 def _dedup_wrapped(points: np.ndarray, residuals: np.ndarray, radius: float):
-    """Greedy torus-metric dedup keeping the smallest-residual representative."""
+    """Greedy torus-metric dedup keeping the smallest-residual representative.
+
+    A point is dropped when it lies within radius (torus_distance <= radius)
+    of a representative already kept. The distances are computed from Python
+    floats in the same operations as torus_distance, so they agree bit for
+    bit without a NumPy call per pair.
+    """
     order = np.argsort(residuals, kind="stable")
     reps: list[int] = []
-    cell: dict[tuple[int, int], list[int]] = {}
+    cell: dict[tuple[int, int], list[tuple[float, float]]] = {}
     ncells = max(int(np.floor(TWO_PI / radius)), 1)
     inv = ncells / TWO_PI
-    for idx in order:
-        p = points[idx]
-        key = (int(p[0] * inv) % ncells, int(p[1] * inv) % ncells)
-        found = False
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                neighbor = ((key[0] + dx) % ncells, (key[1] + dy) % ncells)
-                for rep in cell.get(neighbor, ()):
-                    if torus_distance(p, points[rep]) <= radius:
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
+    coords = points.tolist()
+    for idx in order.tolist():
+        px, py = coords[idx]
+        key = (int(px * inv) % ncells, int(py * inv) % ncells)
+        if not any(
+            _within(px - qx, py - qy, radius)
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+            for qx, qy in cell.get(((key[0] + dx) % ncells, (key[1] + dy) % ncells), ())
+        ):
             reps.append(idx)
-            cell.setdefault(key, []).append(idx)
+            cell.setdefault(key, []).append((px, py))
     return reps
+
+
+def _within(dx: float, dy: float, radius: float) -> bool:
+    """torus_distance <= radius for the raw displacement (dx, dy), in Python floats."""
+    dx -= TWO_PI * round(dx / TWO_PI)
+    dy -= TWO_PI * round(dy / TWO_PI)
+    return math.sqrt(dx * dx + dy * dy) <= radius
 
 
 def find_critical_points(
@@ -404,6 +413,31 @@ def detect_saddle_connections(
     point or hit the arclength cap are non-connecting. A saddle outside the
     partners cannot end a trace, even if it is the nearest one; that takes
     two saddles closer than 2 * arrival_radius.
+
+    All traces advance together by RK4 steps of dx/ds = +-f/|f|, each with
+    its own arclength step h = min(_STEP_CAP, max(0.5 |f| / G, _STEP_FLOOR)),
+    where G is the largest Jacobian entry (sup_norms[1]), so
+    ||grad f|| <= 2 G:
+    - the middle term resolves the turning scale. A line of f has curvature
+      at most ||grad f|| / |f| <= 2 G / |f|, so one step turns it through at
+      most one radian;
+    - within distance d of a zero |f| <= 2 G d, so a step taken there is at
+      most d and does not carry a trace past the zero. A cap of 1e-2 would
+      bind only where |f| > 2e-2 G, which lies farther than the arrival
+      radius from every zero, so it is not needed to resolve an arrival;
+    - the cap bounds the drift of psi along a trace. A trace off its
+      saddle's level by dpsi passes that saddle at a distance of order
+      sqrt(2 dpsi / lambda), lambda the saddle's eigenvalue, so a weak
+      saddle magnifies a small drift past the arrival radius. On
+      T_13 / sqrt(10) + 1.26 tilde T1 (M = 32; lambda = 0.15, G = 4.1) four
+      self-connecting separatrices return after arclength 7.4 with steps of
+      at most 0.05 (psi drift 4e-8 osc(psi)), but miss their saddle and run
+      to the arclength cap with steps of at most 0.1. On 516 fields (Taylor
+      webs broken by tilde T1, M = 32 to 128) a cap of 0.05 gave the counts
+      of a cap of 1e-2 on every field; on 258 of them 0.1 missed on two.
+    Steps of up to 0.05 away from the zeros let the broken loops of a
+    perturbed web (arclength ~16) close in a few hundred steps instead of
+    the ~1600 that a cap of 1e-2 takes.
     """
     if not saddles:
         return 0, 0
@@ -434,16 +468,17 @@ def detect_saddle_connections(
     left_origin = np.zeros(n, dtype=bool)
     arc = np.zeros(n)
     outcome = np.full(n, _RUNNING)
-    h0 = _CONNECT_STEP
     j_scale = max(sup_grad, 1e-300)
+    n_steps = 0
 
     while active.any():
+        n_steps += 1
         idx = np.nonzero(active)[0]
         vals = evaluator.values(x[idx])
         speed = _norm(vals)
 
-        # adaptive arclength step: resolve the turning scale near zeros
-        h = np.minimum(h0, np.maximum(0.5 * speed / j_scale, h0 / 256.0))
+        # arclength step at the turning scale |f| / |grad f| (see the docstring)
+        h = np.minimum(_STEP_CAP, np.maximum(0.5 * speed / j_scale, _STEP_FLOOR))
 
         stalled = speed < stop_tol
         outcome[idx[stalled]] = _STALLED
@@ -474,9 +509,9 @@ def detect_saddle_connections(
     n_lone = int(lone.sum())
     log.debug(
         "saddle connections: %d lone saddles, %d traced; traces: %d hetero, %d self, "
-        "%d stalled, %d capped",
+        "%d stalled, %d capped in %d steps",
         n_lone, len(saddles) - n_lone, counts[_HETERO], counts[_SELF],
-        counts[_STALLED], counts[_CAPPED],
+        counts[_STALLED], counts[_CAPPED], n_steps,
     )
     return int(counts[_HETERO]), int(counts[_SELF]) + 4 * n_lone
 

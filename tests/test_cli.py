@@ -321,7 +321,7 @@ class TestLogLevel:
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if "saddle connections:" in line] == [
             "DEBUG mhdrecon.topology: saddle connections: 0 lone saddles, 4 traced; "
-            "traces: 16 hetero, 0 self, 0 stalled, 0 capped"]
+            "traces: 16 hetero, 0 self, 0 stalled, 0 capped in 80 steps"]
 
     def test_default_level_hides_debug_lines(self, tmp_path, capsys):
         assert main([*self.TOPOLOGY, "--out", str(tmp_path)]) == 0

@@ -49,11 +49,13 @@ from mhdrecon.topology import (
 from mhdrecon.topology import (
     _ARCLENGTH_CAP,
     _ARRIVAL_RADIUS,
-    _CONNECT_STEP,
     _EPS_LAUNCH,
     _PSI_TOL_FACTOR,
+    _STEP_CAP,
+    _STEP_FLOOR,
     _STOP_TOL_FACTOR,
     _TRACE_STEP,
+    _dedup_wrapped,
     _norm,
     _sign_change_seeds,
 )
@@ -152,6 +154,36 @@ class TestCriticalPoints:
             assert set(entry) == {"position", "residual"}
 
 
+def _greedy_dedup(points, residuals, radius):
+    """O(n^2) reference of _dedup_wrapped: in order of residual (ties in index
+    order), keep a point unless a kept point lies within radius."""
+    reps = []
+    for i in np.argsort(residuals, kind="stable"):
+        if not reps or torus_distance(points[i], points[reps]).min() > radius:
+            reps.append(int(i))
+    return reps
+
+
+class TestDedup:
+    @pytest.mark.parametrize("radius", [1e-11, 1e-8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_brute_force_greedy(self, radius, seed):
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(0.0, 2 * np.pi, (40, 2))
+        # clusters on the x seam, on the y seam, and on the corner
+        centers[:8, 0] = 0.0
+        centers[8:16, 1] = 0.0
+        centers[16:20] = 0.0
+        members = rng.integers(0, len(centers), 600)
+        # spread over 4 radii, so the residual order decides which points are kept
+        pts = wrap(centers[members] + rng.uniform(-2.0, 2.0, (600, 2)) * radius)
+        residuals = rng.integers(0, 4, 600) * 1e-13  # many ties
+        assert np.any(pts > 2 * np.pi - 4 * radius) and np.any(pts < 4 * radius)
+        reps = _dedup_wrapped(pts, residuals, radius)
+        assert reps == _greedy_dedup(pts, residuals, radius)
+        assert 2 * len(centers) < len(reps) < len(pts)
+
+
 class TestTraceIntegralLine:
     def test_orbit_closes_on_tilde_t1(self, grid64):
         line = trace_integral_line(make_tilde_t1(grid64), [np.pi / 2, np.pi / 2], arclen=10.0)
@@ -233,12 +265,15 @@ def _trace_with_stall_evaluation(f, x0, arclen):
     return np.array(line)
 
 
-def _connections_with_stall_evaluation(f, saddles):
+def _connections_with_stall_evaluation(f, saddles, step_cap=_STEP_CAP):
     """Brute-force separatrix tracing: every saddle is traced and every trace is
     tested for arrival against every saddle, and the field is evaluated again
     at the live points for the first RK4 stage, after the speed evaluation;
     (hetero, self, loop iterations). detect_saddle_connections, which traces
-    only saddles with level partners, must give the same counts."""
+    only saddles with level partners, must give the same counts. The
+    arclength step is min(step_cap, max(0.5 |f| / G, _STEP_FLOOR)): the
+    program's rule by default, and with step_cap = 1e-2 the shorter steps
+    of the rule it replaced."""
     evaluator = FieldEvaluator(f)
     sup_f, sup_grad = sup_field_and_gradient(f)
     stop_tol = _STOP_TOL_FACTOR * (sup_f + sup_grad)
@@ -272,8 +307,7 @@ def _connections_with_stall_evaluation(f, saddles):
         iterations += 1
         idx = np.nonzero(active)[0]
         speed = np.linalg.norm(evaluator.values(x[idx]), axis=-1)
-        h = np.minimum(_CONNECT_STEP,
-                       np.maximum(0.5 * speed / max(sup_grad, 1e-300), _CONNECT_STEP / 256.0))
+        h = np.minimum(step_cap, np.maximum(0.5 * speed / max(sup_grad, 1e-300), _STEP_FLOOR))
         stalled = speed < stop_tol
         active[idx[stalled]] = False
         live = idx[~stalled]
@@ -335,6 +369,20 @@ class TestEvaluationCounts:
         values_calls.clear()
         assert detect_saddle_connections(f, saddles) == (hetero, selfc)
         assert len(values_calls) == 4 * iterations
+
+    def test_broken_web_closes_in_few_steps(self, grid64, values_calls, caplog):
+        # the broken separatrices of this perturbed web loop back to their own
+        # saddle over arclength ~16: 430 steps with the step cap of 0.05,
+        # against 1572 with a cap of 1e-2
+        f = (1.0 / np.sqrt(13.0)) * make_taylor(TaylorSpec(3, 2), 1.0, grid64) \
+            + 5e-4 * make_tilde_t1(grid64)
+        saddles = [p for p in find_critical_points(f) if p.kind == "saddle"]
+        values_calls.clear()
+        with caplog.at_level(logging.DEBUG, logger="mhdrecon.topology"):
+            detect_saddle_connections(f, saddles)
+        steps = len(values_calls) // 4
+        assert steps <= 500
+        assert caplog.records[-1].getMessage().endswith(f" in {steps} steps")
 
     @pytest.mark.parametrize("seed_resolution", [None, 48])
     def test_signature_reads_the_field_once(self, grid64, monkeypatch, seed_resolution):
@@ -425,6 +473,38 @@ class TestLevelGroups:
         hetero, selfc, _ = _connections_with_stall_evaluation(f, saddles)
         assert detect_saddle_connections(f, saddles) == (hetero, selfc)
 
+    # steps of up to 0.05 must keep the counts of steps of up to 1e-2, on
+    # unbroken webs and on webs broken by 1e-4 ... 1e-2 of tilde T1
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_level_groups_match_short_step_reference(self, grid64, which):
+        f = self._grouped_fields(grid64)[which]
+        saddles = _saddles(f)
+        hetero, selfc, _ = _connections_with_stall_evaluation(f, saddles, step_cap=1e-2)
+        assert detect_saddle_connections(f, saddles) == (hetero, selfc)
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-3, 1e-2])
+    @pytest.mark.parametrize("resolution", [64, 128])
+    @pytest.mark.parametrize("n, m", [(3, 2), (4, 4)])
+    def test_broken_webs_match_short_step_reference(self, n, m, resolution, delta):
+        grid = TorusGrid(resolution)
+        f = make_taylor(TaylorSpec(n, m), 1.0 / np.hypot(n, m), grid) \
+            + delta * make_tilde_t1(grid)
+        saddles = _saddles(f)
+        hetero, selfc, _ = _connections_with_stall_evaluation(f, saddles, step_cap=1e-2)
+        assert detect_saddle_connections(f, saddles) == (hetero, selfc)
+
+    # a weak saddle magnifies the drift of psi along a trace: with steps of up
+    # to 0.1 the first field loses four self connections (saddle eigenvalue
+    # 0.15 against G = 4.1) and the second four heteroclinic ones
+    @pytest.mark.parametrize("n, m, delta", [(1, 3, 1.26), (3, 3, 0.5993)])
+    def test_weak_saddles_match_short_step_reference(self, n, m, delta):
+        grid = TorusGrid(32)
+        f = make_taylor(TaylorSpec(n, m), 1.0 / np.hypot(n, m), grid) \
+            + delta * make_tilde_t1(grid)
+        saddles = _saddles(f)
+        hetero, selfc, _ = _connections_with_stall_evaluation(f, saddles, step_cap=1e-2)
+        assert detect_saddle_connections(f, saddles) == (hetero, selfc)
+
     def test_lone_saddles_are_not_traced(self, grid64, values_calls):
         f = make_tilde_t1(grid64)
         saddles = _saddles(f)
@@ -433,8 +513,10 @@ class TestLevelGroups:
         assert values_calls == []
 
     @pytest.mark.parametrize("which, expected", [
-        ("lone", "2 lone saddles, 0 traced; traces: 0 hetero, 0 self, 0 stalled, 0 capped"),
-        ("grouped", "0 lone saddles, 4 traced; traces: 16 hetero, 0 self, 0 stalled, 0 capped"),
+        ("lone", "2 lone saddles, 0 traced; traces: 0 hetero, 0 self, 0 stalled, 0 capped "
+                 "in 0 steps"),
+        ("grouped", "0 lone saddles, 4 traced; traces: 16 hetero, 0 self, 0 stalled, 0 capped "
+                    "in 80 steps"),
     ])
     def test_trace_statistics_logged(self, grid64, caplog, which, expected):
         f = self._lone_fields(grid64)[0] if which == "lone" else self._grouped_fields(grid64)[0]
