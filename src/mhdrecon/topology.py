@@ -57,7 +57,7 @@ _ARRIVAL_RADIUS = 1e-2
 _PSI_TOL_FACTOR = 1e-6       # connection level test, relative to osc(psi)
 _ARCLENGTH_CAP = 50.0 * TWO_PI
 _TRACE_STEP = 2e-3           # arclength step of trace_integral_line
-_STEP_CAP = 5e-2             # largest arclength step of a separatrix trace
+_STEP_CAP_RANGE = (1e-2, 5e-2)  # largest arclength step of a separatrix trace (_step_cap)
 _STEP_FLOOR = 1e-2 / 256     # smallest arclength step of a separatrix trace
 _STOP_TOL_FACTOR = 1e-6      # stall threshold on |f|, relative to C1
 
@@ -171,7 +171,9 @@ def _dedup_wrapped(points: np.ndarray, residuals: np.ndarray, radius: float):
     A point is dropped when it lies within radius (torus_distance <= radius)
     of a representative already kept. The distances are computed from Python
     floats in the same operations as torus_distance, so they agree bit for
-    bit without a NumPy call per pair.
+    bit without a NumPy call per pair. One torus_distance call per point,
+    over the representatives of its nine cells, takes four times as long on
+    the 372-3872-point dedups of the critical-point search.
     """
     order = np.argsort(residuals, kind="stable")
     reps: list[int] = []
@@ -387,6 +389,16 @@ def _level_partners(psi_levels: np.ndarray, psi_tol: float) -> np.ndarray:
     return table
 
 
+def _step_cap(saddles: list[CriticalPoint], sup_grad: float) -> float:
+    """Largest arclength step of the separatrix traces of f: sigma / G within
+    _STEP_CAP_RANGE, sigma the smallest singular value of a saddle Jacobian
+    and G the largest Jacobian entry of f (see detect_saddle_connections)."""
+    lo, hi = _STEP_CAP_RANGE
+    jacs = np.array([cp.jacobian for cp in saddles])
+    sigma = float(np.linalg.svd(jacs, compute_uv=False)[:, -1].min())
+    return min(hi, max(lo, sigma / max(sup_grad, 1e-300)))
+
+
 # outcomes of a separatrix trace
 _RUNNING, _HETERO, _SELF, _STALLED, _CAPPED = range(5)
 
@@ -415,7 +427,7 @@ def detect_saddle_connections(
     two saddles closer than 2 * arrival_radius.
 
     All traces advance together by RK4 steps of dx/ds = +-f/|f|, each with
-    its own arclength step h = min(_STEP_CAP, max(0.5 |f| / G, _STEP_FLOOR)),
+    its own arclength step h = min(cap, max(0.5 |f| / G, _STEP_FLOOR)),
     where G is the largest Jacobian entry (sup_norms[1]), so
     ||grad f|| <= 2 G:
     - the middle term resolves the turning scale. A line of f has curvature
@@ -425,16 +437,26 @@ def detect_saddle_connections(
       most d and does not carry a trace past the zero. A cap of 1e-2 would
       bind only where |f| > 2e-2 G, which lies farther than the arrival
       radius from every zero, so it is not needed to resolve an arrival;
-    - the cap bounds the drift of psi along a trace. A trace off its
-      saddle's level by dpsi passes that saddle at a distance of order
-      sqrt(2 dpsi / lambda), lambda the saddle's eigenvalue, so a weak
-      saddle magnifies a small drift past the arrival radius. On
-      T_13 / sqrt(10) + 1.26 tilde T1 (M = 32; lambda = 0.15, G = 4.1) four
-      self-connecting separatrices return after arclength 7.4 with steps of
-      at most 0.05 (psi drift 4e-8 osc(psi)), but miss their saddle and run
-      to the arclength cap with steps of at most 0.1. On 516 fields (Taylor
-      webs broken by tilde T1, M = 32 to 128) a cap of 0.05 gave the counts
-      of a cap of 1e-2 on every field; on 258 of them 0.1 missed on two.
+    - the cap bounds the drift of psi along a trace. Near a saddle
+      psi - psi_s = (mu_1 u^2 + mu_2 v^2) / 2, where |mu_1|, |mu_2| are
+      the singular values of the saddle's Jacobian, so a trace off the
+      saddle's level by dpsi passes it at up to sqrt(2 dpsi / sigma), sigma
+      the smaller of them. The RK4 drift grows as h^4, and a weak saddle
+      magnifies it past the arrival radius: on T_13 / sqrt(10) + 1.26
+      tilde T1 (M = 32; sigma = 0.032, G = 4.1) four self-connecting
+      separatrices return after arclength 7.4 with steps of at most 0.05
+      (psi drift 4e-8 osc(psi)), but run to the arclength cap with steps
+      of at most 0.1 (drift 14 times larger). _step_cap therefore sets
+      cap = sigma / G of the weakest saddle passed in, lone ones included,
+      within [1e-2, 5e-2]: strong saddles (sigma / G >= 0.05, every web of
+      the benchmark) take steps of up to 0.05, and near-degenerate ones the
+      steps of at most 1e-2 that every trace once took. The linear fall is
+      steeper than the sigma^(1/4) that keeps the miss fixed at a fixed
+      drift constant. On 266 fields (the benchmark's 108 signature fields
+      of seeds 0-5, 72 webs broken by 0 to 0.1 tilde T1 at M = 64/128, 60
+      random M = 32 ones, and 26 M = 32 fields near the one above and near
+      T_33 / sqrt(18) + 0.5993 tilde T1) this cap gave the counts of a cap
+      of 1e-2 on every field; a fixed 0.1 changed them on 13 of the 26.
     Steps of up to 0.05 away from the zeros let the broken loops of a
     perturbed web (arclength ~16) close in a few hundred steps instead of
     the ~1600 that a cap of 1e-2 takes.
@@ -469,6 +491,7 @@ def detect_saddle_connections(
     arc = np.zeros(n)
     outcome = np.full(n, _RUNNING)
     j_scale = max(sup_grad, 1e-300)
+    step_cap = _step_cap(saddles, sup_grad)
     n_steps = 0
 
     while active.any():
@@ -478,7 +501,7 @@ def detect_saddle_connections(
         speed = _norm(vals)
 
         # arclength step at the turning scale |f| / |grad f| (see the docstring)
-        h = np.minimum(_STEP_CAP, np.maximum(0.5 * speed / j_scale, _STEP_FLOOR))
+        h = np.minimum(step_cap, np.maximum(0.5 * speed / j_scale, _STEP_FLOOR))
 
         stalled = speed < stop_tol
         outcome[idx[stalled]] = _STALLED

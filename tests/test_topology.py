@@ -10,7 +10,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mhdrecon import fields, topology
@@ -51,13 +51,14 @@ from mhdrecon.topology import (
     _ARRIVAL_RADIUS,
     _EPS_LAUNCH,
     _PSI_TOL_FACTOR,
-    _STEP_CAP,
+    _STEP_CAP_RANGE,
     _STEP_FLOOR,
     _STOP_TOL_FACTOR,
     _TRACE_STEP,
     _dedup_wrapped,
     _norm,
     _sign_change_seeds,
+    _step_cap,
 )
 
 from .conftest import random_divergence_free
@@ -265,17 +266,19 @@ def _trace_with_stall_evaluation(f, x0, arclen):
     return np.array(line)
 
 
-def _connections_with_stall_evaluation(f, saddles, step_cap=_STEP_CAP):
+def _connections_with_stall_evaluation(f, saddles, step_cap=None):
     """Brute-force separatrix tracing: every saddle is traced and every trace is
     tested for arrival against every saddle, and the field is evaluated again
     at the live points for the first RK4 stage, after the speed evaluation;
     (hetero, self, loop iterations). detect_saddle_connections, which traces
     only saddles with level partners, must give the same counts. The
-    arclength step is min(step_cap, max(0.5 |f| / G, _STEP_FLOOR)): the
-    program's rule by default, and with step_cap = 1e-2 the shorter steps
-    of the rule it replaced."""
+    arclength step is min(step_cap, max(0.5 |f| / G, _STEP_FLOOR)), with the
+    program's cap (_step_cap) by default; step_cap = 1e-2 gives the shorter
+    steps of the rule that capped every trace at 1e-2."""
     evaluator = FieldEvaluator(f)
     sup_f, sup_grad = sup_field_and_gradient(f)
+    if step_cap is None:
+        step_cap = _step_cap(saddles, sup_grad)
     stop_tol = _STOP_TOL_FACTOR * (sup_f + sup_grad)
     psi_grid = f.grid.to_grid(f.psi)
     psi_tol = _PSI_TOL_FACTOR * (psi_grid.max() - psi_grid.min())
@@ -372,8 +375,8 @@ class TestEvaluationCounts:
 
     def test_broken_web_closes_in_few_steps(self, grid64, values_calls, caplog):
         # the broken separatrices of this perturbed web loop back to their own
-        # saddle over arclength ~16: 430 steps with the step cap of 0.05,
-        # against 1572 with a cap of 1e-2
+        # saddle over arclength ~16: 430 steps with the step cap of 0.05 that
+        # its saddles allow, against 1572 with a cap of 1e-2
         f = (1.0 / np.sqrt(13.0)) * make_taylor(TaylorSpec(3, 2), 1.0, grid64) \
             + 5e-4 * make_tilde_t1(grid64)
         saddles = [p for p in find_critical_points(f) if p.kind == "saddle"]
@@ -452,6 +455,8 @@ class TestLevelGroups:
         assert (hetero, selfc) == (0, 4 * len(saddles))
         assert detect_saddle_connections(f, saddles) == (hetero, selfc)
 
+    # the counts must equal the reference's both at the program's step cap
+    # and with steps of at most 1e-2
     @pytest.mark.parametrize("which", [0, 1])
     def test_level_groups_match_reference(self, grid64, which):
         f = self._grouped_fields(grid64)[which]
@@ -459,33 +464,37 @@ class TestLevelGroups:
         hetero, selfc, _ = _connections_with_stall_evaluation(f, saddles)
         assert hetero > 0
         assert detect_saddle_connections(f, saddles) == (hetero, selfc)
+        assert _connections_with_stall_evaluation(f, saddles, step_cap=1e-2)[:2] == (hetero, selfc)
 
     # delta from 1e-4 to 10 draws fields with only level groups, only lone
-    # saddles, and both
+    # saddles, and both. The counts must equal the reference's both at the
+    # program's step cap and with steps of at most 1e-2. The example's lone
+    # saddles return home in the reference only with a cap on the step.
     @settings(max_examples=8, deadline=None)
     @given(n=st.integers(1, 3), m=st.integers(1, 3), log_delta=st.floats(-4.0, 1.0))
+    @example(n=2, m=1, log_delta=0.125)
     def test_perturbed_taylor_matches_reference(self, n, m, log_delta):
         grid = TorusGrid(32)
         delta = 10.0 ** log_delta
         f = make_taylor(TaylorSpec(n, m), 1.0 / np.hypot(n, m), grid) \
             + delta * make_tilde_t1(grid)
         saddles = _saddles(f)
-        hetero, selfc, _ = _connections_with_stall_evaluation(f, saddles)
-        assert detect_saddle_connections(f, saddles) == (hetero, selfc)
+        counts = detect_saddle_connections(f, saddles)
+        assert counts == _connections_with_stall_evaluation(f, saddles)[:2]
+        assert counts == _connections_with_stall_evaluation(f, saddles, step_cap=1e-2)[:2]
 
-    # steps of up to 0.05 must keep the counts of steps of up to 1e-2, on
-    # unbroken webs and on webs broken by 1e-4 ... 1e-2 of tilde T1
-    @pytest.mark.parametrize("which", [0, 1])
-    def test_level_groups_match_short_step_reference(self, grid64, which):
-        f = self._grouped_fields(grid64)[which]
-        saddles = _saddles(f)
-        hetero, selfc, _ = _connections_with_stall_evaluation(f, saddles, step_cap=1e-2)
-        assert detect_saddle_connections(f, saddles) == (hetero, selfc)
-
-    @pytest.mark.parametrize("delta", [1e-4, 1e-3, 1e-2])
-    @pytest.mark.parametrize("resolution", [64, 128])
-    @pytest.mark.parametrize("n, m", [(3, 2), (4, 4)])
-    def test_broken_webs_match_short_step_reference(self, n, m, resolution, delta):
+    # The program's steps must keep the counts of steps of at most 1e-2: on
+    # webs broken by 1e-4 ... 1e-2 of tilde T1, and on fields with weak
+    # saddles. With a fixed cap of 0.1 the (1, 3) field loses four self
+    # connections (smallest Jacobian singular value 0.032 against G = 4.1)
+    # and the (3, 3) field four heteroclinic ones. The last field has a
+    # nearly degenerate saddle (0.0064 against G = 4.1).
+    @pytest.mark.parametrize("n, m, resolution, delta", [
+        *[(n, m, resolution, delta) for n, m in [(3, 2), (4, 4)] for resolution in (64, 128)
+          for delta in (1e-4, 1e-3, 1e-2)],
+        (1, 3, 32, 1.26), (3, 3, 32, 0.5993), (1, 3, 32, 1.2675),
+    ])
+    def test_perturbed_webs_match_short_step_reference(self, n, m, resolution, delta):
         grid = TorusGrid(resolution)
         f = make_taylor(TaylorSpec(n, m), 1.0 / np.hypot(n, m), grid) \
             + delta * make_tilde_t1(grid)
@@ -493,17 +502,23 @@ class TestLevelGroups:
         hetero, selfc, _ = _connections_with_stall_evaluation(f, saddles, step_cap=1e-2)
         assert detect_saddle_connections(f, saddles) == (hetero, selfc)
 
-    # a weak saddle magnifies the drift of psi along a trace: with steps of up
-    # to 0.1 the first field loses four self connections (saddle eigenvalue
-    # 0.15 against G = 4.1) and the second four heteroclinic ones
-    @pytest.mark.parametrize("n, m, delta", [(1, 3, 1.26), (3, 3, 0.5993)])
-    def test_weak_saddles_match_short_step_reference(self, n, m, delta):
+    # the cap is the smallest singular value of a saddle Jacobian over G,
+    # within [1e-2, 5e-2]; expected None is that ratio itself
+    @pytest.mark.parametrize("n, m, delta, expected", [
+        (1, 1, 0.0, 5e-2), (3, 3, 0.5993, None), (1, 3, 1.26, 1e-2), (1, 3, 1.2675, 1e-2),
+    ])
+    def test_step_cap_follows_the_weakest_saddle(self, n, m, delta, expected):
         grid = TorusGrid(32)
         f = make_taylor(TaylorSpec(n, m), 1.0 / np.hypot(n, m), grid) \
             + delta * make_tilde_t1(grid)
         saddles = _saddles(f)
-        hetero, selfc, _ = _connections_with_stall_evaluation(f, saddles, step_cap=1e-2)
-        assert detect_saddle_connections(f, saddles) == (hetero, selfc)
+        sup_grad = sup_field_and_gradient(f)[1]
+        ratio = min(np.linalg.svd(cp.jacobian, compute_uv=False)[-1] for cp in saddles) / sup_grad
+        cap = _step_cap(saddles, sup_grad)
+        if expected is None:
+            assert _STEP_CAP_RANGE[0] < ratio < _STEP_CAP_RANGE[1]
+            expected = ratio
+        assert cap == pytest.approx(expected, rel=1e-12)
 
     def test_lone_saddles_are_not_traced(self, grid64, values_calls):
         f = make_tilde_t1(grid64)
