@@ -57,7 +57,6 @@ _ARRIVAL_RADIUS = 1e-2
 _PSI_TOL_FACTOR = 1e-6       # connection level test, relative to osc(psi)
 _ARCLENGTH_CAP = 50.0 * TWO_PI
 _TRACE_STEP = 2e-3           # arclength step of trace_integral_line
-_STEP_CAP_RANGE = (1e-2, 5e-2)  # largest arclength step of a separatrix trace (_step_cap)
 _STEP_FLOOR = 1e-2 / 256     # smallest arclength step of a separatrix trace
 _STOP_TOL_FACTOR = 1e-6      # stall threshold on |f|, relative to C1
 
@@ -389,16 +388,6 @@ def _level_partners(psi_levels: np.ndarray, psi_tol: float) -> np.ndarray:
     return table
 
 
-def _step_cap(saddles: list[CriticalPoint], sup_grad: float) -> float:
-    """Largest arclength step of the separatrix traces of f: sigma / G within
-    _STEP_CAP_RANGE, sigma the smallest singular value of a saddle Jacobian
-    and G the largest Jacobian entry of f (see detect_saddle_connections)."""
-    lo, hi = _STEP_CAP_RANGE
-    jacs = np.array([cp.jacobian for cp in saddles])
-    sigma = float(np.linalg.svd(jacs, compute_uv=False)[:, -1].min())
-    return min(hi, max(lo, sigma / max(sup_grad, 1e-300)))
-
-
 # outcomes of a separatrix trace
 _RUNNING, _HETERO, _SELF, _STALLED, _CAPPED = range(5)
 
@@ -427,39 +416,34 @@ def detect_saddle_connections(
     two saddles closer than 2 * arrival_radius.
 
     All traces advance together by RK4 steps of dx/ds = +-f/|f|, each with
-    its own arclength step h = min(cap, max(0.5 |f| / G, _STEP_FLOOR)),
-    where G is the largest Jacobian entry (sup_norms[1]), so
-    ||grad f|| <= 2 G:
-    - the middle term resolves the turning scale. A line of f has curvature
-      at most ||grad f|| / |f| <= 2 G / |f|, so one step turns it through at
-      most one radian;
+    its own arclength step h = max(0.5 |f| / G, _STEP_FLOOR), where G is the
+    largest Jacobian entry (sup_norms[1]), so ||grad f|| <= 2 G:
+    - the step resolves the turning scale. A line of f has curvature at most
+      ||grad f|| / |f| <= 2 G / |f|, so one step turns it through at most one
+      radian;
     - within distance d of a zero |f| <= 2 G d, so a step taken there is at
-      most d and does not carry a trace past the zero. A cap of 1e-2 would
-      bind only where |f| > 2e-2 G, which lies farther than the arrival
-      radius from every zero, so it is not needed to resolve an arrival;
-    - the cap bounds the drift of psi along a trace. Near a saddle
-      psi - psi_s = (mu_1 u^2 + mu_2 v^2) / 2, where |mu_1|, |mu_2| are
-      the singular values of the saddle's Jacobian, so a trace off the
-      saddle's level by dpsi passes it at up to sqrt(2 dpsi / sigma), sigma
-      the smaller of them. The RK4 drift grows as h^4, and a weak saddle
-      magnifies it past the arrival radius: on T_13 / sqrt(10) + 1.26
-      tilde T1 (M = 32; sigma = 0.032, G = 4.1) four self-connecting
-      separatrices return after arclength 7.4 with steps of at most 0.05
-      (psi drift 4e-8 osc(psi)), but run to the arclength cap with steps
-      of at most 0.1 (drift 14 times larger). _step_cap therefore sets
-      cap = sigma / G of the weakest saddle passed in, lone ones included,
-      within [1e-2, 5e-2]: strong saddles (sigma / G >= 0.05, every web of
-      the benchmark) take steps of up to 0.05, and near-degenerate ones the
-      steps of at most 1e-2 that every trace once took. The linear fall is
-      steeper than the sigma^(1/4) that keeps the miss fixed at a fixed
-      drift constant. On 266 fields (the benchmark's 108 signature fields
-      of seeds 0-5, 72 webs broken by 0 to 0.1 tilde T1 at M = 64/128, 60
-      random M = 32 ones, and 26 M = 32 fields near the one above and near
-      T_33 / sqrt(18) + 0.5993 tilde T1) this cap gave the counts of a cap
-      of 1e-2 on every field; a fixed 0.1 changed them on 13 of the 26.
-    Steps of up to 0.05 away from the zeros let the broken loops of a
-    perturbed web (arclength ~16) close in a few hundred steps instead of
-    the ~1600 that a cap of 1e-2 takes.
+      most d and does not carry a trace past the zero. Steps longer than
+      1e-2 are taken only where |f| > 2e-2 G, which lies farther than the
+      arrival radius from every zero, so they cannot skip an arrival.
+    Every step starts by locking the trace to its saddle's level psi_s: one
+    Newton step along grad psi = (-f2, f1),
+    x <- x - (psi(x) - psi_s) grad psi / |f|^2, which reuses the field values
+    of the first RK4 stage. Near a saddle psi - psi_s = (mu_1 u^2 + mu_2 v^2)
+    / 2, where |mu_1|, |mu_2| are the singular values of the saddle's
+    Jacobian, so a trace off the level by dpsi passes it at up to
+    sqrt(2 dpsi / sigma), sigma the smaller of them. Unlocked, the RK4 drift
+    of psi grows as h^4 and adds up along the trace, and a weak saddle
+    magnifies it past the arrival radius: on T_13 / sqrt(10) + 1.26 tilde T1
+    (M = 32; sigma = 0.032, G = 4.1) four self-connecting separatrices then
+    run to the arclength cap. Locked, a trace is off its level only by the
+    drift of its last step, and the steps that reach a saddle are short by
+    the rule above, so the step needs no cap set by sigma. |grad psi| = |f|
+    vanishes at the zeros, so the correction is clamped to a tenth of the
+    step; the largest psi correction, relative to osc(psi), is logged with
+    the trace statistics.
+    Long steps away from the zeros let the broken loops of a perturbed web
+    (arclength ~16) close in a few hundred steps instead of the ~1600 that
+    steps of at most 1e-2 take.
     """
     if not saddles:
         return 0, 0
@@ -467,10 +451,12 @@ def detect_saddle_connections(
     sup_f, sup_grad = f.sup_norms
     stop_tol = _STOP_TOL_FACTOR * (sup_f + sup_grad)
     psi_grid = f.grid.to_grid(f.psi)
-    psi_tol = _PSI_TOL_FACTOR * float(psi_grid.max() - psi_grid.min())
+    osc = float(psi_grid.max() - psi_grid.min())
+    psi_tol = _PSI_TOL_FACTOR * osc
 
     positions = np.array([cp.position for cp in saddles])
-    partners = _level_partners(evaluator.potential(positions), psi_tol)
+    levels = evaluator.potential(positions)
+    partners = _level_partners(levels, psi_tol)
     lone = np.all(partners == partners[:, :1], axis=1)
 
     starts, signs, origins = [], [], []
@@ -491,17 +477,14 @@ def detect_saddle_connections(
     arc = np.zeros(n)
     outcome = np.full(n, _RUNNING)
     j_scale = max(sup_grad, 1e-300)
-    step_cap = _step_cap(saddles, sup_grad)
     n_steps = 0
+    max_shift = 0.0
 
     while active.any():
         n_steps += 1
         idx = np.nonzero(active)[0]
         vals = evaluator.values(x[idx])
         speed = _norm(vals)
-
-        # arclength step at the turning scale |f| / |grad f| (see the docstring)
-        h = np.minimum(step_cap, np.maximum(0.5 * speed / j_scale, _STEP_FLOOR))
 
         stalled = speed < stop_tol
         outcome[idx[stalled]] = _STALLED
@@ -510,8 +493,16 @@ def detect_saddle_connections(
         live = idx[~stalled]
         if len(live) == 0:
             continue
-        hs = h[~stalled]
-        x[live] = _unit_rk4_step(evaluator, x[live], vals[~stalled], (signs[live] * hs)[:, None])
+        v, speed = vals[~stalled], speed[~stalled]
+        # arclength step at the turning scale |f| / |grad f| (see the docstring)
+        hs = np.maximum(0.5 * speed / j_scale, _STEP_FLOOR)
+        # level lock: a Newton step on psi along grad psi, at most hs / 10 long
+        miss = evaluator.potential(x[live]) - levels[origins[live]]
+        shift = np.minimum(np.abs(miss), 0.1 * hs * speed)
+        max_shift = max(max_shift, float(shift.max()))
+        grad_psi = np.stack([-v[:, 1], v[:, 0]], axis=-1)
+        p = x[live] - (np.copysign(shift, miss) / (speed * speed))[:, None] * grad_psi
+        x[live] = _unit_rk4_step(evaluator, p, v, (signs[live] * hs)[:, None])
         arc[live] += hs
 
         # arrival bookkeeping against the origin (column 0) and its level partners
@@ -532,9 +523,9 @@ def detect_saddle_connections(
     n_lone = int(lone.sum())
     log.debug(
         "saddle connections: %d lone saddles, %d traced; traces: %d hetero, %d self, "
-        "%d stalled, %d capped in %d steps",
+        "%d stalled, %d capped; level corrections up to %.1e osc(psi) in %d steps",
         n_lone, len(saddles) - n_lone, counts[_HETERO], counts[_SELF],
-        counts[_STALLED], counts[_CAPPED], n_steps,
+        counts[_STALLED], counts[_CAPPED], max_shift / osc, n_steps,
     )
     return int(counts[_HETERO]), int(counts[_SELF]) + 4 * n_lone
 
@@ -572,11 +563,6 @@ def extract_signature(
         structurally_stable=stable,
     )
     return sig, points
-
-
-def is_structurally_stable(f: SpectralField2D) -> tuple[bool, TopologySignature]:
-    sig, _ = extract_signature(f)
-    return sig.structurally_stable, sig
 
 
 def signatures_equivalent(a: TopologySignature, b: TopologySignature) -> str:

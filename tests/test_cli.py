@@ -319,9 +319,13 @@ class TestLogLevel:
     def test_debug_prints_the_trace_statistics(self, tmp_path, capsys):
         assert main(["--log-level", "debug", *self.TOPOLOGY, "--out", str(tmp_path)]) == 0
         err = capsys.readouterr().err.splitlines()
-        assert [line for line in err if "saddle connections:" in line] == [
-            "DEBUG mhdrecon.topology: saddle connections: 0 lone saddles, 4 traced; "
-            "traces: 16 hetero, 0 self, 0 stalled, 0 capped in 80 steps"]
+        head = ("DEBUG mhdrecon.topology: saddle connections: 0 lone saddles, 4 traced; "
+                "traces: 16 hetero, 0 self, 0 stalled, 0 capped; level corrections up to ")
+        tail = " osc(psi) in 33 steps"
+        [line] = [line for line in err if "saddle connections:" in line]
+        assert line.startswith(head) and line.endswith(tail)
+        # T_11's separatrices are straight lines on its zero level: roundoff
+        assert 0.0 <= float(line[len(head):-len(tail)]) <= 1e-14
 
     def test_default_level_hides_debug_lines(self, tmp_path, capsys):
         assert main([*self.TOPOLOGY, "--out", str(tmp_path)]) == 0

@@ -7,6 +7,7 @@ saddles and two centers.
 """
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from mhdrecon.topology import (
     extract_signature,
     find_critical_points,
     flow_map,
-    is_structurally_stable,
     polyline_arclength,
     signatures_equivalent,
     sup_field_and_gradient,
@@ -51,14 +51,12 @@ from mhdrecon.topology import (
     _ARRIVAL_RADIUS,
     _EPS_LAUNCH,
     _PSI_TOL_FACTOR,
-    _STEP_CAP_RANGE,
     _STEP_FLOOR,
     _STOP_TOL_FACTOR,
     _TRACE_STEP,
     _dedup_wrapped,
     _norm,
     _sign_change_seeds,
-    _step_cap,
 )
 
 from .conftest import random_divergence_free
@@ -240,6 +238,20 @@ def values_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def potential_calls(monkeypatch):
+    """Counts FieldEvaluator.potential calls made while a test runs."""
+    calls = []
+    original = FieldEvaluator.potential
+
+    def counting(self, pts):
+        calls.append(len(pts))
+        return original(self, pts)
+
+    monkeypatch.setattr(FieldEvaluator, "potential", counting)
+    return calls
+
+
 def _trace_with_stall_evaluation(f, x0, arclen):
     """Integral-line RK4 that evaluates the field once more per step for the
     stall test: the polyline trace_integral_line must reproduce bit for bit."""
@@ -266,19 +278,17 @@ def _trace_with_stall_evaluation(f, x0, arclen):
     return np.array(line)
 
 
-def _connections_with_stall_evaluation(f, saddles, step_cap=None):
+def _connections_with_stall_evaluation(f, saddles):
     """Brute-force separatrix tracing: every saddle is traced and every trace is
     tested for arrival against every saddle, and the field is evaluated again
     at the live points for the first RK4 stage, after the speed evaluation;
     (hetero, self, loop iterations). detect_saddle_connections, which traces
-    only saddles with level partners, must give the same counts. The
-    arclength step is min(step_cap, max(0.5 |f| / G, _STEP_FLOOR)), with the
-    program's cap (_step_cap) by default; step_cap = 1e-2 gives the shorter
-    steps of the rule that capped every trace at 1e-2."""
+    only saddles with level partners, locks its traces to their level and
+    takes longer steps, must give the same counts. Here the traces are not
+    locked, and the arclength step is min(1e-2, max(0.5 |f| / G, _STEP_FLOOR)):
+    at most the 1e-2 that every trace once took."""
     evaluator = FieldEvaluator(f)
     sup_f, sup_grad = sup_field_and_gradient(f)
-    if step_cap is None:
-        step_cap = _step_cap(saddles, sup_grad)
     stop_tol = _STOP_TOL_FACTOR * (sup_f + sup_grad)
     psi_grid = f.grid.to_grid(f.psi)
     psi_tol = _PSI_TOL_FACTOR * (psi_grid.max() - psi_grid.min())
@@ -310,7 +320,7 @@ def _connections_with_stall_evaluation(f, saddles, step_cap=None):
         iterations += 1
         idx = np.nonzero(active)[0]
         speed = np.linalg.norm(evaluator.values(x[idx]), axis=-1)
-        h = np.minimum(step_cap, np.maximum(0.5 * speed / max(sup_grad, 1e-300), _STEP_FLOOR))
+        h = np.minimum(1e-2, np.maximum(0.5 * speed / max(sup_grad, 1e-300), _STEP_FLOOR))
         stalled = speed < stop_tol
         active[idx[stalled]] = False
         live = idx[~stalled]
@@ -364,19 +374,27 @@ class TestEvaluationCounts:
         assert np.array_equal(seeds, expected)
         assert values_calls == [48 * 48]
 
-    def test_connections_make_four_evaluations_per_iteration(self, grid64, values_calls):
+    def test_connections_make_four_evaluations_per_iteration(
+            self, grid64, values_calls, potential_calls, caplog):
+        # four field evaluations and one of psi (the level lock) per step, and
+        # one of psi for the saddle levels
         f = (1.0 / np.sqrt(13.0)) * make_taylor(TaylorSpec(3, 2), 1.0, grid64) \
             + 5e-4 * make_tilde_t1(grid64)
         saddles = [p for p in find_critical_points(f) if p.kind == "saddle"]
-        hetero, selfc, iterations = _connections_with_stall_evaluation(f, saddles)
+        hetero, selfc, _ = _connections_with_stall_evaluation(f, saddles)
         values_calls.clear()
-        assert detect_saddle_connections(f, saddles) == (hetero, selfc)
-        assert len(values_calls) == 4 * iterations
+        potential_calls.clear()
+        with caplog.at_level(logging.DEBUG, logger="mhdrecon.topology"):
+            assert detect_saddle_connections(f, saddles) == (hetero, selfc)
+        steps = int(re.search(r" in (\d+) steps$", caplog.records[-1].getMessage()).group(1))
+        assert steps > 0
+        assert len(values_calls) == 4 * steps
+        assert len(potential_calls) == 1 + steps
 
     def test_broken_web_closes_in_few_steps(self, grid64, values_calls, caplog):
         # the broken separatrices of this perturbed web loop back to their own
-        # saddle over arclength ~16: 430 steps with the step cap of 0.05 that
-        # its saddles allow, against 1572 with a cap of 1e-2
+        # saddle over arclength ~16: 308 steps at the turning scale with the
+        # level lock, against 1572 unlocked with steps of at most 1e-2
         f = (1.0 / np.sqrt(13.0)) * make_taylor(TaylorSpec(3, 2), 1.0, grid64) \
             + 5e-4 * make_tilde_t1(grid64)
         saddles = [p for p in find_critical_points(f) if p.kind == "saddle"]
@@ -455,8 +473,6 @@ class TestLevelGroups:
         assert (hetero, selfc) == (0, 4 * len(saddles))
         assert detect_saddle_connections(f, saddles) == (hetero, selfc)
 
-    # the counts must equal the reference's both at the program's step cap
-    # and with steps of at most 1e-2
     @pytest.mark.parametrize("which", [0, 1])
     def test_level_groups_match_reference(self, grid64, which):
         f = self._grouped_fields(grid64)[which]
@@ -464,12 +480,10 @@ class TestLevelGroups:
         hetero, selfc, _ = _connections_with_stall_evaluation(f, saddles)
         assert hetero > 0
         assert detect_saddle_connections(f, saddles) == (hetero, selfc)
-        assert _connections_with_stall_evaluation(f, saddles, step_cap=1e-2)[:2] == (hetero, selfc)
 
     # delta from 1e-4 to 10 draws fields with only level groups, only lone
-    # saddles, and both. The counts must equal the reference's both at the
-    # program's step cap and with steps of at most 1e-2. The example's lone
-    # saddles return home in the reference only with a cap on the step.
+    # saddles, and both. The example's lone saddles return home in the
+    # reference only because its steps are at most 1e-2.
     @settings(max_examples=8, deadline=None)
     @given(n=st.integers(1, 3), m=st.integers(1, 3), log_delta=st.floats(-4.0, 1.0))
     @example(n=2, m=1, log_delta=0.125)
@@ -479,46 +493,27 @@ class TestLevelGroups:
         f = make_taylor(TaylorSpec(n, m), 1.0 / np.hypot(n, m), grid) \
             + delta * make_tilde_t1(grid)
         saddles = _saddles(f)
-        counts = detect_saddle_connections(f, saddles)
-        assert counts == _connections_with_stall_evaluation(f, saddles)[:2]
-        assert counts == _connections_with_stall_evaluation(f, saddles, step_cap=1e-2)[:2]
+        assert detect_saddle_connections(f, saddles) == _connections_with_stall_evaluation(
+            f, saddles)[:2]
 
-    # The program's steps must keep the counts of steps of at most 1e-2: on
-    # webs broken by 1e-4 ... 1e-2 of tilde T1, and on fields with weak
-    # saddles. With a fixed cap of 0.1 the (1, 3) field loses four self
-    # connections (smallest Jacobian singular value 0.032 against G = 4.1)
-    # and the (3, 3) field four heteroclinic ones. The last field has a
-    # nearly degenerate saddle (0.0064 against G = 4.1).
+    # The program's locked steps must keep the counts of unlocked steps of at
+    # most 1e-2: on webs broken by 1e-4 ... 1e-2 of tilde T1, and on fields
+    # with weak saddles. Unlocked, with steps of up to 0.1, the (1, 3) field
+    # loses four self connections (smallest Jacobian singular value 0.032
+    # against G = 4.1) and the two (3, 3) fields four heteroclinic ones. The
+    # last field has a nearly degenerate saddle (0.0064 against G = 4.1).
     @pytest.mark.parametrize("n, m, resolution, delta", [
         *[(n, m, resolution, delta) for n, m in [(3, 2), (4, 4)] for resolution in (64, 128)
           for delta in (1e-4, 1e-3, 1e-2)],
-        (1, 3, 32, 1.26), (3, 3, 32, 0.5993), (1, 3, 32, 1.2675),
+        (1, 3, 32, 1.26), (3, 3, 32, 0.5993), (3, 3, 32, 0.5975), (1, 3, 32, 1.2675),
     ])
     def test_perturbed_webs_match_short_step_reference(self, n, m, resolution, delta):
         grid = TorusGrid(resolution)
         f = make_taylor(TaylorSpec(n, m), 1.0 / np.hypot(n, m), grid) \
             + delta * make_tilde_t1(grid)
         saddles = _saddles(f)
-        hetero, selfc, _ = _connections_with_stall_evaluation(f, saddles, step_cap=1e-2)
+        hetero, selfc, _ = _connections_with_stall_evaluation(f, saddles)
         assert detect_saddle_connections(f, saddles) == (hetero, selfc)
-
-    # the cap is the smallest singular value of a saddle Jacobian over G,
-    # within [1e-2, 5e-2]; expected None is that ratio itself
-    @pytest.mark.parametrize("n, m, delta, expected", [
-        (1, 1, 0.0, 5e-2), (3, 3, 0.5993, None), (1, 3, 1.26, 1e-2), (1, 3, 1.2675, 1e-2),
-    ])
-    def test_step_cap_follows_the_weakest_saddle(self, n, m, delta, expected):
-        grid = TorusGrid(32)
-        f = make_taylor(TaylorSpec(n, m), 1.0 / np.hypot(n, m), grid) \
-            + delta * make_tilde_t1(grid)
-        saddles = _saddles(f)
-        sup_grad = sup_field_and_gradient(f)[1]
-        ratio = min(np.linalg.svd(cp.jacobian, compute_uv=False)[-1] for cp in saddles) / sup_grad
-        cap = _step_cap(saddles, sup_grad)
-        if expected is None:
-            assert _STEP_CAP_RANGE[0] < ratio < _STEP_CAP_RANGE[1]
-            expected = ratio
-        assert cap == pytest.approx(expected, rel=1e-12)
 
     def test_lone_saddles_are_not_traced(self, grid64, values_calls):
         f = make_tilde_t1(grid64)
@@ -527,18 +522,22 @@ class TestLevelGroups:
         assert detect_saddle_connections(f, saddles) == (0, 8)
         assert values_calls == []
 
-    @pytest.mark.parametrize("which, expected", [
-        ("lone", "2 lone saddles, 0 traced; traces: 0 hetero, 0 self, 0 stalled, 0 capped "
-                 "in 0 steps"),
-        ("grouped", "0 lone saddles, 4 traced; traces: 16 hetero, 0 self, 0 stalled, 0 capped "
-                    "in 80 steps"),
+    # the largest level correction is pinned by a bound: on T_11 it is roundoff
+    @pytest.mark.parametrize("which, expected, correction", [
+        ("lone", "2 lone saddles, 0 traced; traces: 0 hetero, 0 self, 0 stalled, 0 capped; "
+                 "level corrections up to {} osc(psi) in 0 steps", 0.0),
+        ("grouped", "0 lone saddles, 4 traced; traces: 16 hetero, 0 self, 0 stalled, "
+                    "0 capped; level corrections up to {} osc(psi) in 33 steps", 1e-14),
     ])
-    def test_trace_statistics_logged(self, grid64, caplog, which, expected):
+    def test_trace_statistics_logged(self, grid64, caplog, which, expected, correction):
         f = self._lone_fields(grid64)[0] if which == "lone" else self._grouped_fields(grid64)[0]
         saddles = _saddles(f)
         with caplog.at_level(logging.DEBUG, logger="mhdrecon.topology"):
             detect_saddle_connections(f, saddles)
-        assert [r.getMessage() for r in caplog.records] == [f"saddle connections: {expected}"]
+        head, _, tail = f"saddle connections: {expected}".partition("{}")
+        [message] = [r.getMessage() for r in caplog.records]
+        assert message.startswith(head) and message.endswith(tail)
+        assert 0.0 <= float(message[len(head):-len(tail)]) <= correction
 
     def test_norm_is_bit_identical_to_numpy(self):
         rng = np.random.default_rng(7)
@@ -573,26 +572,26 @@ class TestPoincareHopf:
 
 class TestStructuralStability:
     def test_tilde_t1_stable(self, grid64):
-        stable, sig = is_structurally_stable(make_tilde_t1(grid64))
-        assert stable
+        sig = extract_signature(make_tilde_t1(grid64))[0]
+        assert sig.structurally_stable
         assert (sig.n_saddles, sig.n_centers, sig.n_degenerate) == (2, 2, 0)
         assert sig.hetero_connections == 0
 
     def test_t11_unstable(self, grid64):
-        stable, sig = is_structurally_stable(make_taylor(TaylorSpec(1, 1), 1.0, grid64))
-        assert not stable
+        sig = extract_signature(make_taylor(TaylorSpec(1, 1), 1.0, grid64))[0]
+        assert not sig.structurally_stable
         assert sig.hetero_connections > 0
 
     def test_zero_field_unstable_by_convention(self, grid32):
-        stable, sig = is_structurally_stable(zero_field(grid32))
-        assert not stable
+        sig = extract_signature(zero_field(grid32))[0]
+        assert not sig.structurally_stable
         assert sig == TopologySignature()
 
     def test_stability_implies_clean_signature(self, grid64):
         # the signature invariant: stable => no degenerate points, no heteros
         for f in (make_tilde_t1(grid64), make_taylor(TaylorSpec(1, 1), 1.0, grid64)):
-            stable, sig = is_structurally_stable(f)
-            if stable:
+            sig = extract_signature(f)[0]
+            if sig.structurally_stable:
                 assert sig.n_degenerate == 0 and sig.hetero_connections == 0
 
 
