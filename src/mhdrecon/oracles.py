@@ -6,9 +6,10 @@ against: the decaying single-Taylor solution, the forced solution
     b(t) = e^{-eta N^2 t} T_nm + ((1 - e^{-eta N2^2 t}) / (eta N2^2)) T_{N2}
 
 (the velocity force that keeps u = 0 for it is the solver's "theorem2"
-forcing), and the decay-envelope shapes of the stability and Duhamel
-estimates (with every unquantified constant set to 1; envelopes are used for
-rate and shape comparisons only, never for pointwise domination claims).
+forcing; with tilde T_1 in place of T_{N2}, its "remark2" forcing), and the
+decay-envelope shapes of the stability and Duhamel estimates (with every
+unquantified constant set to 1; envelopes are used for rate and shape
+comparisons only, never for pointwise domination claims).
 """
 
 from __future__ import annotations
@@ -44,28 +45,38 @@ class DecayingTaylorOracle:
 
 @dataclass(frozen=True)
 class ForcedOracle:
-    """Exact solution of the forced system with magnetic forcing T_{N2}.
+    """Exact solution of the forced system with magnetic forcing by a small mode.
 
-    The triple (0, b(t), P(t)) solves the forced equations when the velocity
-    force is -c1(t) c2(t) [(T_nm . grad) T_{N2} + (T_{N2} . grad) T_nm], the
-    term that cancels the advective cross term of b(t) (ForcingSpec "theorem2").
+    The small mode is T_{N2} for spec_2, or tilde T_1 (N2^2 = 1) when spec_2 is
+    None, the variant of Remark 2. The triple (0, b(t), P(t)) solves the
+    forced equations when the velocity force is
+    -c1(t) c2(t) [(T_nm . grad) T_{N2} + (T_{N2} . grad) T_nm], the term that
+    cancels the advective cross term of b(t) (ForcingSpec "theorem2" and
+    "remark2").
     """
 
     spec_nm: TaylorSpec
-    spec_2: TaylorSpec
+    spec_2: TaylorSpec | None
     eta: float
 
     def __post_init__(self):
-        if self.spec_2.eigenvalue >= self.spec_nm.eigenvalue:
+        if self.n2sq >= self.spec_nm.eigenvalue:
             raise ConfigurationError("ForcedOracle requires N2^2 < N^2")
         if self.eta <= 0:
             raise ConfigurationError("ForcedOracle requires eta > 0")
 
+    @property
+    def n2sq(self) -> float:
+        """N2^2, the eigenvalue of the small mode."""
+        return 1.0 if self.spec_2 is None else self.spec_2.eigenvalue
+
+    def small_mode(self, grid: TorusGrid) -> SpectralField2D:
+        """The magnetic forcing: T_{N2}, or tilde T_1 when spec_2 is None."""
+        return make_tilde_t1(grid) if self.spec_2 is None else make_taylor(self.spec_2, 1.0, grid)
+
     def coefficients(self, t: float) -> tuple[float, float]:
-        """Time coefficients (c1, c2) of T_nm and T_{N2} in the closed form."""
-        return forced_time_coefficients(
-            self.eta, self.spec_nm.eigenvalue, self.spec_2.eigenvalue, t
-        )
+        """Time coefficients (c1, c2) of T_nm and the small mode in the closed form."""
+        return forced_time_coefficients(self.eta, self.spec_nm.eigenvalue, self.n2sq, t)
 
 
 @dataclass(frozen=True)
@@ -119,20 +130,15 @@ def forced_exact_b(oracle: ForcedOracle, t: float, grid: TorusGrid) -> SpectralF
     if t < 0:
         raise ConfigurationError("oracle time must be >= 0")
     c1, c2 = oracle.coefficients(t)
-    big = make_taylor(oracle.spec_nm, 1.0, grid)
-    small = make_taylor(oracle.spec_2, 1.0, grid)
-    return c1 * big + c2 * small
+    return c1 * make_taylor(oracle.spec_nm, 1.0, grid) + c2 * oracle.small_mode(grid)
 
 
 def forced_exact_b_dt(oracle: ForcedOracle, t: float, grid: TorusGrid) -> SpectralField2D:
     """Analytic time derivative of forced_exact_b (for residual checks)."""
     nsq = oracle.spec_nm.eigenvalue
-    n2sq = oracle.spec_2.eigenvalue
     d1 = -oracle.eta * nsq * float(np.exp(-oracle.eta * nsq * t))
-    d2 = float(np.exp(-n2sq * oracle.eta * t))
-    big = make_taylor(oracle.spec_nm, 1.0, grid)
-    small = make_taylor(oracle.spec_2, 1.0, grid)
-    return d1 * big + d2 * small
+    d2 = float(np.exp(-oracle.n2sq * oracle.eta * t))
+    return d1 * make_taylor(oracle.spec_nm, 1.0, grid) + d2 * oracle.small_mode(grid)
 
 
 def stability_envelope(bound: StabilityBound, t: float) -> float:
@@ -192,19 +198,6 @@ def remark2_explicit_bound(
     return float(
         eta * np.exp(-eta * spec_nm.eigenvalue * t_end) * big + np.exp(-eta * t_end) * small
     )
-
-
-def remark2_exact_b(spec_nm: TaylorSpec, eta: float, t: float, grid: TorusGrid) -> SpectralField2D:
-    """Closed-form field for the variant forced by tilde T_1 (eigenvalue 1):
-
-    b(t) = e^{-eta N^2 t} T_nm + ((1 - e^{-eta t}) / eta) tilde T_1.
-    """
-    if eta <= 0 or t < 0:
-        raise ConfigurationError("remark2_exact_b needs eta > 0 and t >= 0")
-    c1, c2 = forced_time_coefficients(eta, spec_nm.eigenvalue, 1.0, t)
-    big = make_taylor(spec_nm, 1.0, grid)
-    small = make_tilde_t1(grid)
-    return c1 * big + c2 * small
 
 
 def remark2_exact_error(

@@ -360,6 +360,34 @@ def _reference_signature(grid: TorusGrid, seed_resolution: int | None) -> Topolo
     return sig
 
 
+def _count(sig: TopologySignature) -> int:
+    """The number of critical points of a signature."""
+    return sig.n_saddles + sig.n_centers + sig.n_degenerate
+
+
+def _settled(sig: TopologySignature, ref: TopologySignature) -> bool:
+    """sig is structurally stable, with the saddle and center counts of ref."""
+    return sig.structurally_stable and (
+        (sig.n_saddles, sig.n_centers) == (ref.n_saddles, ref.n_centers))
+
+
+def _reconnection_run(cfg: ExperimentConfig, out_dir, label: str, b0, scale: float,
+                      forcing: ForcingSpec | None = None, extra_sinks=()):
+    """The construction of Theorems 1 and 2: run from (0, b0), rescale the final b.
+
+    Returns (sig0, sig_t, final, b_tilde, time_error): the signatures of b0
+    and of b_tilde = scale * b(T), the final state, and its
+    time_error_estimate.
+    """
+    sig0, _ = extract_signature(b0, cfg.seed_grid)
+    sim_cfg, initial = cfg.sim_config(forcing), MHDState(zero_field(cfg.grid()), b0, 0.0)
+    final, _, _ = _run_with_diagnostics(sim_cfg, initial, cfg, out_dir, label, extra_sinks)
+    time_error = _time_error_estimate(sim_cfg, initial, final)
+    b_tilde = scale * final.b
+    sig_t, _ = extract_signature(b_tilde, cfg.seed_grid)
+    return sig0, sig_t, final, b_tilde, time_error
+
+
 def run_theorem1(cfg: ExperimentConfig, out_dir=None) -> Report:
     """Unforced reconnection run: perturbed large Taylor mode decays onto the
     structurally stable small field."""
@@ -368,12 +396,6 @@ def run_theorem1(cfg: ExperimentConfig, out_dir=None) -> Report:
     n_scale = float(np.sqrt(spec.eigenvalue))
     tilde = make_tilde_t1(grid)
     b0 = (1.0 / n_scale) * make_taylor(spec, 1.0, grid) + cfg.delta * tilde
-    sig0, pts0 = extract_signature(b0, cfg.seed_grid)
-
-    sim_cfg, initial = cfg.sim_config(), MHDState(zero_field(grid), b0, 0.0)
-    final, _, _ = _run_with_diagnostics(sim_cfg, initial, cfg, out_dir, "theorem1")
-    time_error = _time_error_estimate(sim_cfg, initial, final)
-
     if cfg.delta > 0:
         rescale = float(np.exp(cfg.eta * cfg.t_end) / cfg.delta)
     else:
@@ -381,17 +403,11 @@ def run_theorem1(cfg: ExperimentConfig, out_dir=None) -> Report:
         # the reference decay instead; the signature is then constant in time
         # and no reconnection can be certified
         rescale = float(np.exp(cfg.eta * spec.eigenvalue * cfg.t_end) * n_scale)
-    b_tilde = rescale * final.b
-    sig_t, pts_t = extract_signature(b_tilde, cfg.seed_grid)
+    sig0, sig_t, _, b_tilde, time_error = _reconnection_run(cfg, out_dir, "theorem1", b0, rescale)
     ref_sig = _reference_signature(grid, cfg.seed_grid)
-    c1_dist = c1_norm(b_tilde - tilde)
 
     changed = signatures_equivalent(sig0, sig_t) == "distinct"
-    settled = (
-        sig_t.structurally_stable
-        and (sig_t.n_saddles, sig_t.n_centers) == (ref_sig.n_saddles, ref_sig.n_centers)
-        and sig_t.hetero_connections == 0
-    )
+    settled = _settled(sig_t, ref_sig)
     verdict = "reconnection" if (changed and settled and cfg.t_end > 0) else "no-reconnection"
 
     return Report(
@@ -400,10 +416,10 @@ def run_theorem1(cfg: ExperimentConfig, out_dir=None) -> Report:
         expected=cfg.expect,
         config=cfg.to_dict(),
         metrics={
-            "count_t0": sig0.n_saddles + sig0.n_centers + sig0.n_degenerate,
-            "count_tT": sig_t.n_saddles + sig_t.n_centers + sig_t.n_degenerate,
+            "count_t0": _count(sig0),
+            "count_tT": _count(sig_t),
             "rescale_factor": rescale,
-            "c1_distance_to_reference": c1_dist,
+            "c1_distance_to_reference": c1_norm(b_tilde - tilde),
             "expected_min_count_t0": 8 * cfg.n * cfg.m,
             "time_error_estimate": time_error,
         },
@@ -423,9 +439,6 @@ def run_theorem2(cfg: ExperimentConfig, out_dir=None) -> Report:
     oracle = oracles.ForcedOracle(spec_nm=spec_nm, spec_2=spec_2, eta=cfg.eta)
     forcing = ForcingSpec(kind="theorem2", spec_nm=spec_nm, spec_2=spec_2)
 
-    b0 = make_taylor(spec_nm, 1.0, grid)
-    sig0, _ = extract_signature(b0, cfg.seed_grid)
-
     oracle_errors: list[tuple[float, float]] = []
     u_norms: list[tuple[float, float]] = []
 
@@ -435,15 +448,10 @@ def run_theorem2(cfg: ExperimentConfig, out_dir=None) -> Report:
         oracle_errors.append((state.t, rel))
         u_norms.append((state.t, l2_norm(state.u)))
 
-    sim_cfg, initial = cfg.sim_config(forcing), MHDState(zero_field(grid), b0, 0.0)
-    final, _, _ = _run_with_diagnostics(sim_cfg, initial, cfg, out_dir, "theorem2",
-                                        extra_sinks=[compare])
-    time_error = _time_error_estimate(sim_cfg, initial, final)
-
-    b_tilde = (cfg.eta * spec_2.eigenvalue) * final.b
-    small = make_taylor(spec_2, 1.0, grid)
-    hr_dist = sobolev_norm(b_tilde - small, cfg.r)
-    sig_t, _ = extract_signature(b_tilde, cfg.seed_grid)
+    sig0, sig_t, _, b_tilde, time_error = _reconnection_run(
+        cfg, out_dir, "theorem2", make_taylor(spec_nm, 1.0, grid), cfg.eta * spec_2.eigenvalue,
+        forcing, extra_sinks=[compare])
+    hr_dist = sobolev_norm(b_tilde - make_taylor(spec_2, 1.0, grid), cfg.r)
 
     verdict = (
         "reconnection"
@@ -456,8 +464,8 @@ def run_theorem2(cfg: ExperimentConfig, out_dir=None) -> Report:
         expected=cfg.expect,
         config=cfg.to_dict(),
         metrics={
-            "count_t0": sig0.n_saddles + sig0.n_centers + sig0.n_degenerate,
-            "count_tT": sig_t.n_saddles + sig_t.n_centers + sig_t.n_degenerate,
+            "count_t0": _count(sig0),
+            "count_tT": _count(sig_t),
             "max_oracle_rel_l2_error": max(e for _, e in oracle_errors),
             "max_u_l2": max(v for _, v in u_norms),
             "hr_distance_rescaled_to_small": hr_dist,
@@ -477,28 +485,17 @@ def run_remark2(cfg: ExperimentConfig, out_dir=None) -> Report:
     grid = cfg.grid()
     spec_nm = TaylorSpec(cfg.n, cfg.m)
     forcing = ForcingSpec(kind="remark2", spec_nm=spec_nm)
-    b0 = make_taylor(spec_nm, 1.0, grid)
-    sig0, _ = extract_signature(b0, cfg.seed_grid)
+    sig0, sig_t, final, b_tilde, time_error = _reconnection_run(
+        cfg, out_dir, "remark2", make_taylor(spec_nm, 1.0, grid), cfg.eta, forcing)
 
-    sim_cfg, initial = cfg.sim_config(forcing), MHDState(zero_field(grid), b0, 0.0)
-    final, _, _ = _run_with_diagnostics(sim_cfg, initial, cfg, out_dir, "remark2")
-    time_error = _time_error_estimate(sim_cfg, initial, final)
-
-    tilde = make_tilde_t1(grid)
-    b_tilde = cfg.eta * final.b
-    err_sim = sobolev_norm(b_tilde - tilde, cfg.r)
+    err_sim = sobolev_norm(b_tilde - make_tilde_t1(grid), cfg.r)
     err_exact = oracles.remark2_exact_error(spec_nm, cfg.r, cfg.eta, cfg.t_end, grid)
     bound = oracles.remark2_error_bound(spec_nm.eigenvalue, cfg.r, cfg.eta, cfg.t_end)
     explicit = oracles.remark2_explicit_bound(spec_nm, cfg.r, cfg.eta, cfg.t_end, grid)
-    sig_t, _ = extract_signature(b_tilde, cfg.seed_grid)
     ref_sig = _reference_signature(grid, cfg.seed_grid)
 
-    settled = (
-        sig_t.structurally_stable
-        and (sig_t.n_saddles, sig_t.n_centers) == (ref_sig.n_saddles, ref_sig.n_centers)
-    )
     changed = signatures_equivalent(sig0, sig_t) == "distinct"
-    verdict = "reconnection" if (changed and settled) else "no-reconnection"
+    verdict = "reconnection" if (changed and _settled(sig_t, ref_sig)) else "no-reconnection"
 
     return Report(
         scenario="remark2",

@@ -216,22 +216,6 @@ class _HalfSpectrum:
         return umax
 
 
-def _cross_potential(half: _HalfSpectrum, a: SpectralField2D, b: SpectralField2D) -> np.ndarray:
-    """curl X / |k|^2 for X = (a . grad) b + (b . grad) a: the stream function
-    of the solenoidal part of X, formed on the grid without dealiasing, with
-    k = 0 and the Nyquist lines dropped.
-
-    For divergence-free a, b, X = div S with S = a b^T + b a^T, and
-    curl div S = k1 k2 (S11 - S22) - (k1^2 - k2^2) S12.
-    """
-    g = half.grid
-    a1, a2, b1, b2 = g.to_grid(np.concatenate([half.perp * a.psi, half.perp * b.psi]))
-    s = g.from_grid(np.stack([2.0 * (a1 * b1 - a2 * b2), a1 * b2 + a2 * b1]))
-    cross = (half.k1 * half.k2 * s[0] - (half.k1**2 - half.k2**2) * s[1]) * half.inv_ksq
-    cross[g.nyquist_mask] = 0.0
-    return cross
-
-
 class _Forcing:
     """f1(t), f2(t) as their stream functions on the half-spectrum.
 
@@ -259,9 +243,16 @@ class _Forcing:
                 small = make_tilde_t1(grid)
                 self._n2sq = 1.0
             self._nsq = float(spec.spec_nm.eigenvalue)
-            # f2 = small is static; f1 is the time-dependent cross term alone
+            # f2 = small is static; f1 is the time-dependent cross term alone,
+            # X = (big . grad) small + (small . grad) big. It is taken from the
+            # solver's own Lorentz term by polarization: at u = big - small,
+            # b = big + small the psi tendency of rhs is
+            # curl div(b b^T - u u^T) / |k|^2 = 2 curl X / |k|^2, masked like
+            # the term it cancels
             self._static = half.from_fields(zero_field(grid), small)
-            self._cross = _cross_potential(half, big, small)
+            tendency = np.empty_like(self._static)
+            half.rhs(half.from_fields(big - small, big + small), tendency)
+            self._cross = 0.5 * tendency[0]
 
     def add_to(self, out: np.ndarray, t: float) -> None:
         """Add the stream functions of f1(t) and f2(t) to the tendencies out."""

@@ -21,7 +21,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -234,7 +233,6 @@ def find_critical_points(
     fx = evaluator.values(x)
     res = np.linalg.norm(fx, axis=-1)
     active = res >= res_target
-    stalled = np.zeros(len(x), dtype=bool)
 
     for it in range(_MAX_NEWTON_ITER):
         if not active.any():
@@ -261,14 +259,11 @@ def find_critical_points(
         x[idx] = pos
         res[idx] = new_res
         active[idx] = (new_res >= res_target) & solvable & ~pending
-        stalled[idx] |= ~solvable | pending
         # collapse seeds that have piled onto the same root
         if it == 8 and active.sum() > 64:
             conv = np.nonzero(~active)[0]
             keep = _dedup_wrapped(x[conv], res[conv], 1e-8)
-            drop = np.setdiff1d(conv, conv[keep])
-            stalled[drop] = False
-            res[drop] = np.inf
+            res[np.setdiff1d(conv, conv[keep])] = np.inf
 
     converged = res < res_target
     failed = ~converged & np.isfinite(res)
@@ -413,7 +408,9 @@ def detect_saddle_connections(
     leaving counts as a self connection. Traces that stall at a critical
     point or hit the arclength cap are non-connecting. A saddle outside the
     partners cannot end a trace, even if it is the nearest one; that takes
-    two saddles closer than 2 * arrival_radius.
+    two saddles closer than 2 * arrival_radius. A trace that reaches a zero
+    the critical-point search missed turns back on itself there; a step that
+    moves it less than half its length ends it as stalled too.
 
     All traces advance together by RK4 steps of dx/ds = +-f/|f|, each with
     its own arclength step h = max(0.5 |f| / G, _STEP_FLOOR), where G is the
@@ -504,6 +501,9 @@ def detect_saddle_connections(
         p = x[live] - (np.copysign(shift, miss) / (speed * speed))[:, None] * grad_psi
         x[live] = _unit_rk4_step(evaluator, p, v, (signs[live] * hs)[:, None])
         arc[live] += hs
+        # a unit-speed step moves a trace about hs; one that moved it less than
+        # half of that turned back on itself at a zero the search missed
+        stuck = _norm(torus_delta(x[live], p)) < 0.5 * hs
 
         # arrival bookkeeping against the origin (column 0) and its level partners
         targets = partners[origins[live]]
@@ -513,7 +513,7 @@ def detect_saddle_connections(
         arrived = d[np.arange(len(live)), nearest] < _ARRIVAL_RADIUS
         home = nearest == 0
         ends = [(arrived & ~home, _HETERO), (arrived & home & left_origin[live], _SELF),
-                (arc[live] > _ARCLENGTH_CAP, _CAPPED)]
+                (stuck, _STALLED), (arc[live] > _ARCLENGTH_CAP, _CAPPED)]
         for hit, kind in ends:
             done = live[hit & active[live]]
             outcome[done] = kind
@@ -704,10 +704,8 @@ def distance_to_polyline(points: np.ndarray, line: np.ndarray) -> float:
     crossing of the seam, any other step as given: the line [[0, 0], [4, 0]]
     is one segment of length 4 and raises ValueError.
 
-    Each point is measured only against the segments with an endpoint within
-    d_nn + L_max / 2 of it, where d_nn is its distance to the nearest vertex
-    and L_max the longest segment. The nearest segment always has such an
-    endpoint, so the result equals the minimum over all segments.
+    Each point is measured against every segment, in batches of points, so
+    the result is the minimum over all segments.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     line = np.atleast_2d(np.asarray(line, dtype=np.float64))
@@ -722,34 +720,11 @@ def distance_to_polyline(points: np.ndarray, line: np.ndarray) -> float:
         j = int(too_long[0])
         raise ValueError(f"segment {j} of the line has length {length[j]:.6g}, not below pi")
     seg_sq = np.maximum(np.einsum("si,si->s", seg, seg), 1e-300)
-
-    # scipy.spatial is imported here, not at module level: it adds ~0.1 s to start-up
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(_on_box(line), boxsize=TWO_PI)
-    pts = _on_box(points)
-    d_nn, _ = tree.query(pts)
-    # the slack only adds candidates, so roundoff cannot drop the nearest segment
-    radius = (d_nn + 0.5 * length.max()) * (1.0 + 1e-12) + 1e-15
-    nearest = np.full(len(points), np.inf)
-    chunk = 64  # points per batch: a point may have every vertex as a candidate
+    worst = 0.0
+    chunk = max(1, 65536 // len(seg))  # points per batch, so a batch holds 65536 pairs
     for lo in range(0, len(points), chunk):
-        near = tree.query_ball_point(pts[lo:lo + chunk], radius[lo:lo + chunk])
-        counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
-        vertex = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=counts.sum())
-        owner = np.repeat(np.arange(lo, lo + len(near)), counts)
-        # vertex v ends segment v - 1 and starts segment v
-        cand = np.clip(np.concatenate([vertex - 1, vertex]), 0, len(seg) - 1)
-        owner = np.concatenate([owner, owner])
-        d = torus_delta(points[owner], start[cand])
-        s = np.clip(np.einsum("pi,pi->p", d, seg[cand]) / seg_sq[cand], 0.0, 1.0)
-        gap = np.linalg.norm(d - s[:, None] * seg[cand], axis=-1)
-        np.minimum.at(nearest, owner, gap)
-    return float(nearest.max())
-
-
-def _on_box(points: np.ndarray) -> np.ndarray:
-    """Wrapped copy in [0, 2 pi), as a periodic cKDTree needs; np.mod can round up to 2 pi."""
-    x = wrap(points)
-    x[x >= TWO_PI] = 0.0
-    return x
+        d = torus_delta(points[lo:lo + chunk, None, :], start)
+        s = np.clip(np.einsum("psi,si->ps", d, seg) / seg_sq, 0.0, 1.0)
+        gap = np.linalg.norm(d - s[..., None] * seg, axis=-1)
+        worst = max(worst, float(gap.min(axis=1).max()))
+    return worst

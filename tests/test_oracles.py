@@ -23,7 +23,6 @@ from mhdrecon.oracles import (
     forced_exact_b,
     forced_exact_b_dt,
     remark2_error_bound,
-    remark2_exact_b,
     remark2_exact_error,
     remark2_explicit_bound,
     stability_envelope,
@@ -163,9 +162,8 @@ class TestRemark2:
     def test_exact_error_matches_direct_norm(self, grid32):
         spec = TaylorSpec(4, 4)
         t_end, r = 1.5, 3
-        direct = sobolev_norm(
-            ETA * remark2_exact_b(spec, ETA, t_end, grid32) - make_tilde_t1(grid32), r
-        )
+        b = forced_exact_b(ForcedOracle(spec, None, ETA), t_end, grid32)
+        direct = sobolev_norm(ETA * b - make_tilde_t1(grid32), r)
         assert remark2_exact_error(spec, r, ETA, t_end, grid32) == pytest.approx(
             direct, rel=1e-12
         )
@@ -203,6 +201,6 @@ class TestRemark2:
             big = make_taylor(spec, 1.0, grid32)
             tilde = make_tilde_t1(grid32)
             dbdt = d1 * big + d2 * tilde
-            b = remark2_exact_b(spec, ETA, t, grid32)
+            b = forced_exact_b(ForcedOracle(spec, None, ETA), t, grid32)
             resid = dbdt - ETA * laplacian(b) - tilde
             assert l2_norm(resid) < 1e-10

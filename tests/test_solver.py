@@ -19,7 +19,7 @@ from mhdrecon.fields import (
     sobolev_norm,
     zero_field,
 )
-from mhdrecon.oracles import ForcedOracle, forced_exact_b, forced_exact_b_dt, remark2_exact_b
+from mhdrecon.oracles import ForcedOracle, forced_exact_b, forced_exact_b_dt
 from mhdrecon.solver import (
     BlowUpError,
     ForcingSpec,
@@ -380,9 +380,9 @@ class TestForcedCrossTerm:
     cancels the nonlinear vorticity tendency, so u stays zero."""
 
     @staticmethod
-    def _tendencies(kind, b, t, grid):
+    def _tendencies(kind, b, t, grid, dealias=True):
         """(nonlinear, nonlinear + forcing) tendencies of (psi, a), diffusion-free."""
-        half = _HalfSpectrum(grid, dealias=True)
+        half = _HalfSpectrum(grid, dealias)
         fs = ForcingSpec(kind=kind, spec_nm=TaylorSpec(4, 4),
                          spec_2=TaylorSpec(1, 1) if kind == "theorem2" else None)
         nonlinear = np.empty((2, *grid.spectral_shape), dtype=np.complex128)
@@ -391,21 +391,37 @@ class TestForcedCrossTerm:
         _Forcing(fs, half, ETA).add_to(total, t)
         return nonlinear, total
 
+    def _omega_tendencies(self, kind, t, grid, dealias=True):
+        """Largest |omega| tendency, nonlinear and nonlinear + forcing, at the
+        closed-form state b(t), relative to the size N |b|_C1^2 of curl div(b b^T)."""
+        spec_2 = TaylorSpec(1, 1) if kind == "theorem2" else None
+        b = forced_exact_b(ForcedOracle(TaylorSpec(4, 4), spec_2, ETA), t, grid)
+        nonlinear, total = self._tendencies(kind, b, t, grid, dealias)
+        # omega = |k|^2 psi
+        scale = np.sqrt(32.0) * c1_norm(b) ** 2
+        return (np.abs(grid.ksq * nonlinear[0]).max() / scale,
+                np.abs(grid.ksq * total[0]).max() / scale)
+
     @pytest.mark.parametrize("kind", ["theorem2", "remark2"])
     @pytest.mark.parametrize("t", [0.1, 0.3, 0.8])
     def test_omega_tendency_vanishes(self, grid32, kind, t):
-        if kind == "theorem2":
-            oracle = ForcedOracle(spec_nm=TaylorSpec(4, 4), spec_2=TaylorSpec(1, 1), eta=ETA)
-            b = forced_exact_b(oracle, t, grid32)
-        else:
-            b = remark2_exact_b(TaylorSpec(4, 4), ETA, t, grid32)
-        nonlinear, total = self._tendencies(kind, b, t, grid32)
-        # omega = |k|^2 psi; the tendency is measured against the size
-        # N |b|_C1^2 of curl div(b b^T), and the cross term must be present
-        omega_nonlinear, omega_total = grid32.ksq * nonlinear[0], grid32.ksq * total[0]
-        scale = np.sqrt(32.0) * c1_norm(b) ** 2
-        assert np.abs(omega_nonlinear).max() > 1e-8 * scale
-        assert np.abs(omega_total).max() < 1e-13 * scale
+        nonlinear, total = self._omega_tendencies(kind, t, grid32)
+        # the cross term must be present
+        assert nonlinear > 1e-8
+        assert total < 1e-13
+
+    # Below M = 16 the 2/3 rule cuts into T_44's products: the modes with
+    # |k_i| = 5 > M / 3 are dropped from the Lorentz term, so the force must
+    # drop them too. With T_11 the cut takes the whole cross term; the
+    # undealiased term shows it is there to cut
+    @pytest.mark.parametrize("kind", ["theorem2", "remark2"])
+    @pytest.mark.parametrize("resolution", [12, 14])
+    def test_omega_tendency_vanishes_under_the_dealias_cut(self, resolution, kind):
+        grid = TorusGrid(resolution)
+        nonlinear, _ = self._omega_tendencies(kind, 0.3, grid, dealias=False)
+        assert nonlinear > 1e-8
+        for dealias in (True, False):
+            assert self._omega_tendencies(kind, 0.3, grid, dealias)[1] < 1e-13
 
     @pytest.mark.parametrize("t", [0.1, 0.8])
     def test_potential_tendency_is_the_closed_form_derivative(self, grid32, t):
@@ -416,6 +432,15 @@ class TestForcedCrossTerm:
         dadt = total[1] - ETA * grid32.ksq * b.psi
         exact = forced_exact_b_dt(oracle, t, grid32).psi
         assert np.abs(dadt - exact).max() < 1e-13 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("kind", ["theorem2", "remark2"])
+    @pytest.mark.parametrize("resolution", [12, 14])
+    def test_forced_run_keeps_the_fluid_at_rest(self, resolution, kind):
+        grid = TorusGrid(resolution)
+        fs = ForcingSpec(kind=kind, spec_nm=TaylorSpec(4, 4),
+                         spec_2=TaylorSpec(1, 1) if kind == "theorem2" else None)
+        cfg = SimConfig(nu=NU, eta=ETA, grid=grid, dt=5e-2, t_end=1.0, forcing=fs)
+        assert l2_norm(simulate(cfg, taylor_state(grid, 4, 4)).u) < 1e-15
 
 
 def _vector_rhs(uc, bc, grid, dealias):

@@ -539,6 +539,21 @@ class TestLevelGroups:
         assert message.startswith(head) and message.endswith(tail)
         assert 0.0 <= float(message[len(head):-len(tail)]) <= correction
 
+    def test_trace_at_a_missed_zero_stalls(self, monkeypatch, caplog):
+        # On a 12-point grid the search finds 64 of the 128 zeros of T_44, and
+        # half of the web's traces run onto a missed one. There each step
+        # turns a trace back on itself with |f| above the stall threshold, so
+        # without the no-progress end only the arclength cap ends it. The
+        # web's heteroclinic traces are under 0.8 long, so a cap of 1 keeps them.
+        monkeypatch.setattr(topology, "_ARCLENGTH_CAP", 1.0)
+        f = make_taylor(TaylorSpec(4, 4), 1.0, TorusGrid(12))
+        with caplog.at_level(logging.DEBUG, logger="mhdrecon.topology"):
+            sig, _ = extract_signature(f)
+        assert (sig.n_saddles, sig.n_centers, sig.hetero_connections) == (32, 32, 64)
+        [message] = [r.getMessage() for r in caplog.records
+                     if r.getMessage().startswith("saddle connections")]
+        assert "traces: 64 hetero, 0 self, 64 stalled, 0 capped;" in message
+
     def test_norm_is_bit_identical_to_numpy(self):
         rng = np.random.default_rng(7)
         v = rng.standard_normal((4096, 2)) * 10.0 ** rng.uniform(-8, 3, (4096, 1))
