@@ -538,12 +538,13 @@ def run_frozen_in(cfg: ExperimentConfig, out_dir=None) -> Report:
       pushed points, below pi: a continuous pushed curve cannot jump to
       another component of the same level set.
 
-    pushed_line_min_b (the smallest denominator) and line0_potential_spread
-    (how level a0 is along the traced line0) are reported as certificates,
-    with potential_l2_drift, the relative change of sum_k w(k) |a(k)|^2 from
-    the first to the last snapshot (w = grid.multiplicity). The dealiased
-    ideal induction conserves that sum exactly, so its drift is the
-    time-stepping error alone.
+    line0_points (the number of points traced on line0), pushed_line_min_b
+    (the smallest denominator) and line0_potential_spread (how level a0 is
+    along line0) are reported as certificates, with potential_l2_drift, the
+    relative change of sum_k w(k) |a(k)|^2 from the first to the last
+    snapshot (w = grid.multiplicity). The dealiased ideal induction
+    conserves that sum exactly, so its drift is the time-stepping error
+    alone.
     """
     if cfg.eta != 0.0:
         raise ConfigError("field 'eta': the frozen-in scenario requires eta = 0")
@@ -571,6 +572,7 @@ def run_frozen_in(cfg: ExperimentConfig, out_dir=None) -> Report:
     max_gap = float(torus_distance(pushed[1:], pushed[:-1]).max())
     a_sq0, a_sq1 = (float(np.sum(grid.multiplicity * np.abs(b.psi) ** 2)) for b in (b0, final.b))
     certificate = {
+        "line0_points": len(line0),
         "pushed_line_max_gap": max_gap,
         "pushed_line_min_b": float(speed.min()),
         "line0_potential_spread": float(np.ptp(a0_line)),

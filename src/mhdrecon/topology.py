@@ -50,12 +50,16 @@ _NEWTON_TOL = 1e-12          # residual target, relative to the C1 norm
 _MAX_NEWTON_ITER = 50
 _DEG_TOL_FACTOR = 1e-8       # degeneracy band: |det| <= factor * C1^2
 _C1_RANGE = (1e-150, 1e150)  # keeps C1^2 and the degeneracy band normal floats
-_DEDUP_RADIUS = 10.0 * _NEWTON_TOL
+# Newton stops up to _NEWTON_TOL * C1 / sigma from a zero whose Jacobian has
+# smallest singular value sigma, so two copies of one zero lie up to
+# 2e-12 C1 / sigma apart (7e-11 at a weak saddle with sigma = 0.04 C1); the
+# radius merges them down to sigma = 2e-4 C1
+_DEDUP_RADIUS = 1e-8
 _EPS_LAUNCH = 1e-4           # separatrix launch offset from its saddle
 _ARRIVAL_RADIUS = 1e-2
 _PSI_TOL_FACTOR = 1e-6       # connection level test, relative to osc(psi)
 _ARCLENGTH_CAP = 50.0 * TWO_PI
-_TRACE_STEP = 2e-3           # arclength step of trace_integral_line
+_TRACE_STEP = 5e-2           # arclength step of trace_integral_line
 _STEP_FLOOR = 1e-2 / 256     # smallest arclength step of a separatrix trace
 _STOP_TOL_FACTOR = 1e-6      # stall threshold on |f|, relative to C1
 
@@ -262,7 +266,7 @@ def find_critical_points(
         # collapse seeds that have piled onto the same root
         if it == 8 and active.sum() > 64:
             conv = np.nonzero(~active)[0]
-            keep = _dedup_wrapped(x[conv], res[conv], 1e-8)
+            keep = _dedup_wrapped(x[conv], res[conv], _DEDUP_RADIUS)
             res[np.setdiff1d(conv, conv[keep])] = np.inf
 
     converged = res < res_target
@@ -322,35 +326,59 @@ def _unit_rk4_step(evaluator: FieldEvaluator, x: np.ndarray, v: np.ndarray, h) -
     return wrap(x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
+def _lock_to_level(evaluator: FieldEvaluator, x: np.ndarray, v: np.ndarray, speed: np.ndarray,
+                   level, hs) -> tuple[np.ndarray, np.ndarray]:
+    """One Newton step on psi along grad psi = (-f2, f1) towards psi = level.
+
+    x <- x - (psi(x) - level) grad psi / |f|^2, where v = f(x) and speed =
+    |v| > 0. |grad psi| = |f| vanishes at the zeros, so the step is clamped
+    to a tenth of the arclength step hs. Returns the moved points and the
+    psi correction |shift| of each.
+    """
+    miss = evaluator.potential(x) - level
+    shift = np.minimum(np.abs(miss), 0.1 * hs * speed)
+    grad_psi = np.stack([-v[:, 1], v[:, 0]], axis=-1)
+    return x - (np.copysign(shift, miss) / (speed * speed))[:, None] * grad_psi, shift
+
+
 def trace_integral_line(f: SpectralField2D, x0, arclen: float) -> np.ndarray:
     """Integrate the normalized field dx/ds = f/|f| from x0 for total arclength.
 
     RK4 steps of arclength _TRACE_STEP; positions wrap on the torus, and the
-    polyline of visited points is returned.
+    polyline of visited points is returned. psi is a first integral, so
+    every point is locked to the seed's level psi(x0) by _lock_to_level.
+    Unlocked, the RK4 drift of psi adds up along the line: at this step psi
+    spreads by 8e-9 along the frozen-in run's line of tilde T_1 (osc(psi) =
+    3). Locked, the line stays level to roundoff (5e-16).
     Tracing stops early when |f| drops below the stall threshold (approach to
-    a critical point). Seeding at a critical point raises ConfigurationError.
+    a critical point); that last point is recorded unlocked. Seeding at a
+    critical point raises ConfigurationError.
     """
     h = _TRACE_STEP
     evaluator = f.evaluator
     stop_tol = _STOP_TOL_FACTOR * sum(f.sup_norms)
     x = np.atleast_2d(np.asarray(x0, dtype=np.float64)).copy()
     v = evaluator.values(x)
-    if np.linalg.norm(v) < stop_tol:
+    if _norm(v)[0] < stop_tol:
         raise ConfigurationError("integral-line seed lies at a critical point")
+    level = evaluator.potential(x)
 
     n_steps = int(np.ceil(arclen / h))
     line = np.empty((n_steps + 1, 2))
     line[0] = wrap(x[0])
     count = 1
-    for i in range(n_steps):
-        # v, the field at x, serves both the stall test and the first stage
-        if np.linalg.norm(v) < stop_tol:
-            break
+    for _ in range(n_steps):
         x = _unit_rk4_step(evaluator, x, v, h)
+        # v, the field at x, serves the stall test, the lock and the next first stage
+        v = evaluator.values(x)
+        speed = _norm(v)
+        if speed[0] < stop_tol:
+            line[count] = x[0]
+            count += 1
+            break
+        x = wrap(_lock_to_level(evaluator, x, v, speed, level, h)[0])
         line[count] = x[0]
         count += 1
-        if i + 1 < n_steps:
-            v = evaluator.values(x)
     return line[:count]
 
 
@@ -493,12 +521,8 @@ def detect_saddle_connections(
         v, speed = vals[~stalled], speed[~stalled]
         # arclength step at the turning scale |f| / |grad f| (see the docstring)
         hs = np.maximum(0.5 * speed / j_scale, _STEP_FLOOR)
-        # level lock: a Newton step on psi along grad psi, at most hs / 10 long
-        miss = evaluator.potential(x[live]) - levels[origins[live]]
-        shift = np.minimum(np.abs(miss), 0.1 * hs * speed)
+        p, shift = _lock_to_level(evaluator, x[live], v, speed, levels[origins[live]], hs)
         max_shift = max(max_shift, float(shift.max()))
-        grad_psi = np.stack([-v[:, 1], v[:, 0]], axis=-1)
-        p = x[live] - (np.copysign(shift, miss) / (speed * speed))[:, None] * grad_psi
         x[live] = _unit_rk4_step(evaluator, p, v, (signs[live] * hs)[:, None])
         arc[live] += hs
         # a unit-speed step moves a trace about hs; one that moved it less than

@@ -32,7 +32,7 @@ from mhdrecon.scenarios import (
     run_theorem2,
 )
 from mhdrecon.solver import MHDState, SimConfig, energy, simulate
-from mhdrecon.topology import FlowMapSample, wrap
+from mhdrecon.topology import _TRACE_STEP, FlowMapSample, wrap
 
 from .conftest import FROZEN_IN_MINI
 
@@ -351,7 +351,8 @@ class TestFrozenInMini:
         assert report.metrics["u_l2_max"] > 1
         # the certificates: a continuous pushed curve, a level a0 along line0,
         # and |b(T)| bounded away from 0 where it divides
-        assert report.metrics["pushed_line_max_gap"] < 1e-2
+        assert report.metrics["pushed_line_max_gap"] < 2 * _TRACE_STEP
+        assert report.metrics["line0_points"] == 1 + int(np.ceil(2 * np.pi / _TRACE_STEP))
         assert report.metrics["line0_potential_spread"] < 1e-12
         assert report.metrics["pushed_line_min_b"] > 0.5
         # ideal induction conserves sum_k w(k) |a(k)|^2 up to time-stepping error

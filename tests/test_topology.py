@@ -152,6 +152,20 @@ class TestCriticalPoints:
         for entry in diag:
             assert set(entry) == {"position", "residual"}
 
+    @pytest.mark.parametrize("delta", [0.59833, 0.6, 0.60167, 0.60667])
+    def test_weak_saddles_are_found_once(self, grid32, delta):
+        # saddles with smallest singular value ~0.04: Newton stops up to
+        # 1e-12 C1 / sigma from each zero, so copies of one zero can land
+        # 1e-11 to 7e-11 apart; each zero must be kept once (Poincare-Hopf)
+        f = (1.0 / np.sqrt(18.0)) * make_taylor(TaylorSpec(3, 3), 1.0, grid32) \
+            + delta * make_tilde_t1(grid32)
+        pts = find_critical_points(f)
+        kinds = [p.kind for p in pts]
+        assert kinds.count("saddle") == kinds.count("center") > 0
+        pos = _positions(pts)
+        d = torus_distance(pos[:, None, :], pos[None, :, :])
+        assert d[np.triu_indices(len(pos), 1)].min() > 1e-3
+
 
 def _greedy_dedup(points, residuals, radius):
     """O(n^2) reference of _dedup_wrapped: in order of residual (ties in index
@@ -185,10 +199,13 @@ class TestDedup:
 
 class TestTraceIntegralLine:
     def test_orbit_closes_on_tilde_t1(self, grid64):
-        line = trace_integral_line(make_tilde_t1(grid64), [np.pi / 2, np.pi / 2], arclen=10.0)
+        f = make_tilde_t1(grid64)
+        line = trace_integral_line(f, [np.pi / 2, np.pi / 2], arclen=10.0)
         start = line[0]
-        # skip the initial escape, then require a return to the seed
-        assert torus_distance(line[200:], start).min() < 1e-3
+        # skip the first arclength 2, then require a return to the seed
+        assert torus_distance(line[int(2.0 / _TRACE_STEP):], start).min() < 0.5 * _TRACE_STEP
+        # every point is locked to the seed's level
+        assert np.abs(f.evaluator.potential(line) - f.evaluator.potential(line[:1])).max() < 1e-13
 
     def test_t11_seed_near_saddle_follows_separatrix_web(self, grid64):
         # the orbit through (0.01, pi/2) lies on the level set {psi = 0}, whose
@@ -203,12 +220,19 @@ class TestTraceIntegralLine:
         assert dist_y_line.max() < 2e-2
         assert line[:, 0].max() > 2.0  # it travels toward the saddle at x = pi
 
+    def test_t11_near_saddle_trace_keeps_its_level(self, grid64):
+        # the trace of the test above, seeded 0.01 from the saddle at the origin
+        f = make_taylor(TaylorSpec(1, 1), 1.0, grid64)
+        line = trace_integral_line(f, [0.01, np.pi / 2], arclen=3.0)
+        psi_grid = grid64.to_grid(f.psi)
+        assert np.ptp(f.evaluator.potential(line)) < 1e-12 * (psi_grid.max() - psi_grid.min())
+
     def test_stream_function_is_first_integral(self, grid64):
         f = make_taylor(TaylorSpec(2, 2), 1.0, grid64) + 0.01 * make_tilde_t1(grid64)
         line = trace_integral_line(f, [1.3, 0.4], arclen=8.0)
         vals = f.evaluator.potential(line)
         psi_grid = grid64.to_grid(f.psi)
-        assert vals.max() - vals.min() < 1e-5 * (psi_grid.max() - psi_grid.min())
+        assert vals.max() - vals.min() < 1e-13 * (psi_grid.max() - psi_grid.min())
 
     def test_potential_is_level_on_a_simulated_field(self, frozen_in_mini):
         # b(T) of an ideal run holds modes up to the 2/3 cut-off, so its
@@ -254,26 +278,37 @@ def potential_calls(monkeypatch):
 
 def _trace_with_stall_evaluation(f, x0, arclen):
     """Integral-line RK4 that evaluates the field once more per step for the
-    stall test: the polyline trace_integral_line must reproduce bit for bit."""
+    stall test, and locks each point to the seed's psi level by one Newton
+    step along grad psi = (-f2, f1) that reuses the field at the point,
+    clamped to a tenth of the step; the next step's first stage reuses that
+    field too. The polyline trace_integral_line must reproduce bit for bit."""
     h = _TRACE_STEP
     evaluator = FieldEvaluator(f)
     sup_f, sup_grad = sup_field_and_gradient(f)
     stop_tol = _STOP_TOL_FACTOR * (sup_f + sup_grad)
 
-    def direction(pts):
-        vals = evaluator.values(pts)
+    def unit(vals):
         return vals / np.maximum(np.linalg.norm(vals, axis=-1, keepdims=True), 1e-300)
 
     x = np.atleast_2d(np.asarray(x0, dtype=np.float64)).copy()
+    level = evaluator.potential(x)
+    vals = evaluator.values(x)
     line = [wrap(x[0])]
     for _ in range(int(np.ceil(arclen / h))):
-        if np.linalg.norm(evaluator.values(x)) < stop_tol:
-            break
-        k1 = direction(x)
-        k2 = direction(x + 0.5 * h * k1)
-        k3 = direction(x + 0.5 * h * k2)
-        k4 = direction(x + h * k3)
+        k1 = unit(vals)
+        k2 = unit(evaluator.values(x + 0.5 * h * k1))
+        k3 = unit(evaluator.values(x + 0.5 * h * k2))
+        k4 = unit(evaluator.values(x + h * k3))
         x = wrap(x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        if np.linalg.norm(evaluator.values(x)) < stop_tol:
+            line.append(x[0])
+            break
+        vals = evaluator.values(x)
+        speed = np.linalg.norm(vals, axis=-1)
+        miss = evaluator.potential(x) - level
+        shift = np.minimum(np.abs(miss), 0.1 * h * speed)
+        grad_psi = np.stack([-vals[:, 1], vals[:, 0]], axis=-1)
+        x = wrap(x - (np.copysign(shift, miss) / (speed * speed))[:, None] * grad_psi)
         line.append(x[0])
     return np.array(line)
 
@@ -348,13 +383,20 @@ def _connections_with_stall_evaluation(f, saddles):
 
 class TestEvaluationCounts:
     @pytest.mark.parametrize("seed", [[1.3, 0.4], [0.01, np.pi / 2]])
-    def test_trace_makes_four_evaluations_per_step(self, grid64, values_calls, seed):
+    def test_trace_makes_four_evaluations_per_step(
+            self, grid64, values_calls, potential_calls, seed):
+        # four field evaluations and one of psi (the level lock) per step,
+        # and one of each at the seed: the stall test and the level
         f = make_taylor(TaylorSpec(1, 1), 1.0, grid64) + 0.01 * make_tilde_t1(grid64)
         expected = _trace_with_stall_evaluation(f, seed, arclen=3.0)
         values_calls.clear()
+        potential_calls.clear()
         line = trace_integral_line(f, seed, arclen=3.0)
         assert np.array_equal(line, expected)
-        assert len(values_calls) == 4 * (len(line) - 1)
+        steps = len(line) - 1
+        assert steps == int(np.ceil(3.0 / _TRACE_STEP))
+        assert len(values_calls) == 1 + 4 * steps
+        assert len(potential_calls) == 1 + steps
 
     def test_seeding_lattice_evaluated_once(self, grid64, values_calls):
         f = make_taylor(TaylorSpec(3, 2), 1.0, grid64) + 1e-3 * make_tilde_t1(grid64)
