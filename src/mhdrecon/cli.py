@@ -34,6 +34,7 @@ from .scenarios import (
     _is_even_grid,
     default_out_root,
     load_config,
+    read_config_json,
     run_scenario,
 )
 from .snapshots import read_ndjson, read_snapshot, snapshot_to_field, write_snapshot
@@ -239,14 +240,7 @@ def _is_file_name(name) -> bool:
 def cmd_sweep(args) -> int:
     if not args.config:
         raise ConfigError("sweep requires --config with a {\"runs\": [...]} file")
-    try:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"malformed JSON in {args.config} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    data = read_config_json(args.config)
     if not isinstance(data, dict):
         raise ConfigError("sweep config root must be a JSON object")
     runs = data.get("runs")

@@ -5,9 +5,9 @@ against: the decaying single-Taylor solution, the forced solution
 
     b(t) = e^{-eta N^2 t} T_nm + ((1 - e^{-eta N2^2 t}) / (eta N2^2)) T_{N2}
 
-(the velocity force that keeps u = 0 for it is the solver's "theorem2"
-forcing; with tilde T_1 in place of T_{N2}, its "remark2" forcing), and the
-decay-envelope shapes of the stability and Duhamel estimates (with every
+(ForcedOracle; with tilde T_1 in place of T_{N2}, the variant of Remark 2;
+the solver applies the force it describes when it is SimConfig.forcing), and
+the decay-envelope shapes of the stability and Duhamel estimates (with every
 unquantified constant set to 1; envelopes are used for rate and shape
 comparisons only, never for pointwise domination claims).
 """
@@ -28,7 +28,7 @@ from .fields import (
     sobolev_norm,
     zero_field,
 )
-from .solver import MHDState, forced_time_coefficients
+from .solver import MHDState
 
 # sigma of the stability envelope as a fraction of min(nu, eta)
 _SIGMA_SAFETY = 0.9
@@ -49,10 +49,11 @@ class ForcedOracle:
 
     The small mode is T_{N2} for spec_2, or tilde T_1 (N2^2 = 1) when spec_2 is
     None, the variant of Remark 2. The triple (0, b(t), P(t)) solves the
-    forced equations when the velocity force is
-    -c1(t) c2(t) [(T_nm . grad) T_{N2} + (T_{N2} . grad) T_nm], the term that
-    cancels the advective cross term of b(t) (ForcingSpec "theorem2" and
-    "remark2").
+    forced equations when the magnetic force is the small mode and the
+    velocity force is -c1(t) c2(t) [(T_nm . grad) T_{N2} + (T_{N2} . grad) T_nm],
+    the term that cancels the advective cross term of b(t). This is the one
+    description of the forced construction: as SimConfig.forcing it is the
+    force the solver applies.
     """
 
     spec_nm: TaylorSpec
@@ -75,8 +76,11 @@ class ForcedOracle:
         return make_tilde_t1(grid) if self.spec_2 is None else make_taylor(self.spec_2, 1.0, grid)
 
     def coefficients(self, t: float) -> tuple[float, float]:
-        """Time coefficients (c1, c2) of T_nm and the small mode in the closed form."""
-        return forced_time_coefficients(self.eta, self.spec_nm.eigenvalue, self.n2sq, t)
+        """Time coefficients of T_nm and the small mode in the closed form:
+        (c1, c2) = (e^{-eta N^2 t}, (1 - e^{-eta N2^2 t}) / (eta N2^2))."""
+        c1 = float(np.exp(-self.eta * self.spec_nm.eigenvalue * t))
+        c2 = float(-np.expm1(-self.n2sq * self.eta * t) / (self.eta * self.n2sq))
+        return c1, c2
 
 
 @dataclass(frozen=True)
@@ -84,17 +88,13 @@ class StabilityBound:
     """Parameters of the perturbation-decay envelope delta^2 N^{2r} e^{-2 sigma t}.
 
     sigma must lie strictly below min(nu, eta) of the run it describes;
-    for_run derives it as 0.9 min(nu, eta). gamma is the
-    aggregate initial-energy constant (1 + sum of squared L2 norms of the
-    four initial fields); it enters only the untestable constant and is
-    carried for reporting.
+    for_run derives it as 0.9 min(nu, eta).
     """
 
     sigma: float
     r: int
     delta: float
     n_scale: float
-    gamma: float = 1.0
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -103,18 +103,11 @@ class StabilityBound:
             raise ConfigurationError("n_scale must be positive and delta >= 0")
 
     @classmethod
-    def for_run(
-        cls,
-        nu: float,
-        eta: float,
-        r: int,
-        delta: float,
-        n_scale: float,
-        gamma: float = 1.0,
-    ) -> "StabilityBound":
+    def for_run(cls, nu: float, eta: float, r: int, delta: float,
+                n_scale: float) -> "StabilityBound":
         if min(nu, eta) <= 0:
             raise ConfigurationError("stability bound needs nu, eta > 0")
-        return cls(sigma=_SIGMA_SAFETY * min(nu, eta), r=r, delta=delta, n_scale=n_scale, gamma=gamma)
+        return cls(sigma=_SIGMA_SAFETY * min(nu, eta), r=r, delta=delta, n_scale=n_scale)
 
 
 def decaying_taylor(oracle: DecayingTaylorOracle, t: float, grid: TorusGrid) -> MHDState:

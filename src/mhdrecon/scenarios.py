@@ -54,7 +54,6 @@ from .snapshots import (
 )
 from .solver import (
     BlowUpError,
-    ForcingSpec,
     MHDState,
     SimConfig,
     TrajectoryRecorder,
@@ -215,32 +214,36 @@ class ExperimentConfig:
     def grid(self) -> TorusGrid:
         return TorusGrid(self.resolution)
 
-    def sim_config(self, forcing: ForcingSpec | None = None) -> SimConfig:
+    def sim_config(self, forcing: oracles.ForcedOracle | None = None) -> SimConfig:
         return SimConfig(
             nu=self.nu,
             eta=self.eta,
             grid=self.grid(),
             dt=self.dt,
             t_end=self.t_end,
-            forcing=forcing or ForcingSpec(),
+            forcing=forcing,
             dealias=self.dealias,
             output_cadence=self.output_cadence,
         )
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse a config JSON file; errors carry the offending line or field."""
+def read_config_json(path):
+    """The parsed JSON of a config file; errors carry the file and the offending line."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return ExperimentConfig.from_dict(data)
+
+
+def load_config(path) -> ExperimentConfig:
+    """Parse a config JSON file; errors carry the offending line or field."""
+    return ExperimentConfig.from_dict(read_config_json(path))
 
 
 @dataclass
@@ -372,7 +375,7 @@ def _settled(sig: TopologySignature, ref: TopologySignature) -> bool:
 
 
 def _reconnection_run(cfg: ExperimentConfig, out_dir, label: str, b0, scale: float,
-                      forcing: ForcingSpec | None = None, extra_sinks=()):
+                      forcing: oracles.ForcedOracle | None = None, extra_sinks=()):
     """The construction of Theorems 1 and 2: run from (0, b0), rescale the final b.
 
     Returns (sig0, sig_t, final, b_tilde, time_error): the signatures of b0
@@ -431,13 +434,18 @@ def run_theorem1(cfg: ExperimentConfig, out_dir=None) -> Report:
     )
 
 
+def _forced_oracle(cfg: ExperimentConfig, spec_2: TaylorSpec | None) -> oracles.ForcedOracle:
+    """The forced construction of a run from T_nm, checked before any work."""
+    if cfg.eta <= 0:
+        raise ConfigError(f"field 'eta': the {cfg.scenario} scenario requires eta > 0")
+    return oracles.ForcedOracle(TaylorSpec(cfg.n, cfg.m), spec_2, cfg.eta)
+
+
 def run_theorem2(cfg: ExperimentConfig, out_dir=None) -> Report:
     """Forced reconnection run checked against the closed-form solution."""
     grid = cfg.grid()
-    spec_nm = TaylorSpec(cfg.n, cfg.m)
     spec_2 = TaylorSpec(cfg.n2, cfg.m2)
-    oracle = oracles.ForcedOracle(spec_nm=spec_nm, spec_2=spec_2, eta=cfg.eta)
-    forcing = ForcingSpec(kind="theorem2", spec_nm=spec_nm, spec_2=spec_2)
+    oracle = _forced_oracle(cfg, spec_2)
 
     oracle_errors: list[tuple[float, float]] = []
     u_norms: list[tuple[float, float]] = []
@@ -449,8 +457,8 @@ def run_theorem2(cfg: ExperimentConfig, out_dir=None) -> Report:
         u_norms.append((state.t, l2_norm(state.u)))
 
     sig0, sig_t, _, b_tilde, time_error = _reconnection_run(
-        cfg, out_dir, "theorem2", make_taylor(spec_nm, 1.0, grid), cfg.eta * spec_2.eigenvalue,
-        forcing, extra_sinks=[compare])
+        cfg, out_dir, "theorem2", make_taylor(oracle.spec_nm, 1.0, grid),
+        cfg.eta * spec_2.eigenvalue, oracle, extra_sinks=[compare])
     hr_dist = sobolev_norm(b_tilde - make_taylor(spec_2, 1.0, grid), cfg.r)
 
     verdict = (
@@ -483,10 +491,10 @@ def run_theorem2(cfg: ExperimentConfig, out_dir=None) -> Report:
 def run_remark2(cfg: ExperimentConfig, out_dir=None) -> Report:
     """Forced run toward tilde T_1 with the closed-form error/bound comparison."""
     grid = cfg.grid()
-    spec_nm = TaylorSpec(cfg.n, cfg.m)
-    forcing = ForcingSpec(kind="remark2", spec_nm=spec_nm)
+    oracle = _forced_oracle(cfg, None)
+    spec_nm = oracle.spec_nm
     sig0, sig_t, final, b_tilde, time_error = _reconnection_run(
-        cfg, out_dir, "remark2", make_taylor(spec_nm, 1.0, grid), cfg.eta, forcing)
+        cfg, out_dir, "remark2", make_taylor(spec_nm, 1.0, grid), cfg.eta, oracle)
 
     err_sim = sobolev_norm(b_tilde - make_tilde_t1(grid), cfg.r)
     err_exact = oracles.remark2_exact_error(spec_nm, cfg.r, cfg.eta, cfg.t_end, grid)
@@ -649,9 +657,7 @@ def run_stability_decay(cfg: ExperimentConfig, out_dir=None) -> Report:
     q = np.array(q)
 
     gamma = 1.0 + l2_norm(base) ** 2 + (cfg.delta * l2_norm(tilde)) ** 2
-    bound = oracles.StabilityBound.for_run(
-        cfg.nu, cfg.eta, cfg.r, cfg.delta, n_scale, gamma=gamma
-    )
+    bound = oracles.StabilityBound.for_run(cfg.nu, cfg.eta, cfg.r, cfg.delta, n_scale)
     envelope = [oracles.stability_envelope(bound, t) for t in times]
 
     late = times >= 0.5 * cfg.t_end

@@ -13,8 +13,10 @@ Snapshot layout (little-endian throughout):
 The header carries {format_version, time, nu, eta, resolution, fields}.
 A state is stored as its vector view: the full-complex component
 coefficients u1, u2, b1, b2 (SpectralField2D.components), read back through
-SpectralField2D.from_components, which checks them. Round-trips are
-bit-exact. Diagnostics are one JSON object per line; Python's
+SpectralField2D.from_components, which checks them. The arrays round-trip
+bit for bit; a state read back is one rounding off the one written in psi,
+which from_components recomputes from the components as
+i (k1 c2 - k2 c1) / |k|^2. Diagnostics are one JSON object per line; Python's
 JSON float formatting round-trips IEEE doubles exactly, so parsing recovers
 the records losslessly.
 """

@@ -35,26 +35,26 @@ the fields of psi and a themselves.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 from dataclasses import dataclass, field
 from math import factorial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .fields import (
     ConfigurationError,
     SpectralField2D,
-    TaylorSpec,
     TorusGrid,
     l2_inner,
     make_taylor,
-    make_tilde_t1,
     zero_field,
 )
 # Not called here: bench/tracer.py looks the projection up as solver.project_coeffs.
 from .fields import project_coeffs  # noqa: F401
+
+if TYPE_CHECKING:  # oracles imports MHDState from here
+    from .oracles import ForcedOracle
 
 log = logging.getLogger(__name__)
 
@@ -78,47 +78,19 @@ class MHDState:
 
 
 @dataclass(frozen=True)
-class ForcingSpec:
-    """Declarative description of the body forces (f1 on u, f2 on b).
-
-    kinds:
-      none      no forcing
-      theorem2  f2 = T_{n2,m2} static; f1(t) = -c1(t) c2(t) X with X the
-                advective cross term of the two Taylor modes, chosen so the
-                exact solution keeps u = 0 (c1, c2 are the time coefficients
-                of the two modes in the closed-form magnetic field)
-      remark2   same construction with the small mode replaced by tilde T_1
-
-    Both forces always have zero average. Only the curl of f1 acts (the
-    pressure absorbs its gradient part), so f1 need not be solenoidal.
-    """
-
-    kind: str = "none"
-    spec_nm: TaylorSpec | None = None
-    spec_2: TaylorSpec | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("none", "theorem2", "remark2"):
-            raise ConfigurationError(f"unknown forcing kind {self.kind!r}")
-        if self.kind == "theorem2":
-            if self.spec_nm is None or self.spec_2 is None:
-                raise ConfigurationError("theorem2 forcing needs spec_nm and spec_2")
-            if self.spec_2.eigenvalue >= self.spec_nm.eigenvalue:
-                raise ConfigurationError("theorem2 forcing requires N2^2 < N^2")
-        if self.kind == "remark2" and self.spec_nm is None:
-            raise ConfigurationError("remark2 forcing needs spec_nm")
-
-
-@dataclass(frozen=True)
 class SimConfig:
-    """Everything a run needs: physics parameters, grid, stepping, forcing."""
+    """Everything a run needs: physics parameters, grid, stepping, forcing.
+
+    forcing is None for an unforced run, or the forced construction whose
+    closed form the run follows; its eta must be the run's.
+    """
 
     nu: float
     eta: float
     grid: TorusGrid
     dt: float
     t_end: float
-    forcing: ForcingSpec = field(default_factory=ForcingSpec)
+    forcing: ForcedOracle | None = None
     dealias: bool = True
     output_cadence: int = 50
 
@@ -131,17 +103,9 @@ class SimConfig:
             raise ConfigurationError("t_end must be >= 0")
         if self.output_cadence < 1:
             raise ConfigurationError("output_cadence must be >= 1")
-
-
-def forced_time_coefficients(eta: float, nsq: float, n2sq: float, t: float) -> tuple[float, float]:
-    """(c1, c2) = (e^{-eta N^2 t}, (1 - e^{-eta N2^2 t}) / (eta N2^2)).
-
-    The time coefficients of the two modes in the closed-form forced field
-    b(t) = c1 T_nm + c2 T_{N2}, with nsq = N^2 and n2sq = N2^2.
-    """
-    c1 = float(np.exp(-eta * nsq * t))
-    c2 = float(-np.expm1(-n2sq * eta * t) / (eta * n2sq))
-    return c1, c2
+        if self.forcing is not None and self.forcing.eta != self.eta:
+            raise ConfigurationError(
+                f"the forcing has eta = {self.forcing.eta}, the run eta = {self.eta}")
 
 
 class _HalfSpectrum:
@@ -217,58 +181,39 @@ class _HalfSpectrum:
 
 
 class _Forcing:
-    """f1(t), f2(t) as their stream functions on the half-spectrum.
+    """f1(t), f2(t) of a forced construction as their stream functions on the half-spectrum.
 
-    Only the curl of f1 acts on the vorticity (the pressure absorbs the
-    rest), so f1 enters the equation of psi as curl f1 / |k|^2, the stream
-    function of its solenoidal part; f2 enters that of a as its stream
-    function.
+    For the oracle's closed form b(t) = c1(t) big + c2(t) small, with big =
+    T_nm, the force is f2 = small, static, and f1(t) = -c1(t) c2(t) X with
+    X = (big . grad) small + (small . grad) big, the advective cross term of
+    b(t): it keeps u = 0. Only the curl of f1 acts on the vorticity (the
+    pressure absorbs the rest), so f1 enters the equation of psi as
+    curl f1 / |k|^2, the stream function of its solenoidal part; f2 enters
+    that of a as its stream function. Without an oracle there is no force.
     """
 
-    def __init__(self, spec: ForcingSpec, half: _HalfSpectrum, eta: float):
+    def __init__(self, oracle: ForcedOracle | None, half: _HalfSpectrum):
+        self.oracle = oracle
+        if oracle is None:
+            return
         grid = half.grid
-        self.eta = eta
-        self._static: np.ndarray | None = None
-        self._cross: np.ndarray | None = None
-        self._nsq = self._n2sq = 0.0
-        kind = spec.kind
-        if kind in ("theorem2", "remark2"):
-            if eta <= 0:
-                raise ConfigurationError(f"{kind} forcing requires eta > 0")
-            big = make_taylor(spec.spec_nm, 1.0, grid)
-            if kind == "theorem2":
-                small = make_taylor(spec.spec_2, 1.0, grid)
-                self._n2sq = float(spec.spec_2.eigenvalue)
-            else:
-                small = make_tilde_t1(grid)
-                self._n2sq = 1.0
-            self._nsq = float(spec.spec_nm.eigenvalue)
-            # f2 = small is static; f1 is the time-dependent cross term alone,
-            # X = (big . grad) small + (small . grad) big. It is taken from the
-            # solver's own Lorentz term by polarization: at u = big - small,
-            # b = big + small the psi tendency of rhs is
-            # curl div(b b^T - u u^T) / |k|^2 = 2 curl X / |k|^2, masked like
-            # the term it cancels
-            self._static = half.from_fields(zero_field(grid), small)
-            tendency = np.empty_like(self._static)
-            half.rhs(half.from_fields(big - small, big + small), tendency)
-            self._cross = 0.5 * tendency[0]
+        big = make_taylor(oracle.spec_nm, 1.0, grid)
+        small = oracle.small_mode(grid)
+        # X is taken from the solver's own Lorentz term by polarization: at
+        # u = big - small, b = big + small the psi tendency of rhs is
+        # curl div(b b^T - u u^T) / |k|^2 = 2 curl X / |k|^2, masked like the
+        # term it cancels
+        self._static = half.from_fields(zero_field(grid), small)
+        tendency = np.empty_like(self._static)
+        half.rhs(half.from_fields(big - small, big + small), tendency)
+        self._cross = 0.5 * tendency[0]
 
     def add_to(self, out: np.ndarray, t: float) -> None:
         """Add the stream functions of f1(t) and f2(t) to the tendencies out."""
-        if self._cross is not None:
-            c1, c2 = forced_time_coefficients(self.eta, self._nsq, self._n2sq, t)
+        if self.oracle is not None:
+            c1, c2 = self.oracle.coefficients(t)
             out += self._static
             out[0] += (-c1 * c2) * self._cross
-
-
-def nonlinear_rhs(state: MHDState, dealias: bool = True) -> tuple[SpectralField2D, SpectralField2D]:
-    """Nonlinear spectral tendencies of (u, b); diffusion and forcing excluded."""
-    half = _HalfSpectrum(state.u.grid, dealias)
-    dz = half.stages[0]
-    half.rhs(half.from_fields(state.u, state.b), dz)
-    view = half.to_state(dz, state.t)
-    return view.u, view.b
 
 
 # Taylor coefficients, j = 0 .. 19, of phi_1(z) = (e^z - 1) / z and of the
@@ -415,11 +360,6 @@ def _step(z, t: float, h: float, half: _HalfSpectrum, forcing: _Forcing,
     return zn
 
 
-def step(state: MHDState, cfg: SimConfig) -> MHDState:
-    """Advance one time step of size cfg.dt: simulate up to state.t + cfg.dt."""
-    return simulate(dataclasses.replace(cfg, t_end=state.t + cfg.dt), state)
-
-
 def simulate(cfg: SimConfig, initial: MHDState, sinks=()) -> MHDState:
     """Advance to cfg.t_end, emitting states to sinks at the output cadence.
 
@@ -446,7 +386,7 @@ def simulate(cfg: SimConfig, initial: MHDState, sinks=()) -> MHDState:
         return initial
 
     half = _HalfSpectrum(cfg.grid, cfg.dealias)
-    forcing = _Forcing(cfg.forcing, half, cfg.eta)
+    forcing = _Forcing(cfg.forcing, half)
     z = half.from_fields(initial.u, initial.b)
     n_full = int(np.floor(total / cfg.dt + 1e-9))
     leftover = total - n_full * cfg.dt

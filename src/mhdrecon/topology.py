@@ -576,6 +576,13 @@ def extract_signature(
             "degenerate point; the search missed or invented a point",
             len(saddles), len(centers),
         )
+    if len(centers) + len(degenerate) < 2:
+        # a nonzero mean-free potential on T^2 has a maximum and a minimum
+        log.warning(
+            "critical points miss the extrema of the potential: %d centers and %d "
+            "degenerate points, where a nonzero field has at least 2; the search "
+            "missed points", len(centers), len(degenerate),
+        )
     hetero, selfc = detect_saddle_connections(f, saddles)
     stable = len(degenerate) == 0 and hetero == 0 and len(points) > 0
     sig = TopologySignature(

@@ -4,6 +4,7 @@ from hypothesis import settings
 
 from mhdrecon.fields import SpectralField2D, TorusGrid
 from mhdrecon.scenarios import ExperimentConfig, run_frozen_in
+from mhdrecon.solver import _HalfSpectrum
 
 # Property tests draw the same examples on every host and run, and keep no
 # example database between runs.
@@ -46,3 +47,13 @@ def random_divergence_free(grid: TorusGrid, kmax: int, seed: int) -> SpectralFie
     psi = grid.from_grid(rng.standard_normal(grid.shape)) * grid.resolution
     band = (np.abs(grid.k1) <= kmax) & (grid.k2 <= kmax)
     return SpectralField2D(grid, psi * band * np.sqrt(grid.inv_ksq))
+
+
+def nonlinear_tendencies(state, dealias: bool = True):
+    """The nonlinear tendencies of (u, b) as fields, from _HalfSpectrum.rhs;
+    diffusion and forcing excluded."""
+    half = _HalfSpectrum(state.u.grid, dealias)
+    out = np.empty_like(half.stages[0])
+    half.rhs(half.from_fields(state.u, state.b), out)
+    view = half.to_state(out, state.t)
+    return view.u, view.b

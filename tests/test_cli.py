@@ -138,6 +138,13 @@ class TestTopologyCommand:
         assert not (tmp_path / "field.snap").exists()
 
 
+def assert_malformed_config_names_line(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_text('{\n "scenario": "theorem2",,\n}\n')
+    assert main([command, "--config", str(path)]) == 1
+    assert f"malformed JSON in {path} at line 2" in capsys.readouterr().err
+
+
 class TestScenarioCommands:
     def test_theorem2_exit_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -158,11 +165,17 @@ class TestScenarioCommands:
         assert "absent.json" in capsys.readouterr().err
 
     def test_malformed_config_names_line(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text('{\n "scenario": "theorem2",,\n}\n')
-        code = main(["theorem2", "--config", str(path)])
-        assert code == 1
-        assert "line 2" in capsys.readouterr().err
+        assert_malformed_config_names_line(tmp_path, capsys, "theorem2")
+
+    @pytest.mark.parametrize("command", ["theorem2", "remark2"])
+    def test_forced_run_without_resistivity_names_eta(self, tmp_path, capsys, command):
+        # the closed form of the forced runs divides by eta; the run is refused
+        # before the first signature or solver step
+        cfg = write_config(tmp_path, scenario=command, resolution=16, eta=0.0)
+        out_dir = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out_dir)]) == 1
+        assert "error: field 'eta': " in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_wrong_scenario_command_pairing(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -241,6 +254,9 @@ class TestSweepCommand:
         assert (out_dir / "b" / "report.json").exists()
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 2
+
+    def test_malformed_config_names_line(self, tmp_path, capsys):
+        assert_malformed_config_names_line(tmp_path, capsys, "sweep")
 
     def test_sweep_requires_runs(self, tmp_path):
         path = tmp_path / "empty.json"

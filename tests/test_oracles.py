@@ -27,7 +27,9 @@ from mhdrecon.oracles import (
     remark2_explicit_bound,
     stability_envelope,
 )
-from mhdrecon.solver import SimConfig, TrajectoryRecorder, nonlinear_rhs, simulate
+from mhdrecon.solver import SimConfig, TrajectoryRecorder, simulate
+
+from .conftest import nonlinear_tendencies
 
 ETA = 0.5
 
@@ -50,7 +52,7 @@ class TestDecayingTaylor:
     def test_is_stationary_for_nonlinearity(self, grid64):
         oracle = DecayingTaylorOracle(spec=TaylorSpec(3, 1), eta=ETA, amplitude=1.0)
         st = decaying_taylor(oracle, 0.7, grid64)
-        du, db = nonlinear_rhs(st)
+        du, db = nonlinear_tendencies(st)
         assert l2_norm(du) < 1e-10 and l2_norm(db) < 1e-10
 
     def test_simulated_reference_matches(self, grid32):

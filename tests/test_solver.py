@@ -22,7 +22,6 @@ from mhdrecon.fields import (
 from mhdrecon.oracles import ForcedOracle, forced_exact_b, forced_exact_b_dt
 from mhdrecon.solver import (
     BlowUpError,
-    ForcingSpec,
     MHDState,
     SimConfig,
     TrajectoryRecorder,
@@ -32,12 +31,10 @@ from mhdrecon.solver import (
     duhamel_remainder,
     energy,
     heat_propagate,
-    nonlinear_rhs,
     simulate,
-    step,
 )
 
-from .conftest import random_divergence_free
+from .conftest import nonlinear_tendencies, random_divergence_free
 
 ETA = NU = 0.5
 
@@ -94,49 +91,44 @@ class TestNonlinearRHS:
 
     def test_taylor_fields_are_euler_stationary(self, grid64):
         st = taylor_state(grid64, 3, 2)
-        du, db = nonlinear_rhs(st)
+        du, db = nonlinear_tendencies(st)
         scale = l2_norm(st.b) ** 2
         assert l2_norm(du) < 1e-13 * scale
         assert l2_norm(db) < 1e-13 * scale
 
     def test_equal_fields_cancel_induction(self, grid64):
         f = random_divergence_free(grid64, 8, seed=12)
-        _, db = nonlinear_rhs(MHDState(f, f, 0.0))
+        _, db = nonlinear_tendencies(MHDState(f, f, 0.0))
         assert l2_norm(db) == 0.0
 
     def test_cross_term_bilinearity(self, grid64):
         # u = 0, b = T44 + T11: only the symmetric cross term survives projection
         t44 = make_taylor(TaylorSpec(4, 4), 1.0, grid64)
         t11 = make_taylor(TaylorSpec(1, 1), 1.0, grid64)
-        du, _ = nonlinear_rhs(MHDState(zero_field(grid64), t44 + t11, 0.0))
+        du, _ = nonlinear_tendencies(MHDState(zero_field(grid64), t44 + t11, 0.0))
         cross = project_coeffs(_advective_cross_term(t44, t11), grid64)
         assert np.max(np.abs(_half(du) - cross)) < 1e-12 * np.max(np.abs(cross))
 
 
 class TestStep:
     def test_single_taylor_decays_exactly(self, grid64):
-        cfg = SimConfig(nu=NU, eta=ETA, grid=grid64, dt=1e-2, t_end=1.0)
+        cfg = SimConfig(nu=NU, eta=ETA, grid=grid64, dt=1e-2, t_end=1e-2)
         st = taylor_state(grid64, 1, 1)
-        out = step(st, cfg)
+        out = simulate(cfg, st)
         expected = np.exp(-ETA * 2.0 * cfg.dt)
         assert l2_norm(out.b) / l2_norm(st.b) == pytest.approx(expected, rel=1e-10)
         assert l2_norm(out.u) < 1e-12
         assert out.t == pytest.approx(cfg.dt)
 
     def test_zero_state_stays_zero(self, grid32):
-        cfg = SimConfig(nu=NU, eta=ETA, grid=grid32, dt=1e-2, t_end=1.0)
-        out = step(MHDState(zero_field(grid32), zero_field(grid32), 0.0), cfg)
+        cfg = SimConfig(nu=NU, eta=ETA, grid=grid32, dt=1e-2, t_end=1e-2)
+        out = simulate(cfg, MHDState(zero_field(grid32), zero_field(grid32), 0.0))
         assert l2_norm(out.u) == 0.0 and l2_norm(out.b) == 0.0
 
     def test_forced_step_tracks_closed_form(self, grid32):
-        spec_nm, spec_2 = TaylorSpec(4, 4), TaylorSpec(1, 1)
-        fs = ForcingSpec(kind="theorem2", spec_nm=spec_nm, spec_2=spec_2)
-        cfg = SimConfig(nu=NU, eta=ETA, grid=grid32, dt=1e-3, t_end=1.0, forcing=fs)
-        st = taylor_state(grid32, 4, 4)
-        out = st
-        for _ in range(20):
-            out = step(out, cfg)
-        oracle = ForcedOracle(spec_nm=spec_nm, spec_2=spec_2, eta=ETA)
+        oracle = ForcedOracle(spec_nm=TaylorSpec(4, 4), spec_2=TaylorSpec(1, 1), eta=ETA)
+        cfg = SimConfig(nu=NU, eta=ETA, grid=grid32, dt=1e-3, t_end=2e-2, forcing=oracle)
+        out = simulate(cfg, taylor_state(grid32, 4, 4))
         exact = forced_exact_b(oracle, out.t, grid32)
         assert l2_norm(out.b - exact) / l2_norm(exact) < 1e-10
         assert l2_norm(out.u) < 1e-10
@@ -144,10 +136,8 @@ class TestStep:
     def test_divergence_and_mean_after_steps(self, grid64):
         u0 = 0.05 * random_divergence_free(grid64, 6, seed=1)
         b0 = 0.05 * random_divergence_free(grid64, 6, seed=2)
-        cfg = SimConfig(nu=NU, eta=ETA, grid=grid64, dt=2e-3, t_end=1.0)
-        st = MHDState(u0, b0, 0.0)
-        for _ in range(5):
-            st = step(st, cfg)
+        cfg = SimConfig(nu=NU, eta=ETA, grid=grid64, dt=2e-3, t_end=1e-2)
+        st = simulate(cfg, MHDState(u0, b0, 0.0))
         k = grid64.wavenumbers
         for f in (st.u, st.b):
             c = f.components()
@@ -235,9 +225,9 @@ class TestSimulate:
 
     def test_cfl_warning_on_step(self, grid32, caplog):
         u0 = 100.0 * make_tilde_t1(grid32)
-        cfg = SimConfig(nu=0.0, eta=0.0, grid=grid32, dt=0.5, t_end=1.0)
+        cfg = SimConfig(nu=0.0, eta=0.0, grid=grid32, dt=0.5, t_end=0.5)
         with caplog.at_level(logging.WARNING, logger="mhdrecon.solver"):
-            step(MHDState(u0, zero_field(grid32), 0.0), cfg)
+            simulate(cfg, MHDState(u0, zero_field(grid32), 0.0))
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "CFL number >= 0.5 on 1 of 1 steps" in caplog.records[0].getMessage()
 
@@ -365,38 +355,31 @@ class TestDuhamelRemainder:
             duhamel_remainder(Trajectory(cfg), ETA)
 
 
-class TestForcingSpec:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ForcingSpec(kind="quadratic")
-
-    def test_theorem2_requires_mode_ordering(self):
-        with pytest.raises(ConfigurationError):
-            ForcingSpec(kind="theorem2", spec_nm=TaylorSpec(1, 1), spec_2=TaylorSpec(4, 4))
-
-
 class TestForcedCrossTerm:
     """At the closed-form state (0, b(t)) of the forced runs the velocity force
     cancels the nonlinear vorticity tendency, so u stays zero."""
 
     @staticmethod
-    def _tendencies(kind, b, t, grid, dealias=True):
+    def _oracle(kind):
+        """The construction of theorem2 (small mode T_11) or of remark2 (tilde T_1)."""
+        return ForcedOracle(TaylorSpec(4, 4), TaylorSpec(1, 1) if kind == "theorem2" else None, ETA)
+
+    @staticmethod
+    def _tendencies(oracle, b, t, grid, dealias=True):
         """(nonlinear, nonlinear + forcing) tendencies of (psi, a), diffusion-free."""
         half = _HalfSpectrum(grid, dealias)
-        fs = ForcingSpec(kind=kind, spec_nm=TaylorSpec(4, 4),
-                         spec_2=TaylorSpec(1, 1) if kind == "theorem2" else None)
         nonlinear = np.empty((2, *grid.spectral_shape), dtype=np.complex128)
         half.rhs(half.from_fields(zero_field(grid), b), nonlinear)
         total = nonlinear.copy()
-        _Forcing(fs, half, ETA).add_to(total, t)
+        _Forcing(oracle, half).add_to(total, t)
         return nonlinear, total
 
     def _omega_tendencies(self, kind, t, grid, dealias=True):
         """Largest |omega| tendency, nonlinear and nonlinear + forcing, at the
         closed-form state b(t), relative to the size N |b|_C1^2 of curl div(b b^T)."""
-        spec_2 = TaylorSpec(1, 1) if kind == "theorem2" else None
-        b = forced_exact_b(ForcedOracle(TaylorSpec(4, 4), spec_2, ETA), t, grid)
-        nonlinear, total = self._tendencies(kind, b, t, grid, dealias)
+        oracle = self._oracle(kind)
+        b = forced_exact_b(oracle, t, grid)
+        nonlinear, total = self._tendencies(oracle, b, t, grid, dealias)
         # omega = |k|^2 psi
         scale = np.sqrt(32.0) * c1_norm(b) ** 2
         return (np.abs(grid.ksq * nonlinear[0]).max() / scale,
@@ -428,7 +411,7 @@ class TestForcedCrossTerm:
         # d_t a = eta Lap a + psi(f2) along b(t): the induction term vanishes for u = 0
         oracle = ForcedOracle(spec_nm=TaylorSpec(4, 4), spec_2=TaylorSpec(1, 1), eta=ETA)
         b = forced_exact_b(oracle, t, grid32)
-        _, total = self._tendencies("theorem2", b, t, grid32)
+        _, total = self._tendencies(oracle, b, t, grid32)
         dadt = total[1] - ETA * grid32.ksq * b.psi
         exact = forced_exact_b_dt(oracle, t, grid32).psi
         assert np.abs(dadt - exact).max() < 1e-13 * np.abs(exact).max()
@@ -437,10 +420,15 @@ class TestForcedCrossTerm:
     @pytest.mark.parametrize("resolution", [12, 14])
     def test_forced_run_keeps_the_fluid_at_rest(self, resolution, kind):
         grid = TorusGrid(resolution)
-        fs = ForcingSpec(kind=kind, spec_nm=TaylorSpec(4, 4),
-                         spec_2=TaylorSpec(1, 1) if kind == "theorem2" else None)
-        cfg = SimConfig(nu=NU, eta=ETA, grid=grid, dt=5e-2, t_end=1.0, forcing=fs)
+        cfg = SimConfig(nu=NU, eta=ETA, grid=grid, dt=5e-2, t_end=1.0, forcing=self._oracle(kind))
         assert l2_norm(simulate(cfg, taylor_state(grid, 4, 4)).u) < 1e-15
+
+    def test_forcing_eta_must_be_the_runs(self, grid32):
+        # the closed form the force keeps depends on eta: a run at another eta
+        # would follow neither its own equations' solution nor the oracle's
+        with pytest.raises(ConfigurationError, match="eta"):
+            SimConfig(nu=NU, eta=0.25, grid=grid32, dt=5e-2, t_end=1.0,
+                      forcing=self._oracle("theorem2"))
 
 
 def _vector_rhs(uc, bc, grid, dealias):
@@ -519,7 +507,7 @@ class TestPotentialFormCore:
 
     def test_nonlinear_rhs_matches_vector_form(self, case):
         cfg, st = case
-        du, db = nonlinear_rhs(st, dealias=cfg.dealias)
+        du, db = nonlinear_tendencies(st, dealias=cfg.dealias)
         ref_u, ref_b = _vector_rhs(_half(st.u), _half(st.b), cfg.grid, cfg.dealias)
         assert _rel_max(_half(du), ref_u) < 1e-12
         assert _rel_max(_half(db), ref_b) < 1e-12
@@ -543,15 +531,6 @@ class TestPotentialFormCore:
                 back = SpectralField2D.from_components(cfg.grid, f.components())
                 assert _rel_max(back.psi, f.psi) < 1e-13
 
-    def test_step_equals_one_step_of_simulate(self, case):
-        cfg, st = case
-        one = SimConfig(nu=cfg.nu, eta=cfg.eta, grid=cfg.grid, dt=cfg.dt, t_end=cfg.dt,
-                        dealias=cfg.dealias)
-        a, b = step(st, cfg), simulate(one, st)
-        assert a.t == b.t == cfg.dt
-        assert np.array_equal(a.u.psi, b.u.psi)
-        assert np.array_equal(a.b.psi, b.b.psi)
-
     def test_nyquist_content_removed_after_first_step(self, grid32):
         ny = grid32.resolution // 2
         u0 = 0.3 * make_taylor(TaylorSpec(2, 1), 1.0, grid32)
@@ -561,8 +540,8 @@ class TestPotentialFormCore:
         b[0, 0, ny] = 0.1
         b0 = SpectralField2D.from_components(grid32, b)
         assert np.all(b0.components()[:, :, ny] == 0.0)
-        cfg = SimConfig(nu=NU, eta=ETA, grid=grid32, dt=1e-3, t_end=1.0)
-        out = step(MHDState(u0, b0, 0.0), cfg)
+        cfg = SimConfig(nu=NU, eta=ETA, grid=grid32, dt=1e-3, t_end=1e-3)
+        out = simulate(cfg, MHDState(u0, b0, 0.0))
         for f in (out.u, out.b):
             c = f.components()
             assert np.all(c[:, ny, :] == 0.0) and np.all(c[:, :, ny] == 0.0)

@@ -623,8 +623,26 @@ class TestPoincareHopf:
             sig, points = extract_signature(make_tilde_t1(grid64))
         assert sig.to_dict() == TopologySignature(
             n_saddles=2, n_centers=1, self_connections=8, structurally_stable=True).to_dict()
-        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        # one center left is also one extremum short of a maximum and a minimum
+        assert [r.levelname for r in caplog.records] == ["WARNING", "WARNING"]
         assert "2 saddles but 1 centers" in caplog.records[0].getMessage()
+        assert "1 centers and 0 degenerate points" in caplog.records[1].getMessage()
+
+    @pytest.mark.parametrize("resolution, warned", [(16, True), (32, False)])
+    def test_missed_extrema_warn(self, caplog, resolution, warned):
+        # At M = 16 every cell-centre seed of T_44 sits where det grad f = 0,
+        # so the search finds no point at all: 0 saddles = 0 centers passes
+        # Poincare-Hopf, but the potential's maximum and minimum are missing
+        f = make_taylor(TaylorSpec(4, 4), 1.0, TorusGrid(resolution))
+        with caplog.at_level(logging.WARNING, logger="mhdrecon.topology"):
+            sig, _ = extract_signature(f)
+        messages = [r.getMessage() for r in caplog.records]
+        if warned:
+            assert sig.n_centers == 0
+            assert ["miss the extrema" in m for m in messages] == [True]
+        else:
+            assert sig.n_centers == 64
+            assert not messages
 
 
 class TestStructuralStability:
