@@ -6,8 +6,6 @@ from .fields import (
     TaylorSpec,
     TorusGrid,
     c1_norm,
-    eval_field,
-    jacobian,
     l2_norm,
     make_taylor,
     make_tilde_t1,
@@ -54,12 +52,10 @@ __all__ = [
     "c1_norm",
     "detect_saddle_connections",
     "duhamel_remainder",
-    "eval_field",
     "extract_signature",
     "find_critical_points",
     "flow_map",
     "heat_propagate",
-    "jacobian",
     "l2_norm",
     "load_config",
     "make_taylor",

@@ -391,20 +391,6 @@ class FieldEvaluator:
         return s[:, :2].copy(), jac
 
 
-def eval_field(f: SpectralField2D, x) -> np.ndarray:
-    """Evaluate f at one point (2,) or many points (P, 2) by exact trig summation."""
-    pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    out = f.evaluator.values(pts)
-    return out[0] if np.ndim(x) == 1 else out
-
-
-def jacobian(f: SpectralField2D, x) -> np.ndarray:
-    """Spectral Jacobian grad f at one point (2, 2) or many points (P, 2, 2)."""
-    pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    _, jac = f.evaluator.values_and_jacobians(pts)
-    return jac[0] if np.ndim(x) == 1 else jac
-
-
 def laplacian(f: SpectralField2D) -> SpectralField2D:
     return SpectralField2D(f.grid, -f.grid.ksq * f.psi)
 

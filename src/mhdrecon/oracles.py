@@ -1,7 +1,7 @@
 """Closed-form reference solutions and decay envelopes.
 
 These are the ground truths the solver and the scripted scenarios are checked
-against: the decaying single-Taylor solution, the forced solution
+against: the forced solution
 
     b(t) = e^{-eta N^2 t} T_nm + ((1 - e^{-eta N2^2 t}) / (eta N2^2)) T_{N2}
 
@@ -9,7 +9,9 @@ against: the decaying single-Taylor solution, the forced solution
 the solver applies the force it describes when it is SimConfig.forcing), and
 the decay-envelope shapes of the stability and Duhamel estimates (with every
 unquantified constant set to 1; envelopes are used for rate and shape
-comparisons only, never for pointwise domination claims).
+comparisons only, never for pointwise domination claims). The unforced
+reference of the stability run, (0, e^{-eta N^2 t} N^-1 T_nm), is the heat
+flow of its datum, solver.heat_propagate.
 """
 
 from __future__ import annotations
@@ -26,21 +28,7 @@ from .fields import (
     make_taylor,
     make_tilde_t1,
     sobolev_norm,
-    zero_field,
 )
-from .solver import MHDState
-
-# sigma of the stability envelope as a fraction of min(nu, eta)
-_SIGMA_SAFETY = 0.9
-
-
-@dataclass(frozen=True)
-class DecayingTaylorOracle:
-    """Exact unforced solution (u, b) = (0, amplitude e^{-eta N^2 t} T_nm)."""
-
-    spec: TaylorSpec
-    eta: float
-    amplitude: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -83,41 +71,6 @@ class ForcedOracle:
         return c1, c2
 
 
-@dataclass(frozen=True)
-class StabilityBound:
-    """Parameters of the perturbation-decay envelope delta^2 N^{2r} e^{-2 sigma t}.
-
-    sigma must lie strictly below min(nu, eta) of the run it describes;
-    for_run derives it as 0.9 min(nu, eta).
-    """
-
-    sigma: float
-    r: int
-    delta: float
-    n_scale: float
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ConfigurationError("sigma must be positive")
-        if self.n_scale <= 0 or self.delta < 0:
-            raise ConfigurationError("n_scale must be positive and delta >= 0")
-
-    @classmethod
-    def for_run(cls, nu: float, eta: float, r: int, delta: float,
-                n_scale: float) -> "StabilityBound":
-        if min(nu, eta) <= 0:
-            raise ConfigurationError("stability bound needs nu, eta > 0")
-        return cls(sigma=_SIGMA_SAFETY * min(nu, eta), r=r, delta=delta, n_scale=n_scale)
-
-
-def decaying_taylor(oracle: DecayingTaylorOracle, t: float, grid: TorusGrid) -> MHDState:
-    """The exact state at time t: u = 0, b = amplitude e^{-eta N^2 t} T_nm."""
-    if t < 0:
-        raise ConfigurationError("oracle time must be >= 0")
-    amp = oracle.amplitude * float(np.exp(-oracle.eta * oracle.spec.eigenvalue * t))
-    return MHDState(zero_field(grid), make_taylor(oracle.spec, amp, grid), t)
-
-
 def forced_exact_b(oracle: ForcedOracle, t: float, grid: TorusGrid) -> SpectralField2D:
     """The closed-form magnetic field of the forced construction at time t."""
     if t < 0:
@@ -134,11 +87,11 @@ def forced_exact_b_dt(oracle: ForcedOracle, t: float, grid: TorusGrid) -> Spectr
     return d1 * make_taylor(oracle.spec_nm, 1.0, grid) + d2 * oracle.small_mode(grid)
 
 
-def stability_envelope(bound: StabilityBound, t: float) -> float:
+def stability_envelope(delta: float, n_scale: float, r: int, sigma: float, t: float) -> float:
     """The decay shape delta^2 N^{2r} e^{-2 sigma t} (untestable constant omitted)."""
     if t < 0:
         raise ConfigurationError("envelope time must be >= 0")
-    return float(bound.delta**2 * bound.n_scale ** (2 * bound.r) * np.exp(-2.0 * bound.sigma * t))
+    return float(delta**2 * n_scale ** (2 * r) * np.exp(-2.0 * sigma * t))
 
 
 def duhamel_envelopes(
@@ -196,12 +149,6 @@ def remark2_explicit_bound(
 def remark2_exact_error(
     spec_nm: TaylorSpec, r: int, eta: float, t_end: float, grid: TorusGrid
 ) -> float:
-    """|| eta b(T) - tilde T_1 ||_{H^r} evaluated from the closed form.
-
-    The difference is eta e^{-eta N^2 T} T_nm - e^{-eta T} tilde T_1 exactly.
-    """
-    c1 = eta * float(np.exp(-eta * spec_nm.eigenvalue * t_end))
-    c2 = -float(np.exp(-eta * t_end))
-    big = make_taylor(spec_nm, 1.0, grid)
-    small = make_tilde_t1(grid)
-    return sobolev_norm(c1 * big + c2 * small, r)
+    """|| eta b(T) - tilde T_1 ||_{H^r} evaluated from the closed form of Remark 2."""
+    b = forced_exact_b(ForcedOracle(spec_nm, None, eta), t_end, grid)
+    return sobolev_norm(eta * b - make_tilde_t1(grid), r)

@@ -12,7 +12,7 @@ import pytest
 
 import mhdrecon
 from mhdrecon.cli import main, parse_field_spec
-from mhdrecon.fields import ConfigurationError, TorusGrid, eval_field
+from mhdrecon.fields import ConfigurationError, TorusGrid
 from mhdrecon.snapshots import read_snapshot
 
 
@@ -33,13 +33,14 @@ def write_config(tmp_path, name="cfg.json", **fields):
 class TestFieldSpecParsing:
     def test_taylor(self):
         f = parse_field_spec("taylor:2,3", TorusGrid(32))
-        assert eval_field(f, [np.pi / 4, 0.0])[1] == pytest.approx(2 * np.cos(np.pi / 2))
+        value = f.evaluator.values(np.array([[np.pi / 4, 0.0]]))[0]
+        assert value[1] == pytest.approx(2 * np.cos(np.pi / 2))
 
     def test_sum_with_amplitudes(self):
         g = TorusGrid(32)
         f = parse_field_spec("taylor:1,1:2.0+tilde-t1:0.5", g)
         expected = 2.0 * np.array([1.0, 0.0]) + 0.5 * np.array([1.0, 0.5])
-        assert eval_field(f, [np.pi / 2, np.pi / 2]) == pytest.approx(expected)
+        assert f.evaluator.values(np.array([[np.pi / 2, np.pi / 2]]))[0] == pytest.approx(expected)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
@@ -175,6 +176,16 @@ class TestScenarioCommands:
         out_dir = tmp_path / "run"
         assert main([command, "--config", str(cfg), "--out", str(out_dir)]) == 1
         assert "error: field 'eta': " in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_small_mode_at_or_above_large_names_n2_m2(self, tmp_path, capsys):
+        # ForcedOracle holds the condition N2^2 < N^2; the run reports it by field
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "theorem2", "n2": 4, "m2": 4, "resolution": 16}))
+        out_dir = tmp_path / "run"
+        assert main(["theorem2", "--config", str(cfg), "--out", str(out_dir)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert any("'n2'" in line and "'m2'" in line for line in lines), lines
         assert not out_dir.exists()
 
     def test_wrong_scenario_command_pairing(self, tmp_path, capsys):

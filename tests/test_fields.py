@@ -17,8 +17,6 @@ from mhdrecon.fields import (
     TaylorSpec,
     TorusGrid,
     c1_norm,
-    eval_field,
-    jacobian,
     l2_norm,
     laplacian,
     make_taylor,
@@ -79,8 +77,9 @@ class TestTaylorConstruction:
 
     def test_t11_point_values(self, grid32):
         t11 = make_taylor(TaylorSpec(1, 1), 1.0, grid32)
-        assert eval_field(t11, [np.pi / 2, np.pi / 2]) == pytest.approx([1.0, 0.0], abs=1e-14)
-        assert eval_field(t11, [0.0, 0.0]) == pytest.approx([0.0, 1.0], abs=1e-14)
+        vals = t11.evaluator.values(np.array([[np.pi / 2, np.pi / 2], [0.0, 0.0]]))
+        assert vals[0] == pytest.approx([1.0, 0.0], abs=1e-14)
+        assert vals[1] == pytest.approx([0.0, 1.0], abs=1e-14)
 
     def test_t11_is_laplacian_eigenfield(self, grid32):
         t11 = make_taylor(TaylorSpec(1, 1), 1.0, grid32)
@@ -114,8 +113,9 @@ class TestTaylorConstruction:
 class TestTildeT1:
     def test_point_values(self, grid32):
         f = make_tilde_t1(grid32)
-        assert eval_field(f, [np.pi / 2, np.pi / 2]) == pytest.approx([1.0, 0.5], abs=1e-14)
-        assert eval_field(f, [np.pi, np.pi]) == pytest.approx([0.0, 0.0], abs=1e-14)
+        vals = f.evaluator.values(np.array([[np.pi / 2, np.pi / 2], [np.pi, np.pi]]))
+        assert vals[0] == pytest.approx([1.0, 0.5], abs=1e-14)
+        assert vals[1] == pytest.approx([0.0, 0.0], abs=1e-14)
 
     def test_unit_eigenvalue(self, grid32):
         f = make_tilde_t1(grid32)
@@ -135,17 +135,10 @@ class TestEvaluation:
         f = random_divergence_free(grid64, 9, seed=11)
         vals = f.to_grid()
         i, j = 13, 40
-        pt = [grid64.nodes[i], grid64.nodes[j]]
+        at = f.evaluator.values(np.array([[grid64.nodes[i], grid64.nodes[j]]]))[0]
         scale = np.max(np.abs(vals))
-        assert abs(eval_field(f, pt)[0] - vals[0, i, j]) < 1e-12 * scale
-        assert abs(eval_field(f, pt)[1] - vals[1, i, j]) < 1e-12 * scale
-
-    def test_batch_matches_single(self, grid32):
-        f = make_taylor(TaylorSpec(2, 2), 1.0, grid32)
-        pts = np.array([[0.3, 1.2], [4.0, 2.2], [5.9, 0.1]])
-        batch = eval_field(f, pts)
-        for k, p in enumerate(pts):
-            assert np.allclose(batch[k], eval_field(f, p))
+        assert abs(at[0] - vals[0, i, j]) < 1e-12 * scale
+        assert abs(at[1] - vals[1, i, j]) < 1e-12 * scale
 
     def test_dense_and_sparse_paths_agree(self, grid32):
         f = random_divergence_free(grid32, 15, seed=7)
@@ -198,23 +191,24 @@ def _full_spectrum_sums(coeffs, k, pts):
 class TestJacobian:
     def test_tilde_t1_at_origin(self, grid32):
         f = make_tilde_t1(grid32)
-        j = jacobian(f, [0.0, 0.0])
+        j = f.evaluator.values_and_jacobians(np.array([[0.0, 0.0]]))[1][0]
         assert np.allclose(j, [[0.0, 1.0], [0.5, 0.0]], atol=1e-13)
         assert np.linalg.det(j) == pytest.approx(-0.5, abs=1e-13)
 
     def test_tilde_t1_at_zero_pi(self, grid32):
-        j = jacobian(make_tilde_t1(grid32), [0.0, np.pi])
+        j = make_tilde_t1(grid32).evaluator.values_and_jacobians(np.array([[0.0, np.pi]]))[1][0]
         assert np.allclose(j, [[0.0, -1.0], [0.5, 0.0]], atol=1e-13)
         assert np.linalg.det(j) == pytest.approx(0.5, abs=1e-13)
 
     def test_t11_determinant(self, grid32):
-        j = jacobian(make_taylor(TaylorSpec(1, 1), 1.0, grid32), [0.0, np.pi / 2])
+        f = make_taylor(TaylorSpec(1, 1), 1.0, grid32)
+        j = f.evaluator.values_and_jacobians(np.array([[0.0, np.pi / 2]]))[1][0]
         assert np.linalg.det(j) == pytest.approx(-1.0, abs=1e-13)
 
     def test_trace_free(self, grid64):
         f = random_divergence_free(grid64, 10, seed=3)
         pts = np.random.default_rng(1).uniform(0, 2 * np.pi, (20, 2))
-        jacs = jacobian(f, pts)
+        _, jacs = f.evaluator.values_and_jacobians(pts)
         scale = np.max(np.abs(jacs))
         assert np.max(np.abs(jacs[:, 0, 0] + jacs[:, 1, 1])) < 1e-10 * scale
 
@@ -294,7 +288,7 @@ class TestCachedPerField:
         ev = f.evaluator
         assert isinstance(ev, FieldEvaluator) and f.evaluator is ev
         pts = np.array([[0.3, 1.7], [4.0, 2.2]])
-        assert np.array_equal(eval_field(f, pts), FieldEvaluator(f).values(pts))
+        assert np.array_equal(ev.values(pts), FieldEvaluator(f).values(pts))
         assert f.evaluator is ev
 
 

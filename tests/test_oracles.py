@@ -13,12 +13,10 @@ from mhdrecon.fields import (
     make_taylor,
     make_tilde_t1,
     sobolev_norm,
+    zero_field,
 )
 from mhdrecon.oracles import (
-    DecayingTaylorOracle,
     ForcedOracle,
-    StabilityBound,
-    decaying_taylor,
     duhamel_envelopes,
     forced_exact_b,
     forced_exact_b_dt,
@@ -27,7 +25,13 @@ from mhdrecon.oracles import (
     remark2_explicit_bound,
     stability_envelope,
 )
-from mhdrecon.solver import SimConfig, TrajectoryRecorder, simulate
+from mhdrecon.solver import (
+    MHDState,
+    SimConfig,
+    TrajectoryRecorder,
+    heat_propagate,
+    simulate,
+)
 
 from .conftest import nonlinear_tendencies
 
@@ -35,41 +39,39 @@ ETA = 0.5
 
 
 class TestDecayingTaylor:
+    """The unforced reference (0, amplitude e^{-eta N^2 t} T_nm) is the heat
+    flow of its datum."""
+
     def test_initial_state(self, grid32):
-        oracle = DecayingTaylorOracle(spec=TaylorSpec(2, 2), eta=ETA, amplitude=0.25)
-        st = decaying_taylor(oracle, 0.0, grid32)
-        assert l2_norm(st.u) == 0.0
+        b = heat_propagate(make_taylor(TaylorSpec(2, 2), 0.25, grid32), ETA, 0.0)
         expected = make_taylor(TaylorSpec(2, 2), 0.25, grid32)
-        assert np.allclose(st.b.psi, expected.psi)
+        assert np.allclose(b.psi, expected.psi)
 
     def test_half_life(self, grid32):
         spec = TaylorSpec(1, 2)
-        oracle = DecayingTaylorOracle(spec=spec, eta=ETA, amplitude=1.0)
         t_half = np.log(2.0) / (ETA * spec.eigenvalue)
-        st = decaying_taylor(oracle, t_half, grid32)
-        assert l2_norm(st.b) == pytest.approx(0.5 * np.pi * np.sqrt(spec.eigenvalue), rel=1e-12)
+        b = heat_propagate(make_taylor(spec, 1.0, grid32), ETA, t_half)
+        assert l2_norm(b) == pytest.approx(0.5 * np.pi * np.sqrt(spec.eigenvalue), rel=1e-12)
 
     def test_is_stationary_for_nonlinearity(self, grid64):
-        oracle = DecayingTaylorOracle(spec=TaylorSpec(3, 1), eta=ETA, amplitude=1.0)
-        st = decaying_taylor(oracle, 0.7, grid64)
-        du, db = nonlinear_tendencies(st)
+        b = heat_propagate(make_taylor(TaylorSpec(3, 1), 1.0, grid64), ETA, 0.7)
+        du, db = nonlinear_tendencies(MHDState(zero_field(grid64), b, 0.7))
         assert l2_norm(du) < 1e-10 and l2_norm(db) < 1e-10
 
     def test_simulated_reference_matches(self, grid32):
         # the stability scenario takes its reference (0, N^-1 T_nm) from the
-        # closed form; the solver must keep that datum on it
+        # heat flow of the datum; the solver must keep that datum on it
         spec = TaylorSpec(4, 4)
-        amp = 1.0 / np.sqrt(spec.eigenvalue)
-        oracle = DecayingTaylorOracle(spec=spec, eta=ETA, amplitude=amp)
+        base = make_taylor(spec, 1.0 / np.sqrt(spec.eigenvalue), grid32)
         cfg = SimConfig(nu=0.5, eta=ETA, grid=grid32, dt=1e-3, t_end=0.2, output_cadence=20)
         recorder = TrajectoryRecorder(cfg)
-        simulate(cfg, decaying_taylor(oracle, 0.0, grid32), sinks=[recorder])
+        simulate(cfg, MHDState(zero_field(grid32), base, 0.0), sinks=[recorder])
         states = recorder.trajectory.states
         assert len(states) == 11
         for st in states:
-            exact = decaying_taylor(oracle, st.t, grid32)
-            scale = l2_norm(exact.b)
-            assert l2_norm(st.b - exact.b) <= 1e-12 * scale
+            exact = heat_propagate(base, ETA, st.t)
+            scale = l2_norm(exact)
+            assert l2_norm(st.b - exact) <= 1e-12 * scale
             assert l2_norm(st.u) <= 1e-12 * scale
 
 
@@ -89,25 +91,23 @@ class TestForcedExact:
         limit = make_taylor(TaylorSpec(1, 1), 1.0 / (ETA * 2.0), grid32)
         assert l2_norm(b - limit) < 1e-12 * l2_norm(limit)
 
-    @pytest.mark.parametrize("t", [0.0, 0.1, 0.5, 2.0])
-    def test_heat_equation_residual(self, grid32, t):
-        # d_t b = eta Lap b + f2 must hold identically
-        b = forced_exact_b(self.oracle, t, grid32)
-        dbdt = forced_exact_b_dt(self.oracle, t, grid32)
-        f2 = make_taylor(TaylorSpec(1, 1), 1.0, grid32)
-        resid = dbdt - ETA * laplacian(b) - f2
+    @pytest.mark.parametrize("spec_2, t", [
+        *(pytest.param(TaylorSpec(1, 1), t, id=f"{t}") for t in (0.0, 0.1, 0.5, 2.0)),
+        *(pytest.param(None, t, id=f"tilde_t1-{t}") for t in (0.0, 0.4, 1.1)),
+    ])
+    def test_heat_equation_residual(self, grid32, spec_2, t):
+        # d_t b = eta Lap b + f2 must hold identically, with T_{N2} or, for
+        # Remark 2, tilde T_1 as the small mode f2
+        oracle = ForcedOracle(TaylorSpec(4, 4), spec_2, ETA)
+        b = forced_exact_b(oracle, t, grid32)
+        dbdt = forced_exact_b_dt(oracle, t, grid32)
+        resid = dbdt - ETA * laplacian(b) - oracle.small_mode(grid32)
         assert l2_norm(resid) < 1e-10
 
 
 class TestStabilityEnvelope:
-    def test_for_run_default_sigma(self):
-        bound = StabilityBound.for_run(0.5, 0.5, r=3, delta=1e-3, n_scale=np.sqrt(32.0))
-        assert bound.sigma == pytest.approx(0.45)
-        assert bound.sigma < min(0.5, 0.5)
-
     def test_initial_value(self):
-        bound = StabilityBound(sigma=0.45, r=3, delta=1e-3, n_scale=2.0)
-        assert stability_envelope(bound, 0.0) == pytest.approx(1e-6 * 2.0**6)
+        assert stability_envelope(1e-3, 2.0, 3, 0.45, 0.0) == pytest.approx(1e-6 * 2.0**6)
 
     @given(
         t1=st.floats(0.0, 5.0),
@@ -116,22 +116,16 @@ class TestStabilityEnvelope:
     )
     @settings(max_examples=40, deadline=None)
     def test_ratio_law(self, t1, dt, sigma):
-        bound = StabilityBound(sigma=sigma, r=2, delta=0.1, n_scale=3.0)
-        ratio = stability_envelope(bound, t1 + dt) / stability_envelope(bound, t1)
+        ratio = (stability_envelope(0.1, 3.0, 2, sigma, t1 + dt)
+                 / stability_envelope(0.1, 3.0, 2, sigma, t1))
         assert ratio == pytest.approx(np.exp(-2.0 * sigma * dt), rel=1e-9)
 
     @given(r=st.integers(0, 6))
     @settings(max_examples=10, deadline=None)
     def test_doubling_n_scale(self, r):
-        b1 = StabilityBound(sigma=0.3, r=r, delta=0.1, n_scale=2.0)
-        b2 = StabilityBound(sigma=0.3, r=r, delta=0.1, n_scale=4.0)
-        assert stability_envelope(b2, 1.0) / stability_envelope(b1, 1.0) == pytest.approx(
-            2.0 ** (2 * r)
-        )
-
-    def test_sigma_validation(self):
-        with pytest.raises(ConfigurationError):
-            StabilityBound(sigma=0.0, r=3, delta=1e-3, n_scale=2.0)
+        ratio = (stability_envelope(0.1, 4.0, r, 0.3, 1.0)
+                 / stability_envelope(0.1, 2.0, r, 0.3, 1.0))
+        assert ratio == pytest.approx(2.0 ** (2 * r))
 
 
 class TestDuhamelEnvelopes:
@@ -192,17 +186,3 @@ class TestRemark2:
     def test_explicit_bound_rejects_nonpositive_inputs(self, grid32):
         with pytest.raises(ConfigurationError):
             remark2_explicit_bound(TaylorSpec(4, 4), 3, 0.0, 1.0, grid32)
-
-    def test_closed_form_solves_forced_heat(self, grid32):
-        # d_t b = eta Lap b + tilde T1 at sampled times, via the analytic derivative
-        spec = TaylorSpec(3, 3)
-        for t in (0.0, 0.4, 1.1):
-            nsq = spec.eigenvalue
-            d1 = -ETA * nsq * np.exp(-ETA * nsq * t)
-            d2 = np.exp(-ETA * t)
-            big = make_taylor(spec, 1.0, grid32)
-            tilde = make_tilde_t1(grid32)
-            dbdt = d1 * big + d2 * tilde
-            b = forced_exact_b(ForcedOracle(spec, None, ETA), t, grid32)
-            resid = dbdt - ETA * laplacian(b) - tilde
-            assert l2_norm(resid) < 1e-10

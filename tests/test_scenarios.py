@@ -419,6 +419,17 @@ class TestFrozenInDefaultStep:
         assert 0.0 <= m["potential_l2_drift"] < 1e-10
 
 
+@pytest.mark.parametrize("name", ["nu", "eta"])
+def test_stability_refuses_nonpositive_diffusivity(monkeypatch, name):
+    # sigma = 0.9 min(nu, eta) must be positive; the run is refused before any step
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the config was checked")
+
+    monkeypatch.setattr(scenarios, "simulate", no_simulation)
+    with pytest.raises(ConfigError, match=f"field '{name}'"):
+        run_stability_decay(mini("stability", **{name: 0.0}))
+
+
 @pytest.fixture(scope="module")
 def stability_mini_report():
     return run_stability_decay(mini("stability", t_end=1.5))
