@@ -18,7 +18,7 @@ from .solver import (
     BlowUpError,
     MHDState,
     SimConfig,
-    TrajectoryRecorder,
+    Trajectory,
     duhamel_remainder,
     heat_propagate,
     simulate,
@@ -48,7 +48,7 @@ __all__ = [
     "TaylorSpec",
     "TopologySignature",
     "TorusGrid",
-    "TrajectoryRecorder",
+    "Trajectory",
     "c1_norm",
     "detect_saddle_connections",
     "duhamel_remainder",

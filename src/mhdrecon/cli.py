@@ -135,6 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _even_grid_flag(flag: str, value: int | None) -> int | None:
+    """The value of a grid flag; a ConfigError names the flag unless it is None or even >= 8."""
+    if value is not None and not _is_even_grid(value):
+        raise ConfigError(f"flag {flag}: expected an even integer >= 8, got {value}")
+    return value
+
+
 def _out_dir(args, command: str) -> Path:
     if args.out:
         return Path(args.out)
@@ -144,7 +151,7 @@ def _out_dir(args, command: str) -> Path:
 def cmd_gen_field(args) -> int:
     if not math.isfinite(args.amplitude):
         raise ConfigError(f"flag --amplitude: expected a finite number, got {args.amplitude}")
-    grid = TorusGrid(args.resolution)
+    grid = TorusGrid(_even_grid_flag("--resolution", args.resolution))
     with np.errstate(over="ignore", invalid="ignore"):
         components = (parse_field_spec(args.field, grid) * args.amplitude).components()
     if not np.isfinite(components).all():
@@ -163,13 +170,13 @@ def cmd_topology(args) -> int:
     if args.snapshot:
         f = snapshot_to_field(read_snapshot(args.snapshot))
     elif args.field:
-        f = parse_field_spec(args.field, TorusGrid(args.resolution))
+        grid = TorusGrid(_even_grid_flag("--resolution", args.resolution))
+        f = parse_field_spec(args.field, grid)
     else:
         raise ConfigurationError("topology needs --field or --snapshot")
-    if args.seed_grid is not None and not _is_even_grid(args.seed_grid):
-        raise ConfigError(f"flag --seed-grid: expected an even integer >= 8, got {args.seed_grid}")
+    seed_grid = _even_grid_flag("--seed-grid", args.seed_grid)
     try:
-        sig, points = extract_signature(f, args.seed_grid)
+        sig, points = extract_signature(f, seed_grid)
     except ConfigurationError as exc:
         source = f"snapshot {args.snapshot}" if args.snapshot else f"field {args.field!r}"
         raise ConfigurationError(f"{source}: {exc}") from exc

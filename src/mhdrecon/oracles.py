@@ -7,11 +7,11 @@ against: the forced solution
 
 (ForcedOracle; with tilde T_1 in place of T_{N2}, the variant of Remark 2;
 the solver applies the force it describes when it is SimConfig.forcing), and
-the decay-envelope shapes of the stability and Duhamel estimates (with every
-unquantified constant set to 1; envelopes are used for rate and shape
-comparisons only, never for pointwise domination claims). The unforced
-reference of the stability run, (0, e^{-eta N^2 t} N^-1 T_nm), is the heat
-flow of its datum, solver.heat_propagate.
+the decay-envelope shape of the stability estimate (with every unquantified
+constant set to 1; the envelope is used for rate and shape comparisons only,
+never for pointwise domination claims). The unforced reference of the
+stability run, (0, e^{-eta N^2 t} N^-1 T_nm), is the heat flow of its datum,
+solver.heat_propagate.
 """
 
 from __future__ import annotations
@@ -79,34 +79,11 @@ def forced_exact_b(oracle: ForcedOracle, t: float, grid: TorusGrid) -> SpectralF
     return c1 * make_taylor(oracle.spec_nm, 1.0, grid) + c2 * oracle.small_mode(grid)
 
 
-def forced_exact_b_dt(oracle: ForcedOracle, t: float, grid: TorusGrid) -> SpectralField2D:
-    """Analytic time derivative of forced_exact_b (for residual checks)."""
-    nsq = oracle.spec_nm.eigenvalue
-    d1 = -oracle.eta * nsq * float(np.exp(-oracle.eta * nsq * t))
-    d2 = float(np.exp(-oracle.n2sq * oracle.eta * t))
-    return d1 * make_taylor(oracle.spec_nm, 1.0, grid) + d2 * oracle.small_mode(grid)
-
-
 def stability_envelope(delta: float, n_scale: float, r: int, sigma: float, t: float) -> float:
     """The decay shape delta^2 N^{2r} e^{-2 sigma t} (untestable constant omitted)."""
     if t < 0:
         raise ConfigurationError("envelope time must be >= 0")
     return float(delta**2 * n_scale ** (2 * r) * np.exp(-2.0 * sigma * t))
-
-
-def duhamel_envelopes(
-    delta: float, n_scale: float, r: int, eta: float, sigma: float, t: float
-) -> tuple[float, float]:
-    """Bound shapes for the two Duhamel integrals, with constants set to 1.
-
-    Returns (delta^2 N^{r+3} e^{-sigma t},
-             delta N^{-2} + delta N^{r+1} e^{-eta N^2 t / 2}).
-    """
-    if min(delta, n_scale, eta, sigma) <= 0 or t < 0:
-        raise ConfigurationError("duhamel_envelopes needs positive inputs and t >= 0")
-    lh = delta**2 * n_scale ** (r + 3) * np.exp(-sigma * t)
-    lm = delta * n_scale**-2 + delta * n_scale ** (r + 1) * np.exp(-eta * n_scale**2 * t / 2.0)
-    return float(lh), float(lm)
 
 
 def remark2_error_bound(eigenvalue: float, r: int, eta: float, t_end: float) -> float:

@@ -56,7 +56,7 @@ from .solver import (
     BlowUpError,
     MHDState,
     SimConfig,
-    TrajectoryRecorder,
+    Trajectory,
     cross_helicity,
     energy,
     heat_propagate,
@@ -320,17 +320,16 @@ def _run_with_diagnostics(
     sim_cfg: SimConfig, initial: MHDState, cfg: ExperimentConfig, out_dir, label: str,
     extra_sinks=(),
 ):
-    """Simulate with a trajectory recorder, diagnostics and extra sinks; persist if asked."""
-    recorder = TrajectoryRecorder(sim_cfg)
+    """Simulate with diagnostics and extra sinks; persist if asked. Returns (final, records)."""
     diags = _DiagnosticsSink(cfg.r, cfg.topology_cadence, cfg.seed_grid)
-    final = simulate(sim_cfg, initial, sinks=[recorder, diags, *extra_sinks])
+    final = simulate(sim_cfg, initial, sinks=[diags, *extra_sinks])
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_ndjson(out / f"{label}_diagnostics.ndjson", diags.records)
         write_state_snapshot(out / f"{label}_initial.snap", initial, sim_cfg.nu, sim_cfg.eta)
         write_state_snapshot(out / f"{label}_final.snap", final, sim_cfg.nu, sim_cfg.eta)
-    return final, recorder.trajectory, diags.records
+    return final, diags.records
 
 
 def _time_error_estimate(sim_cfg: SimConfig, initial: MHDState, final: MHDState) -> float | None:
@@ -377,13 +376,9 @@ def _settled(sig: TopologySignature, ref: TopologySignature) -> bool:
 
 def _run_from_rest(cfg: ExperimentConfig, out_dir, label: str, b0,
                    forcing: oracles.ForcedOracle | None = None, extra_sinks=()):
-    """Run from (0, b0) with diagnostics; returns (final, time_error).
-
-    The trajectory is dropped before the companion run of the time error
-    estimate, so that run does not add to the peak memory.
-    """
+    """Run from (0, b0) with diagnostics; returns (final, time_error)."""
     sim_cfg, initial = cfg.sim_config(forcing), MHDState(zero_field(cfg.grid()), b0, 0.0)
-    final, _, _ = _run_with_diagnostics(sim_cfg, initial, cfg, out_dir, label, extra_sinks)
+    final, _ = _run_with_diagnostics(sim_cfg, initial, cfg, out_dir, label, extra_sinks)
     return final, _time_error_estimate(sim_cfg, initial, final)
 
 
@@ -586,9 +581,9 @@ def run_frozen_in(cfg: ExperimentConfig, out_dir=None) -> Report:
     grid = cfg.grid()
     initial = frozen_in_initial(grid)
     b0 = initial.b
-    final, trajectory, _ = _run_with_diagnostics(
-        cfg.sim_config(), initial, cfg, out_dir, "frozen_in"
-    )
+    sim_cfg = cfg.sim_config()
+    trajectory = Trajectory(sim_cfg)
+    final, _ = _run_with_diagnostics(sim_cfg, initial, cfg, out_dir, "frozen_in", [trajectory])
 
     side = np.linspace(0.0, 2.0 * np.pi, 9)[:-1] + 0.35
     seeds = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -715,7 +710,7 @@ def run_custom(cfg: ExperimentConfig, out_dir=None) -> Report:
     """Plain simulation of the decaying Taylor datum with diagnostics output."""
     grid = cfg.grid()
     b0 = make_taylor(TaylorSpec(cfg.n, cfg.m), 1.0, grid)
-    final, _, records = _run_with_diagnostics(
+    final, records = _run_with_diagnostics(
         cfg.sim_config(), MHDState(zero_field(grid), b0, 0.0), cfg, out_dir, "custom"
     )
     return Report(

@@ -428,11 +428,17 @@ def heat_propagate(f: SpectralField2D, eta: float, t: float) -> SpectralField2D:
 
 @dataclass
 class Trajectory:
-    """Uniform-cadence snapshots of a run, as recorded by TrajectoryRecorder."""
+    """Uniform-cadence snapshots of a run of cfg; as a sink of simulate it records them."""
 
     cfg: SimConfig
-    times: list[float] = field(default_factory=list)
     states: list[MHDState] = field(default_factory=list)
+
+    def __call__(self, state: MHDState) -> None:
+        self.states.append(state)
+
+    @property
+    def times(self) -> list[float]:
+        return [st.t for st in self.states]
 
     def state_at(self, t: float) -> MHDState:
         """The snapshot at time t, matched to within 1e-9."""
@@ -440,17 +446,6 @@ class Trajectory:
             if abs(st.t - t) <= 1e-9:
                 return st
         raise ValueError(f"no snapshot at t = {t}")
-
-
-class TrajectoryRecorder:
-    """Sink that accumulates snapshots into a Trajectory."""
-
-    def __init__(self, cfg: SimConfig):
-        self.trajectory = Trajectory(cfg)
-
-    def __call__(self, state: MHDState) -> None:
-        self.trajectory.times.append(state.t)
-        self.trajectory.states.append(state)
 
 
 def duhamel_remainder(trajectory: Trajectory, eta: float) -> list[tuple[float, SpectralField2D]]:

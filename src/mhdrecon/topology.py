@@ -608,53 +608,25 @@ def signatures_equivalent(a: TopologySignature, b: TopologySignature) -> str:
     return "indistinguishable"
 
 
-class _VelocityInterpolant:
-    """Cubic-in-time Lagrange interpolation of the velocity snapshots.
+def _velocity_at(states: list, times: np.ndarray, t: float) -> FieldEvaluator:
+    """The velocity at time t, cubic-in-time Lagrange interpolation of the snapshots.
 
-    Snapshot stream functions are combined first (evaluation is linear in
-    them), so each query time costs a single field evaluation.
+    It interpolates the (up to) 4 snapshots around t. Their stream functions
+    are combined first (evaluation is linear in them), so the result is a
+    single field evaluator.
     """
-
-    def __init__(self, trajectory: Trajectory):
-        if not trajectory.states:
-            raise ValueError("trajectory has no snapshots")
-        self.times = np.array(trajectory.times)
-        self.states = trajectory.states
-        self.grid = trajectory.states[0].u.grid
-        self._cache: dict[float, FieldEvaluator] = {}
-
-    def _evaluator(self, t: float) -> FieldEvaluator:
-        key = float(t)
-        if key in self._cache:
-            return self._cache[key]
-        times = self.times
-        n = len(times)
-        if n == 1:
-            idxs = [0]
-        else:
-            i = int(np.searchsorted(times, t, side="right") - 1)
-            i = min(max(i, 0), n - 2)
-            lo = min(max(i - 1, 0), max(n - 4, 0))
-            idxs = list(range(lo, min(lo + 4, n)))
-        ts = times[idxs]
-        psi = np.zeros_like(self.states[0].u.psi)
-        for a, ia in enumerate(idxs):
-            w = 1.0
-            for b in range(len(idxs)):
-                if a != b:
-                    w *= (t - ts[b]) / (ts[a] - ts[b])
-            psi = psi + w * self.states[ia].u.psi
-        ev = FieldEvaluator(SpectralField2D(self.grid, psi))
-        if len(self._cache) > 16:
-            self._cache.clear()
-        self._cache[key] = ev
-        return ev
-
-    def __call__(self, t: float, pts: np.ndarray, jacobians: bool = False):
-        ev = self._evaluator(t)
-        if jacobians:
-            return ev.values_and_jacobians(pts)
-        return ev.values(pts)
+    n = len(times)
+    i = min(max(int(np.searchsorted(times, t, side="right") - 1), 0), n - 2)
+    lo = min(max(i - 1, 0), max(n - 4, 0))
+    idxs = range(lo, min(lo + 4, n))
+    psi = np.zeros_like(states[0].u.psi)
+    for a in idxs:
+        w = 1.0
+        for b in idxs:
+            if a != b:
+                w *= (t - times[b]) / (times[a] - times[b])
+        psi = psi + w * states[a].u.psi
+    return FieldEvaluator(SpectralField2D(states[0].u.grid, psi))
 
 
 def flow_map(trajectory: Trajectory, seeds: np.ndarray, t: float) -> FlowMapSample:
@@ -663,36 +635,45 @@ def flow_map(trajectory: Trajectory, seeds: np.ndarray, t: float) -> FlowMapSamp
     Positions follow dPhi/dt = u(t, Phi) by RK4 with cubic time interpolation
     of the velocity snapshots; Jacobians follow the variational equation
     d(grad Phi)/dt = grad u(Phi) grad Phi alongside. One RK4 step per
-    snapshot interval matches the interpolation order.
+    snapshot interval matches the interpolation order. Each step interpolates
+    the velocity at its midpoint and its end, and its end is the next step's
+    start.
     """
-    interp = _VelocityInterpolant(trajectory)
-    t0 = float(interp.times[0])
-    if t < t0 - 1e-12 or t > float(interp.times[-1]) + 1e-9:
+    states = trajectory.states
+    if not states:
+        raise ValueError("trajectory has no snapshots")
+    times = np.array(trajectory.times)
+    t0 = float(times[0])
+    if t < t0 - 1e-12 or t > float(times[-1]) + 1e-9:
         raise ValueError(f"time {t} is outside the snapshot range")
     seeds = np.atleast_2d(np.asarray(seeds, dtype=np.float64))
     pos = seeds.copy()
     jac = np.broadcast_to(np.eye(2), (len(seeds), 2, 2)).copy()
 
     # one step per snapshot interval
-    if len(interp.times) > 1:
-        h = float(interp.times[1] - interp.times[0])
+    if len(times) > 1:
+        h = float(times[1] - times[0])
     else:
         h = max(t - t0, 1e-12)
     n_steps = int(round((t - t0) / h)) if h > 0 else 0
     h = (t - t0) / n_steps if n_steps else 0.0
 
-    def rhs(tt, p, g):
-        v, ju = interp(tt, wrap(p), jacobians=True)
+    def rhs(velocity, p, g):
+        v, ju = velocity.values_and_jacobians(wrap(p))
         return v, np.einsum("pij,pjk->pik", ju, g)
 
     tt = t0
+    start = _velocity_at(states, times, tt) if n_steps else None
     for _ in range(n_steps):
-        k1p, k1g = rhs(tt, pos, jac)
-        k2p, k2g = rhs(tt + 0.5 * h, pos + 0.5 * h * k1p, jac + 0.5 * h * k1g)
-        k3p, k3g = rhs(tt + 0.5 * h, pos + 0.5 * h * k2p, jac + 0.5 * h * k2g)
-        k4p, k4g = rhs(tt + h, pos + h * k3p, jac + h * k3g)
+        mid = _velocity_at(states, times, tt + 0.5 * h)
+        end = _velocity_at(states, times, tt + h)
+        k1p, k1g = rhs(start, pos, jac)
+        k2p, k2g = rhs(mid, pos + 0.5 * h * k1p, jac + 0.5 * h * k1g)
+        k3p, k3g = rhs(mid, pos + 0.5 * h * k2p, jac + 0.5 * h * k2g)
+        k4p, k4g = rhs(end, pos + h * k3p, jac + h * k3g)
         pos = pos + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
         jac = jac + (h / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
+        start = end
         tt += h
     return FlowMapSample(seeds=seeds, images=wrap(pos), jacobians=jac)
 

@@ -85,12 +85,16 @@ class TestTopologyCommand:
     def test_requires_field_or_snapshot(self, tmp_path):
         assert main(["topology", "--out", str(tmp_path)]) == 1
 
-    def test_bad_seed_grid_names_the_flag(self, tmp_path, capsys):
-        code = main(["topology", "--field", "taylor:1,1", "--resolution", "32",
-                     "--seed-grid", "7", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("argv, flag", [
+        (["topology", "--resolution", "32", "--seed-grid", "7"], "--seed-grid"),
+        (["topology", "--resolution", "7"], "--resolution"),
+        (["gen-field", "--resolution", "7"], "--resolution"),
+    ], ids=["topology-seed-grid", "topology-resolution", "gen-field-resolution"])
+    def test_bad_grid_flag_names_the_flag(self, tmp_path, capsys, argv, flag):
+        code = main([*argv, "--field", "taylor:1,1", "--out", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err.strip() == (
-            "error: flag --seed-grid: expected an even integer >= 8, got 7")
+            f"error: flag {flag}: expected an even integer >= 8, got 7")
 
     def test_non_solenoidal_snapshot_exits_one(self, tmp_path, capsys):
         from mhdrecon.snapshots import write_snapshot

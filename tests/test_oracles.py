@@ -17,9 +17,7 @@ from mhdrecon.fields import (
 )
 from mhdrecon.oracles import (
     ForcedOracle,
-    duhamel_envelopes,
     forced_exact_b,
-    forced_exact_b_dt,
     remark2_error_bound,
     remark2_exact_error,
     remark2_explicit_bound,
@@ -28,12 +26,13 @@ from mhdrecon.oracles import (
 from mhdrecon.solver import (
     MHDState,
     SimConfig,
-    TrajectoryRecorder,
+    Trajectory,
     heat_propagate,
     simulate,
 )
 
 from .conftest import nonlinear_tendencies
+from .reference import duhamel_envelopes, forced_exact_b_dt
 
 ETA = 0.5
 
@@ -64,9 +63,9 @@ class TestDecayingTaylor:
         spec = TaylorSpec(4, 4)
         base = make_taylor(spec, 1.0 / np.sqrt(spec.eigenvalue), grid32)
         cfg = SimConfig(nu=0.5, eta=ETA, grid=grid32, dt=1e-3, t_end=0.2, output_cadence=20)
-        recorder = TrajectoryRecorder(cfg)
-        simulate(cfg, MHDState(zero_field(grid32), base, 0.0), sinks=[recorder])
-        states = recorder.trajectory.states
+        trajectory = Trajectory(cfg)
+        simulate(cfg, MHDState(zero_field(grid32), base, 0.0), sinks=[trajectory])
+        states = trajectory.states
         assert len(states) == 11
         for st in states:
             exact = heat_propagate(base, ETA, st.t)

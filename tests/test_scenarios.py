@@ -392,6 +392,12 @@ class TestFrozenInMini:
         with pytest.raises(ConfigError, match="eta"):
             run_frozen_in(mini("frozen-in", eta=0.5))
 
+    def test_zero_horizon_is_exact(self):
+        # the run records its initial state alone, and the flow map is the identity
+        report = run_frozen_in(ExperimentConfig.for_scenario("frozen-in", resolution=32, t_end=0.0))
+        assert report.verdict == "frozen"
+        assert report.metrics["frozen_in_residual"] == 0.0
+
 
 class TestFrozenInDefaultStep:
     """The default frozen-in step is held to the error budget of the

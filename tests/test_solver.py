@@ -19,12 +19,12 @@ from mhdrecon.fields import (
     sobolev_norm,
     zero_field,
 )
-from mhdrecon.oracles import ForcedOracle, forced_exact_b, forced_exact_b_dt
+from mhdrecon.oracles import ForcedOracle, forced_exact_b
 from mhdrecon.solver import (
     BlowUpError,
     MHDState,
     SimConfig,
-    TrajectoryRecorder,
+    Trajectory,
     _EtdCoefficients,
     _Forcing,
     _HalfSpectrum,
@@ -35,6 +35,7 @@ from mhdrecon.solver import (
 )
 
 from .conftest import nonlinear_tendencies, random_divergence_free
+from .reference import duhamel_envelopes, forced_exact_b_dt
 
 ETA = NU = 0.5
 
@@ -317,25 +318,23 @@ class TestHeatPropagate:
 class TestDuhamelRemainder:
     def test_single_mode_run_is_pure_heat(self, grid32):
         cfg = SimConfig(nu=NU, eta=ETA, grid=grid32, dt=2e-3, t_end=0.5, output_cadence=50)
-        rec = TrajectoryRecorder(cfg)
-        simulate(cfg, taylor_state(grid32, 2, 2), sinks=[rec])
-        remainders = duhamel_remainder(rec.trajectory, ETA)
+        trajectory = Trajectory(cfg)
+        simulate(cfg, taylor_state(grid32, 2, 2), sinks=[trajectory])
+        remainders = duhamel_remainder(trajectory, ETA)
         assert np.abs(remainders[0][1].psi).max() == 0.0  # t = 0 gives D = 0 exactly
         assert max(l2_norm(d) for _, d in remainders) < 1e-9
 
     def test_envelope_shape_bounds_remainder(self, grid64):
         # perturbed decaying run: ||D(t)||_{H^r} stays inside the envelope
         # profile (no late-time escape) and peaks early
-        from mhdrecon.oracles import duhamel_envelopes
-
         spec = TaylorSpec(3, 3)
         n_scale = np.sqrt(spec.eigenvalue)
         delta, r = 1e-3, 3
         b0 = (1.0 / n_scale) * make_taylor(spec, 1.0, grid64) + delta * make_tilde_t1(grid64)
         cfg = SimConfig(nu=NU, eta=ETA, grid=grid64, dt=2e-3, t_end=1.5, output_cadence=75)
-        rec = TrajectoryRecorder(cfg)
-        simulate(cfg, MHDState(zero_field(grid64), b0, 0.0), sinks=[rec])
-        remainders = duhamel_remainder(rec.trajectory, ETA)
+        trajectory = Trajectory(cfg)
+        simulate(cfg, MHDState(zero_field(grid64), b0, 0.0), sinks=[trajectory])
+        remainders = duhamel_remainder(trajectory, ETA)
         sigma = 0.9 * min(NU, ETA)
         times = np.array([t for t, _ in remainders[1:]])
         norms = np.array([sobolev_norm(d, r) for _, d in remainders[1:]])
@@ -348,8 +347,6 @@ class TestDuhamelRemainder:
         assert norms.argmax() < len(norms) / 2
 
     def test_missing_initial_snapshot_rejected(self, grid32):
-        from mhdrecon.solver import Trajectory
-
         cfg = SimConfig(nu=NU, eta=ETA, grid=grid32, dt=1e-2, t_end=0.1)
         with pytest.raises(ValueError, match="initial"):
             duhamel_remainder(Trajectory(cfg), ETA)

@@ -27,7 +27,7 @@ from mhdrecon.fields import (
     zero_field,
 )
 from mhdrecon.snapshots import read_snapshot, snapshot_to_state
-from mhdrecon.solver import MHDState, SimConfig, TrajectoryRecorder, simulate
+from mhdrecon.solver import MHDState, SimConfig, Trajectory, simulate
 from mhdrecon.topology import (
     MisuseError,
     TopologySignature,
@@ -697,9 +697,9 @@ class TestSignaturesEquivalent:
 
 def _ideal_trajectory(grid, u0, b0, t_end=0.25, cadence=25, nu=0.1):
     cfg = SimConfig(nu=nu, eta=0.0, grid=grid, dt=1e-3, t_end=t_end, output_cadence=cadence)
-    rec = TrajectoryRecorder(cfg)
-    simulate(cfg, MHDState(u0, b0, 0.0), sinks=[rec])
-    return rec.trajectory
+    trajectory = Trajectory(cfg)
+    simulate(cfg, MHDState(u0, b0, 0.0), sinks=[trajectory])
+    return trajectory
 
 
 class TestFlowMap:
@@ -733,6 +733,19 @@ class TestFlowMap:
             p = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         assert np.abs(sample.images - np.mod(p, 2 * np.pi)).max() < 1e-8
 
+    def test_one_snapshot_trajectory(self, grid64):
+        # a run to t_end = 0 records its initial state alone
+        tilde = make_tilde_t1(grid64)
+        traj = _ideal_trajectory(grid64, tilde, zero_field(grid64), t_end=0.0)
+        assert len(traj.states) == 1
+        sample = flow_map(traj, self.seeds, 0.0)
+        assert np.array_equal(sample.images, self.seeds)
+        assert np.array_equal(sample.jacobians, np.broadcast_to(np.eye(2), (4, 2, 2)))
+        # within the 1e-9 tolerance of the range, one step moves at the snapshot's velocity
+        t = 5e-10
+        moved = flow_map(traj, self.seeds, t).images - self.seeds
+        assert np.abs(moved - t * FieldEvaluator(tilde).values(self.seeds)).max() < 1e-14
+
     def test_time_outside_range_rejected(self, grid64):
         traj = _ideal_trajectory(grid64, zero_field(grid64), make_tilde_t1(grid64))
         with pytest.raises(ValueError):
@@ -763,10 +776,10 @@ class TestVerifyFrozenIn:
 
     def test_resistive_run_rejected(self, grid64):
         cfg = SimConfig(nu=0.1, eta=0.5, grid=grid64, dt=1e-3, t_end=0.05, output_cadence=10)
-        rec = TrajectoryRecorder(cfg)
-        simulate(cfg, MHDState(zero_field(grid64), make_tilde_t1(grid64), 0.0), sinks=[rec])
+        trajectory = Trajectory(cfg)
+        simulate(cfg, MHDState(zero_field(grid64), make_tilde_t1(grid64), 0.0), sinks=[trajectory])
         with pytest.raises(MisuseError):
-            verify_frozen_in(rec.trajectory, self.seeds, 0.05)
+            verify_frozen_in(trajectory, self.seeds, 0.05)
 
 
 class TestPolyline:
