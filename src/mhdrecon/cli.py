@@ -245,6 +245,8 @@ def _is_file_name(name) -> bool:
 
 
 def cmd_sweep(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"flag --threads: expected an integer >= 1, got {args.threads}")
     if not args.config:
         raise ConfigError("sweep requires --config with a {\"runs\": [...]} file")
     data = read_config_json(args.config)
@@ -278,7 +280,7 @@ def cmd_sweep(args) -> int:
         except _FAILURES as exc:
             return name, exc
 
-    with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
         results = list(pool.map(one, configs))
     failed = mismatch = False
     for name, report in results:

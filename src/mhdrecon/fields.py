@@ -45,12 +45,11 @@ class ConfigurationError(ValueError):
     """A requested construction is not representable on the given grid."""
 
 
-# Relative accuracy of truncated point evaluations; kept well below every
-# tolerance used by callers (Newton residuals are checked at 1e-10 * C1).
+# Relative accuracy of truncated point evaluations. The modes _active_modes
+# drops weigh below this times the total weight, which is at most 3 C1
+# (c1_norm; compare term by term), so values and first derivatives are off
+# by less than 3e-13 C1, under the Newton residual target of 1e-12 C1.
 _EVAL_TAIL_RTOL = 1e-13
-
-# Oversampling factor of the sup-norm grid (SpectralField2D.sup_norms).
-_SUP_OVERSAMPLE = 4
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -251,7 +250,8 @@ class SpectralField2D:
 
     @cached_property
     def sup_norms(self) -> tuple[float, float]:
-        """(sup |f|, sup |grad f|), computed on first use."""
+        """The upper bounds (sup |f|, sup ||grad f||) of sup_field_and_gradient,
+        computed on first use."""
         return sup_field_and_gradient(self)
 
     def __add__(self, other: "SpectralField2D") -> "SpectralField2D":
@@ -420,28 +420,24 @@ def l2_inner(f: SpectralField2D, g: SpectralField2D) -> float:
 
 
 def sup_field_and_gradient(f: SpectralField2D) -> tuple[float, float]:
-    """(sup |f|, sup ||grad f||) in max norms, on an oversampled grid.
+    """Upper bounds (sup |f|, sup ||grad f||) in max norms: Fourier-l1 sums.
 
-    The suprema are approximated by sampling at _SUP_OVERSAMPLE * M points
-    per axis: the 5 series of _series, zero-padded, go through an inverse
-    real FFT. Of the pad's big/2 + 1 columns only the first M/2 + 1 are
-    non-zero, so the complex pass over k1 runs in place on those columns
-    alone, and one real pass over k2 follows; the zero columns stay exactly
-    zero, so the values are those of the full 2-D transform bit for bit.
-    Fields cache the pair as SpectralField2D.sup_norms.
+    Every value of a series s is a sum of its modes, so |s(x)| <= sum_k w(k)
+    |s(k)| over the half-spectrum, with w the multiplicity of each entry.
+    The pair is the largest such sum over f1, f2 and over the three Jacobian
+    series of _series, so it bounds the field and every Jacobian entry at
+    every point. It equals the suprema for a single Taylor mode T_nm,
+    (max(n, m), max(n^2, m^2, nm)), and for tilde T_1, (1, 1). Fields cache
+    the pair as SpectralField2D.sup_norms.
     """
     g = f.grid
-    big = _SUP_OVERSAMPLE * g.resolution
-    pad = np.zeros((5, big, big // 2 + 1), dtype=np.complex128)
-    cols = pad[..., : g.spectral_shape[1]]
-    cols[:, g.wavenumbers % big] = _series(g.k1, g.k2, f.psi)
-    np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
-    vals = np.fft.irfft(pad, n=big, axis=-1, norm="forward")
-    return float(np.max(np.abs(vals[:2]))), float(np.max(np.abs(vals[2:])))
+    sums = np.sum(g.multiplicity * np.abs(_series(g.k1, g.k2, f.psi)), axis=(-2, -1))
+    return float(sums[:2].max()), float(sums[2:].max())
 
 
 def c1_norm(f: SpectralField2D) -> float:
-    """sup |f| + sup ||grad f||, the sum of the two sup_field_and_gradient values."""
+    """Upper bound on sup |f| + sup ||grad f||: the sum of the two
+    sup_field_and_gradient values."""
     return sum(f.sup_norms)
 
 

@@ -512,6 +512,9 @@ def run_theorem2(cfg: ExperimentConfig, out_dir=None) -> Report:
 
 def run_remark2(cfg: ExperimentConfig, out_dir=None) -> Report:
     """Forced run toward tilde T_1 with the closed-form error/bound comparison."""
+    if cfg.t_end <= 0:
+        # the closed-form error and its bounds are of a positive time
+        raise ConfigError("field 't_end': the remark2 scenario requires t_end > 0")
     grid = cfg.grid()
     oracle = _forced_oracle(cfg, None)
     spec_nm = oracle.spec_nm
@@ -658,7 +661,7 @@ def run_stability_decay(cfg: ExperimentConfig, out_dir=None) -> Report:
     which the unforced equations keep exactly, so only the perturbed run is
     simulated.
     """
-    for name in ("nu", "eta"):
+    for name in ("nu", "eta", "t_end"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"field {name!r}: the stability scenario requires {name} > 0")
     sigma = _SIGMA_SAFETY * min(cfg.nu, cfg.eta)
@@ -680,7 +683,11 @@ def run_stability_decay(cfg: ExperimentConfig, out_dir=None) -> Report:
     envelope = [oracles.stability_envelope(cfg.delta, n_scale, cfg.r, sigma, t) for t in times]
 
     late = times >= 0.5 * cfg.t_end
-    slope = fit_log_slope(times[late], q[late])
+    try:
+        slope = fit_log_slope(times[late], q[late])
+    except ConfigurationError as exc:
+        raise ConfigError(f"field 't_end': {exc}; t_end = {cfg.t_end} leaves "
+                          f"{int(late.sum())} snapshot(s) at t >= t_end / 2") from exc
     target = -2.0 * sigma * (1.0 - _DECAY_RATE_TOL)
     verdict = "decay-confirmed" if slope <= target else "decay-too-slow"
 

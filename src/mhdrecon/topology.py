@@ -217,6 +217,10 @@ def find_critical_points(
     deduplicated on the torus and classified by the determinant rule.
     Seeds that fail to converge are appended to ``diagnostics`` (position and
     last residual), never raised.
+    The thresholds scale with the upper bounds (sup |f|, G) = f.sup_norms
+    and C1 = sup |f| + G: a seed has converged when |f| < _NEWTON_TOL * C1,
+    a Newton step needs |det J| > 1e-14 G^2, and a zero with |det J| <=
+    _DEG_TOL_FACTOR * C1^2 is degenerate.
     """
     sup_f, sup_grad = f.sup_norms
     c1 = sup_f + sup_grad
@@ -350,13 +354,14 @@ def trace_integral_line(f: SpectralField2D, x0, arclen: float) -> np.ndarray:
     Unlocked, the RK4 drift of psi adds up along the line: at this step psi
     spreads by 8e-9 along the frozen-in run's line of tilde T_1 (osc(psi) =
     3). Locked, the line stays level to roundoff (5e-16).
-    Tracing stops early when |f| drops below the stall threshold (approach to
-    a critical point); that last point is recorded unlocked. Seeding at a
-    critical point raises ConfigurationError.
+    Tracing stops early when |f| drops below the stall threshold
+    _STOP_TOL_FACTOR * c1_norm(f) (approach to a critical point); that last
+    point is recorded unlocked. Seeding at a critical point raises
+    ConfigurationError.
     """
     h = _TRACE_STEP
     evaluator = f.evaluator
-    stop_tol = _STOP_TOL_FACTOR * sum(f.sup_norms)
+    stop_tol = _STOP_TOL_FACTOR * c1_norm(f)
     x = np.atleast_2d(np.asarray(x0, dtype=np.float64)).copy()
     v = evaluator.values(x)
     if _norm(v)[0] < stop_tol:
@@ -441,8 +446,9 @@ def detect_saddle_connections(
     moves it less than half its length ends it as stalled too.
 
     All traces advance together by RK4 steps of dx/ds = +-f/|f|, each with
-    its own arclength step h = max(0.5 |f| / G, _STEP_FLOOR), where G is the
-    largest Jacobian entry (sup_norms[1]), so ||grad f|| <= 2 G:
+    its own arclength step h = max(0.5 |f| / G, _STEP_FLOOR), where G =
+    sup_norms[1], a Fourier-l1 sum, bounds every Jacobian entry at every
+    point, so ||grad f|| <= 2 G:
     - the step resolves the turning scale. A line of f has curvature at most
       ||grad f|| / |f| <= 2 G / |f|, so one step turns it through at most one
       radian;
@@ -562,7 +568,7 @@ def extract_signature(
     seed_resolution sets the lattice that seeds the critical-point search
     (find_critical_points); by default it is the field's grid.
     """
-    if sum(f.sup_norms) == 0.0:
+    if c1_norm(f) == 0.0:
         # zero field: no nondegenerate structure, unstable by convention
         return TopologySignature(), []
     points = find_critical_points(f, seed_resolution)

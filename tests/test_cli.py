@@ -182,6 +182,25 @@ class TestScenarioCommands:
         assert "error: field 'eta': " in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["remark2", "stability"])
+    def test_zero_end_time_names_t_end(self, tmp_path, capsys, command):
+        # refused before the first signature or solver step
+        cfg = write_config(tmp_path, scenario=command, resolution=16, t_end=0.0)
+        out_dir = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: field 't_end': the {command} scenario requires t_end > 0\n")
+        assert not out_dir.exists()
+
+    def test_stability_fit_short_of_snapshots_names_t_end(self, tmp_path, capsys):
+        # t_end = 0.01 leaves only the final state at t >= t_end / 2
+        cfg = write_config(tmp_path, scenario="stability", resolution=16, dt=1e-2,
+                           t_end=0.01, output_cadence=5)
+        assert main(["stability", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            "error: field 't_end': need at least two positive samples to fit a slope; "
+            "t_end = 0.01 leaves 1 snapshot(s) at t >= t_end / 2\n")
+
     def test_small_mode_at_or_above_large_names_n2_m2(self, tmp_path, capsys):
         # ForcedOracle holds the condition N2^2 < N^2; the run reports it by field
         cfg = tmp_path / "cfg.json"
@@ -269,6 +288,17 @@ class TestSweepCommand:
         assert (out_dir / "b" / "report.json").exists()
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_names_the_flag(self, tmp_path, capsys, threads):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"runs": [RUN]}))
+        out_dir = tmp_path / "sweepout"
+        assert main(["sweep", "--config", str(path), "--out", str(out_dir),
+                     "--threads", threads]) == 1
+        assert capsys.readouterr().err == (
+            f"error: flag --threads: expected an integer >= 1, got {threads}\n")
+        assert not out_dir.exists()
 
     def test_malformed_config_names_line(self, tmp_path, capsys):
         assert_malformed_config_names_line(tmp_path, capsys, "sweep")

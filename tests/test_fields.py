@@ -240,8 +240,24 @@ class TestSobolevNorm:
         assert np.max(np.abs(complex_vals.imag)) < 1e-12 * np.max(np.abs(complex_vals.real))
 
 
+def _oversampled_maxima(f):
+    """(max |f_i|, max |J_ij|) sampled on a 4M x 4M grid: the 5 series of
+    fields._series, zero-padded, through an inverse real FFT. A lower
+    estimate of the suprema."""
+    g = f.grid
+    big = 4 * g.resolution
+    pad = np.zeros((5, big, big // 2 + 1), dtype=np.complex128)
+    pad[:, g.wavenumbers % big, : g.spectral_shape[1]] = fields._series(g.k1, g.k2, f.psi)
+    vals = np.fft.irfft2(pad, s=(big, big), norm="forward")
+    return float(np.max(np.abs(vals[:2]))), float(np.max(np.abs(vals[2:])))
+
+
 class TestC1Norm:
     def test_tilde_t1(self, grid32):
+        # exact: sup |(sin y, sin(x) / 2)| = 1 and sup |d_y sin y| = 1
+        for amplitude in (1.0, -3.0, 1e-3):
+            pair = sup_field_and_gradient(make_tilde_t1(grid32, amplitude))
+            assert pair == pytest.approx((abs(amplitude),) * 2, rel=1e-15, abs=0.0)
         assert c1_norm(make_tilde_t1(grid32)) == pytest.approx(2.0, rel=1e-12)
 
     def test_zero(self, grid32):
@@ -252,15 +268,33 @@ class TestC1Norm:
         assert c1_norm(-2.5 * f) == pytest.approx(2.5 * c1_norm(f), rel=1e-12)
 
     @pytest.mark.parametrize("resolution", [32, 64])
-    def test_pruned_transform_matches_the_full_pad_bit_for_bit(self, resolution):
-        g = TorusGrid(resolution)
-        f = random_divergence_free(g, resolution // 2 - 1, seed=9)
-        big = fields._SUP_OVERSAMPLE * resolution
-        pad = np.zeros((5, big, big // 2 + 1), dtype=np.complex128)
-        pad[:, g.wavenumbers % big, : g.spectral_shape[1]] = fields._series(g.k1, g.k2, f.psi)
-        vals = np.fft.irfft2(pad, s=(big, big), norm="forward")
-        expected = (float(np.max(np.abs(vals[:2]))), float(np.max(np.abs(vals[2:]))))
-        assert sup_field_and_gradient(f) == expected
+    @pytest.mark.parametrize("seed", [9, 10, 11])
+    def test_bounds_the_oversampled_grid_maximum(self, resolution, seed):
+        f = random_divergence_free(TorusGrid(resolution), resolution // 2 - 1, seed=seed)
+        grid_f, grid_grad = _oversampled_maxima(f)
+        sup_f, sup_grad = sup_field_and_gradient(f)
+        assert sup_f >= grid_f and sup_grad >= grid_grad
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (3, 2), (4, 4), (1, 7), (6, 5)])
+    @pytest.mark.parametrize("amplitude", [1.0, -0.37, 2.5e3])
+    def test_exact_for_a_taylor_mode(self, grid32, n, m, amplitude):
+        f = make_taylor(TaylorSpec(n, m), amplitude, grid32)
+        a = abs(amplitude)
+        sup_f, sup_grad = sup_field_and_gradient(f)
+        assert sup_f == pytest.approx(a * max(n, m), rel=1e-15, abs=0.0)
+        assert sup_grad == pytest.approx(a * max(n * n, m * m, n * m), rel=1e-15, abs=0.0)
+
+    def test_strictly_above_the_maximum_of_two_modes(self, grid32):
+        # psi = cos x + sin 3x: f = (0, sin x - 3 cos 3x) and d_x f2 = cos x +
+        # 9 sin 3x, whose two terms never peak together
+        psi = np.zeros(grid32.spectral_shape, dtype=np.complex128)
+        psi[1, 0] = psi[-1, 0] = 0.5
+        psi[3, 0], psi[-3, 0] = -0.5j, 0.5j
+        f = SpectralField2D(grid32, psi)
+        sup_f, sup_grad = sup_field_and_gradient(f)
+        assert (sup_f, sup_grad) == (4.0, 10.0)
+        grid_f, grid_grad = _oversampled_maxima(f)
+        assert sup_f > 1.01 * grid_f and sup_grad > 1.01 * grid_grad
 
     def test_sum_of_the_sup_norm_pair(self, grid32):
         f = make_taylor(TaylorSpec(2, 3), 1.0, grid32) + 0.3 * make_tilde_t1(grid32)
@@ -490,3 +524,12 @@ class TestActiveModes:
         n_full = grid64.multiplicity.ravel()[keep].sum()
         assert FieldEvaluator(f)._dense == (n_full > 4 * grid64.resolution)
         assert n_full - len(full) in (0, 1)
+
+    @pytest.mark.parametrize("kmax", [2, 5, 15])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_total_weight_is_at_most_three_c1(self, grid32, kmax, seed):
+        # the tail cut of _EVAL_TAIL_RTOL * weight is then below 3e-13 C1
+        f = random_divergence_free(grid32, kmax, seed=seed) + make_tilde_t1(grid32, 0.1 * seed)
+        k1, k2 = np.abs(grid32.k1), grid32.k2
+        weight = grid32.multiplicity * (1.0 + np.maximum(k1, k2)) * (k1 + k2) * np.abs(f.psi)
+        assert weight.sum() <= 3.0 * c1_norm(f)
