@@ -167,6 +167,8 @@ def cmd_gen_field(args) -> int:
 
 
 def cmd_topology(args) -> int:
+    if args.field and args.snapshot:
+        raise ConfigError("flags --field and --snapshot: give one source of the field, not both")
     if args.snapshot:
         f = snapshot_to_field(read_snapshot(args.snapshot))
     elif args.field:
@@ -201,6 +203,7 @@ def cmd_topology(args) -> int:
 
 
 def _scenario_config(args, scenario: str) -> ExperimentConfig:
+    seed_grid = _even_grid_flag("--seed-grid", args.seed_grid)
     if args.config:
         cfg = load_config(args.config)
         if cfg.scenario != scenario and scenario != "custom":
@@ -210,8 +213,8 @@ def _scenario_config(args, scenario: str) -> ExperimentConfig:
             )
     else:
         cfg = ExperimentConfig.for_scenario(scenario)
-    if args.seed_grid is not None:
-        cfg = dataclasses.replace(cfg, seed_grid=args.seed_grid)
+    if seed_grid is not None:
+        cfg = dataclasses.replace(cfg, seed_grid=seed_grid)
     return cfg
 
 

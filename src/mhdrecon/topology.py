@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -90,18 +90,7 @@ class TopologySignature:
     structurally_stable: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "n_saddles": self.n_saddles,
-            "n_centers": self.n_centers,
-            "n_degenerate": self.n_degenerate,
-            "hetero_connections": self.hetero_connections,
-            "self_connections": self.self_connections,
-            "structurally_stable": self.structurally_stable,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TopologySignature":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__})
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -127,9 +116,13 @@ def torus_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(torus_delta(a, b), axis=-1)
 
 
-def classify(jac: np.ndarray, deg_tol: float) -> str:
+def _det(jac: np.ndarray) -> np.ndarray:
+    """Determinants of the 2x2 matrices on the last two axes of jac."""
+    return jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+
+
+def classify(det: float, deg_tol: float) -> str:
     """Sign-of-determinant rule with a degeneracy band |det| <= deg_tol."""
-    det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
     if det < -deg_tol:
         return "saddle"
     if det > deg_tol:
@@ -139,10 +132,11 @@ def classify(jac: np.ndarray, deg_tol: float) -> str:
 
 def _sign_change_seeds(f: SpectralField2D, seed_resolution: int | None) -> np.ndarray:
     """Centers of grid cells where either component changes sign across the cell."""
-    grid = f.grid if seed_resolution is None else TorusGrid(seed_resolution)
-    if grid is f.grid:
+    if seed_resolution in (None, f.grid.resolution):
+        grid = f.grid
         vals = f.to_grid()
     else:
+        grid = TorusGrid(seed_resolution)
         lattice = np.stack(np.meshgrid(grid.nodes, grid.nodes, indexing="ij"), axis=-1)
         vals = f.evaluator.values(lattice.reshape(-1, 2)).T.reshape(2, *grid.shape)
     mask = np.zeros(grid.shape, dtype=bool)
@@ -158,7 +152,7 @@ def _sign_change_seeds(f: SpectralField2D, seed_resolution: int | None) -> np.nd
 
 def _solve_2x2(jac: np.ndarray, rhs: np.ndarray, det_floor: float):
     """Batched solve of J dx = rhs; returns (dx, solvable mask)."""
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    det = _det(jac)
     ok = np.abs(det) > det_floor
     safe = np.where(ok, det, 1.0)
     dx = np.empty_like(rhs)
@@ -207,16 +201,14 @@ def _within(dx: float, dy: float, radius: float) -> bool:
 def find_critical_points(
     f: SpectralField2D,
     seed_resolution: int | None = None,
-    diagnostics: list | None = None,
 ) -> list[CriticalPoint]:
     """Locate and classify all zeros of f.
 
     Every cell of the seeding lattice (the field's grid, or a
     seed_resolution grid) in which either component changes sign seeds a
     damped Newton iteration on the exact spectral field; converged positions are
-    deduplicated on the torus and classified by the determinant rule.
-    Seeds that fail to converge are appended to ``diagnostics`` (position and
-    last residual), never raised.
+    deduplicated on the torus in one pass and classified by the determinant
+    rule. Seeds that fail to converge are counted in a debug line, never raised.
     The thresholds scale with the upper bounds (sup |f|, G) = f.sup_norms
     and C1 = sup |f| + G: a seed has converged when |f| < _NEWTON_TOL * C1,
     a Newton step needs |det J| > 1e-14 G^2, and a zero with |det J| <=
@@ -242,7 +234,7 @@ def find_critical_points(
     res = np.linalg.norm(fx, axis=-1)
     active = res >= res_target
 
-    for it in range(_MAX_NEWTON_ITER):
+    for _ in range(_MAX_NEWTON_ITER):
         if not active.any():
             break
         idx = np.nonzero(active)[0]
@@ -267,19 +259,11 @@ def find_critical_points(
         x[idx] = pos
         res[idx] = new_res
         active[idx] = (new_res >= res_target) & solvable & ~pending
-        # collapse seeds that have piled onto the same root
-        if it == 8 and active.sum() > 64:
-            conv = np.nonzero(~active)[0]
-            keep = _dedup_wrapped(x[conv], res[conv], _DEDUP_RADIUS)
-            res[np.setdiff1d(conv, conv[keep])] = np.inf
 
     converged = res < res_target
-    failed = ~converged & np.isfinite(res)
-    if diagnostics is not None:
-        for i in np.nonzero(failed)[0]:
-            diagnostics.append({"position": x[i].tolist(), "residual": float(res[i])})
-    if failed.any():
-        log.debug("%d Newton seeds did not converge", int(failed.sum()))
+    failed = int((~converged).sum())
+    if failed:
+        log.debug("%d Newton seeds did not converge", failed)
 
     pts = x[converged]
     if len(pts) == 0:
@@ -289,14 +273,13 @@ def find_critical_points(
     vals, jacs = evaluator.values_and_jacobians(pts)
     deg_tol = _DEG_TOL_FACTOR * c1**2
     points = []
-    for p, v, j in zip(pts, vals, jacs):
-        det = float(j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0])
+    for p, v, j, det in zip(pts, vals, jacs, _det(jacs).tolist()):
         points.append(
             CriticalPoint(
                 position=wrap(p),
                 jacobian=j,
                 det=det,
-                kind=classify(j, deg_tol),
+                kind=classify(det, deg_tol),
                 residual=float(np.linalg.norm(v)),
             )
         )

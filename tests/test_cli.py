@@ -85,6 +85,16 @@ class TestTopologyCommand:
     def test_requires_field_or_snapshot(self, tmp_path):
         assert main(["topology", "--out", str(tmp_path)]) == 1
 
+    def test_field_and_snapshot_refused(self, tmp_path, capsys):
+        # refused before the snapshot is read: the file does not exist
+        out_dir = tmp_path / "topo"
+        code = main(["topology", "--field", "taylor:1,1", "--snapshot",
+                     str(tmp_path / "missing.snap"), "--out", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: flags --field and --snapshot: give one source of the field, not both")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (["topology", "--resolution", "32", "--seed-grid", "7"], "--seed-grid"),
         (["topology", "--resolution", "7"], "--resolution"),
@@ -262,6 +272,14 @@ class TestFlagsPerCommand:
                      "--out", str(out_dir)]) == 0
         report = json.loads((out_dir / "report.json").read_text())
         assert report["config"]["seed_grid"] == 48
+
+    @pytest.mark.parametrize("command", ["theorem1", "simulate"])
+    def test_bad_seed_grid_names_the_flag(self, tmp_path, capsys, command):
+        out_dir = tmp_path / "run"
+        assert main([command, "--seed-grid", "7", "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: flag --seed-grid: expected an even integer >= 8, got 7")
+        assert not out_dir.exists()
 
 
 # a valid sweep run, quick to check

@@ -55,6 +55,7 @@ from mhdrecon.topology import (
     _STOP_TOL_FACTOR,
     _TRACE_STEP,
     _dedup_wrapped,
+    _det,
     _norm,
     _sign_change_seeds,
 )
@@ -72,14 +73,14 @@ def _closest(positions, target):
 
 class TestClassify:
     def test_saddle(self):
-        assert classify(np.array([[0.0, 1.0], [0.5, 0.0]]), 1e-8) == "saddle"
+        assert classify(_det(np.array([[0.0, 1.0], [0.5, 0.0]])), 1e-8) == "saddle"
 
     def test_center(self):
-        assert classify(np.array([[0.0, -1.0], [0.5, 0.0]]), 1e-8) == "center"
+        assert classify(_det(np.array([[0.0, -1.0], [0.5, 0.0]])), 1e-8) == "center"
 
     def test_degenerate(self):
-        assert classify(np.zeros((2, 2)), 1e-8) == "degenerate"
-        assert classify(np.array([[0.0, 1e-9], [1e-9, 0.0]]), 1e-8) == "degenerate"
+        assert classify(_det(np.zeros((2, 2))), 1e-8) == "degenerate"
+        assert classify(_det(np.array([[0.0, 1e-9], [1e-9, 0.0]])), 1e-8) == "degenerate"
 
 
 class TestCriticalPoints:
@@ -146,11 +147,14 @@ class TestCriticalPoints:
         with pytest.raises(ConfigurationError):
             find_critical_points(zero_field(grid32))
 
-    def test_failed_seeds_reported_not_raised(self, grid64):
-        diag = []
-        find_critical_points(make_taylor(TaylorSpec(2, 1), 1.0, grid64), diagnostics=diag)
-        for entry in diag:
-            assert set(entry) == {"position", "residual"}
+    def test_failed_seeds_logged_not_raised(self, caplog):
+        # at M = 16 every cell-centre seed of T_44 sits where det grad f = 0,
+        # so none of the 256 seeds can take a Newton step
+        f = make_taylor(TaylorSpec(4, 4), 1.0, TorusGrid(16))
+        with caplog.at_level(logging.DEBUG, logger="mhdrecon.topology"):
+            assert find_critical_points(f) == []
+        assert [r.getMessage() for r in caplog.records] == [
+            "256 Newton seeds did not converge"]
 
     @pytest.mark.parametrize("delta", [0.59833, 0.6, 0.60167, 0.60667])
     def test_weak_saddles_are_found_once(self, grid32, delta):
@@ -467,6 +471,19 @@ class TestEvaluationCounts:
         sig, _ = extract_signature(f, seed_resolution)
         assert sig.n_saddles == 24 and sig.hetero_connections > 0
         assert len(sup_calls) == len(built) == 1
+
+    @pytest.mark.parametrize("n, m, resolution", [(3, 2, 64), (4, 4, 128)])
+    def test_own_grid_as_seed_grid_is_the_default(self, n, m, resolution):
+        # the field's own resolution seeds from its grid values, as the default
+        # does, not from the evaluator at the same nodes
+        grid = TorusGrid(resolution)
+        f = (make_taylor(TaylorSpec(n, m), 1.0 / np.hypot(n, m), grid)
+             + 1e-3 * make_tilde_t1(grid))
+        assert np.array_equal(_sign_change_seeds(f, resolution), _sign_change_seeds(f, None))
+        sig, points = extract_signature(f)
+        sig_m, points_m = extract_signature(f, resolution)
+        assert sig_m == sig
+        assert np.array_equal(_positions(points_m), _positions(points))
 
 
 class TestSaddleConnections:
