@@ -121,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "--seed-grid")
     p.add_argument("--field", help="field spec, e.g. taylor:1,1")
     p.add_argument("--snapshot", help="read the field from a snapshot file instead")
-    p.add_argument("--resolution", type=int, default=128)
+    p.add_argument("--resolution", type=int,
+                   help="grid of --field (default: 128); a snapshot carries its own")
 
     p = sub.add_parser("simulate", help="plain run with diagnostics output")
     _add_flags(p, "--config", "--seed-grid", "--emit-plots")
@@ -169,10 +170,14 @@ def cmd_gen_field(args) -> int:
 def cmd_topology(args) -> int:
     if args.field and args.snapshot:
         raise ConfigError("flags --field and --snapshot: give one source of the field, not both")
+    if args.snapshot and args.resolution is not None:
+        raise ConfigError("flags --snapshot and --resolution: a snapshot carries its own "
+                          "resolution, give --resolution only with --field")
     if args.snapshot:
         f = snapshot_to_field(read_snapshot(args.snapshot))
     elif args.field:
-        grid = TorusGrid(_even_grid_flag("--resolution", args.resolution))
+        resolution = 128 if args.resolution is None else args.resolution
+        grid = TorusGrid(_even_grid_flag("--resolution", resolution))
         f = parse_field_spec(args.field, grid)
     else:
         raise ConfigurationError("topology needs --field or --snapshot")

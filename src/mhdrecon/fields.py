@@ -429,10 +429,19 @@ def sup_field_and_gradient(f: SpectralField2D) -> tuple[float, float]:
     every point. It equals the suprema for a single Taylor mode T_nm,
     (max(n, m), max(n^2, m^2, nm)), and for tilde T_1, (1, 1). Fields cache
     the pair as SpectralField2D.sup_norms.
+
+    The five series are psi times |k2|, |k1|, |k1 k2|, k2^2 and k1^2, and w
+    depends on k2 alone, so each sum is separable: the row sums of A = |psi|
+    against w, w |k2| and w k2^2, dotted with 1, |k1| or k1^2. That reads A
+    once and builds no array larger than psi.
     """
     g = f.grid
-    sums = np.sum(g.multiplicity * np.abs(_series(g.k1, g.k2, f.psi)), axis=(-2, -1))
-    return float(sums[:2].max()), float(sums[2:].max())
+    k1, k2, w = np.abs(g.k1[:, 0]), g.k2[0], g.multiplicity[0]
+    rows = np.abs(f.psi) @ np.stack([w, w * k2, w * k2 * k2], axis=1)
+    # sums[i, j] = sum_k w |k1|^i |k2|^j |psi(k)|
+    sums = np.stack([np.ones_like(k1), k1, k1 * k1]) @ rows
+    return (float(max(sums[0, 1], sums[1, 0])),
+            float(max(sums[1, 1], sums[0, 2], sums[2, 0])))
 
 
 def c1_norm(f: SpectralField2D) -> float:

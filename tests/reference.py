@@ -1,12 +1,21 @@
-"""Closed forms that only the tests check the program against.
+"""Closed forms and plain formulas that only the tests check the program against.
 
-The time derivative of the forced construction's magnetic field and the
-bound shapes of the Duhamel integrals; no run of the program needs them.
+The time derivative of the forced construction's magnetic field, the bound
+shapes of the Duhamel integrals, and the direct forms of two topology
+kernels: the Fourier-l1 sums over the stack of the five series, and the
+sign-change mask from the min and max of the four corners of each cell. No
+run of the program needs them.
 """
 
 import numpy as np
 
-from mhdrecon.fields import ConfigurationError, SpectralField2D, TorusGrid, make_taylor
+from mhdrecon.fields import (
+    ConfigurationError,
+    SpectralField2D,
+    TorusGrid,
+    _series,
+    make_taylor,
+)
 from mhdrecon.oracles import ForcedOracle
 
 
@@ -31,3 +40,24 @@ def duhamel_envelopes(
     lh = delta**2 * n_scale ** (r + 3) * np.exp(-sigma * t)
     lm = delta * n_scale**-2 + delta * n_scale ** (r + 1) * np.exp(-eta * n_scale**2 * t / 2.0)
     return float(lh), float(lm)
+
+
+def fourier_l1_pair(f: SpectralField2D) -> tuple[float, float]:
+    """fields.sup_field_and_gradient as the sums sum_k w(k) |s(k)| over the
+    (5, M, M/2 + 1) stack of the series s of fields._series."""
+    g = f.grid
+    sums = np.sum(g.multiplicity * np.abs(_series(g.k1, g.k2, f.psi)), axis=(-2, -1))
+    return float(sums[:2].max()), float(sums[2:].max())
+
+
+def sign_change_mask(vals: np.ndarray) -> np.ndarray:
+    """Cells (i, j) of a periodic lattice in which a component of vals (2, M, M)
+    changes sign: the least of the four corner values is <= 0 and the largest
+    is >= 0."""
+    mask = np.zeros(vals.shape[1:], dtype=bool)
+    for comp in vals:
+        corners = np.stack(
+            [comp, np.roll(comp, -1, 0), np.roll(comp, -1, 1), np.roll(np.roll(comp, -1, 0), -1, 1)]
+        )
+        mask |= (corners.min(axis=0) <= 0.0) & (corners.max(axis=0) >= 0.0)
+    return mask

@@ -95,6 +95,17 @@ class TestTopologyCommand:
             "error: flags --field and --snapshot: give one source of the field, not both")
         assert not out_dir.exists()
 
+    def test_snapshot_and_resolution_refused(self, tmp_path, capsys):
+        # a snapshot carries its resolution; refused before the file is read
+        out_dir = tmp_path / "topo"
+        code = main(["topology", "--snapshot", str(tmp_path / "missing.snap"),
+                     "--resolution", "64", "--out", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: flags --snapshot and --resolution: ")
+        assert len(err.splitlines()) == 1
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (["topology", "--resolution", "32", "--seed-grid", "7"], "--seed-grid"),
         (["topology", "--resolution", "7"], "--resolution"),

@@ -29,6 +29,7 @@ from mhdrecon.fields import (
 from mhdrecon import fields
 
 from .conftest import random_divergence_free
+from .reference import fourier_l1_pair
 
 
 def _full_wavenumbers(grid):
@@ -295,6 +296,24 @@ class TestC1Norm:
         assert (sup_f, sup_grad) == (4.0, 10.0)
         grid_f, grid_grad = _oversampled_maxima(f)
         assert sup_f > 1.01 * grid_f and sup_grad > 1.01 * grid_grad
+
+    @pytest.mark.parametrize("resolution", [32, 64, 128, 256])
+    @pytest.mark.parametrize("kmax", range(1, 9))
+    def test_separable_sums_match_the_series_stack(self, resolution, kmax):
+        # the same sums of positive terms, added in another order
+        for seed in range(2):
+            f = random_divergence_free(TorusGrid(resolution), kmax, seed=100 * kmax + seed)
+            assert sup_field_and_gradient(f) == pytest.approx(fourier_l1_pair(f), rel=1e-15,
+                                                              abs=0.0)
+
+    @pytest.mark.parametrize("amplitude", [1.0, -0.37, 2.5e3, 1e-3])
+    def test_separable_sums_equal_the_series_stack_on_single_modes(self, grid32, amplitude):
+        for n in range(1, 8):
+            for m in range(1, 8):
+                f = make_taylor(TaylorSpec(n, m), amplitude, grid32)
+                assert sup_field_and_gradient(f) == fourier_l1_pair(f)
+        f = make_tilde_t1(grid32, amplitude)
+        assert sup_field_and_gradient(f) == fourier_l1_pair(f)
 
     def test_sum_of_the_sup_norm_pair(self, grid32):
         f = make_taylor(TaylorSpec(2, 3), 1.0, grid32) + 0.3 * make_tilde_t1(grid32)

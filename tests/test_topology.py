@@ -8,6 +8,7 @@ saddles and two centers.
 
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,7 @@ from mhdrecon.topology import (
 )
 
 from .conftest import random_divergence_free
+from .reference import sign_change_mask
 
 
 def _positions(points, kind=None):
@@ -199,6 +201,64 @@ class TestDedup:
         reps = _dedup_wrapped(pts, residuals, radius)
         assert reps == _greedy_dedup(pts, residuals, radius)
         assert 2 * len(centers) < len(reps) < len(pts)
+
+
+def _cell_centers(lattice: TorusGrid, mask: np.ndarray) -> np.ndarray:
+    ii, jj = np.nonzero(mask)
+    h = lattice.spacing
+    return np.stack([lattice.nodes[ii] + 0.5 * h, lattice.nodes[jj] + 0.5 * h], axis=-1)
+
+
+class TestSignChangeSeeds:
+    @pytest.mark.parametrize("resolution", [32, 64, 128, 256])
+    @pytest.mark.parametrize("kmax", range(1, 9))
+    def test_field_grid_matches_the_corner_stack(self, resolution, kmax):
+        grid = TorusGrid(resolution)
+        f = random_divergence_free(grid, kmax, seed=kmax)
+        expected = _cell_centers(grid, sign_change_mask(f.to_grid()))
+        assert np.array_equal(_sign_change_seeds(f, None), expected)
+
+    @pytest.mark.parametrize("resolution", [32, 64, 128, 256])
+    @pytest.mark.parametrize("kmax", range(1, 9))
+    def test_seed_lattice_matches_the_corner_stack(self, resolution, kmax):
+        lattice = TorusGrid(48)
+        f = random_divergence_free(TorusGrid(resolution), kmax, seed=kmax)
+        pts = np.stack(np.meshgrid(lattice.nodes, lattice.nodes, indexing="ij"), axis=-1)
+        vals = f.evaluator.values(pts.reshape(-1, 2)).T.reshape(2, *lattice.shape)
+        expected = _cell_centers(lattice, sign_change_mask(vals))
+        assert np.array_equal(_sign_change_seeds(f, 48), expected)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (4, 4)])
+    def test_zero_lines_match_the_corner_stack(self, grid32, n, m):
+        # the grid values of T_nm lie on or near 0 along whole grid lines, and
+        # every value of the zero field is 0: a corner on neither side
+        for f in (make_taylor(TaylorSpec(n, m), 1.0, grid32), zero_field(grid32)):
+            expected = _cell_centers(grid32, sign_change_mask(f.to_grid()))
+            assert np.array_equal(_sign_change_seeds(f, None), expected)
+        assert len(_sign_change_seeds(zero_field(grid32), None)) == 32 * 32
+
+
+class TestSignatureMemory:
+    @pytest.mark.parametrize("family", ["taylor", "tilde"])
+    def test_set_up_builds_no_full_size_stack(self, family):
+        # the two families of the signature benchmark at M = 256. A
+        # (5, M, M/2 + 1) complex stack of the l1 series or a (4, M, M) stack
+        # of corner values lifts the peak to 7.2 MB; without them the search
+        # stays below 3.5 MB, the grid values included
+        grid = TorusGrid(256)
+        if family == "taylor":
+            f = make_taylor(TaylorSpec(2, 1), 1.0 / np.sqrt(5.0), grid) \
+                + 5e-4 * make_tilde_t1(grid)
+        else:
+            f = make_tilde_t1(grid) + 0.01 * make_taylor(TaylorSpec(1, 2), 1.0, grid)
+        tracemalloc.start()
+        try:
+            sig, _ = extract_signature(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sig.n_saddles > 0
+        assert peak < 3.5e6
 
 
 class TestTraceIntegralLine:
@@ -407,14 +467,7 @@ class TestEvaluationCounts:
         lattice = TorusGrid(48)
         pts = np.stack(np.meshgrid(lattice.nodes, lattice.nodes, indexing="ij"), axis=-1)
         vals = FieldEvaluator(f).values(pts.reshape(-1, 2)).reshape(*lattice.shape, 2)
-        mask = np.zeros(lattice.shape, dtype=bool)
-        for comp in np.moveaxis(vals, -1, 0):
-            corners = np.stack([comp, np.roll(comp, -1, 0), np.roll(comp, -1, 1),
-                                np.roll(np.roll(comp, -1, 0), -1, 1)])
-            mask |= (corners.min(axis=0) <= 0.0) & (corners.max(axis=0) >= 0.0)
-        ii, jj = np.nonzero(mask)
-        h = lattice.spacing
-        expected = np.stack([lattice.nodes[ii] + 0.5 * h, lattice.nodes[jj] + 0.5 * h], axis=-1)
+        expected = _cell_centers(lattice, sign_change_mask(np.moveaxis(vals, -1, 0)))
         values_calls.clear()
         seeds = _sign_change_seeds(f, 48)
         assert np.array_equal(seeds, expected)
