@@ -19,7 +19,6 @@ from .solver import (
     MHDState,
     SimConfig,
     Trajectory,
-    duhamel_remainder,
     heat_propagate,
     simulate,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "Trajectory",
     "c1_norm",
     "detect_saddle_connections",
-    "duhamel_remainder",
     "extract_signature",
     "find_critical_points",
     "flow_map",

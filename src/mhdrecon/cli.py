@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import logging
 import math
@@ -88,7 +87,6 @@ def parse_field_spec(spec: str, grid: TorusGrid) -> SpectralField2D:
 # Optional flags; each command takes only those it reads.
 _FLAGS = {
     "--config": dict(help="path to a scenario config JSON file"),
-    "--seed-grid": dict(type=int, help="seeding lattice resolution for critical-point search"),
     "--threads": dict(type=int, default=1, help="worker threads for sweep runs"),
     "--emit-plots": dict(action="store_true",
                          help="write whitespace-separated plot data and a plotting script"),
@@ -118,18 +116,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=128)
 
     p = sub.add_parser("topology", help="critical points and signature of a field")
-    _add_flags(p, "--seed-grid")
+    _add_flags(p)
     p.add_argument("--field", help="field spec, e.g. taylor:1,1")
     p.add_argument("--snapshot", help="read the field from a snapshot file instead")
     p.add_argument("--resolution", type=int,
                    help="grid of --field (default: 128); a snapshot carries its own")
 
     p = sub.add_parser("simulate", help="plain run with diagnostics output")
-    _add_flags(p, "--config", "--seed-grid", "--emit-plots")
+    _add_flags(p, "--config", "--emit-plots")
 
     for name in SCENARIO_COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} scenario")
-        _add_flags(p, "--config", "--seed-grid", "--emit-plots")
+        _add_flags(p, "--config", "--emit-plots")
 
     p = sub.add_parser("sweep", help="run several configs concurrently")
     _add_flags(p, "--config", "--threads", "--emit-plots")
@@ -181,9 +179,8 @@ def cmd_topology(args) -> int:
         f = parse_field_spec(args.field, grid)
     else:
         raise ConfigurationError("topology needs --field or --snapshot")
-    seed_grid = _even_grid_flag("--seed-grid", args.seed_grid)
     try:
-        sig, points = extract_signature(f, seed_grid)
+        sig, points = extract_signature(f)
     except ConfigurationError as exc:
         source = f"snapshot {args.snapshot}" if args.snapshot else f"field {args.field!r}"
         raise ConfigurationError(f"{source}: {exc}") from exc
@@ -208,7 +205,6 @@ def cmd_topology(args) -> int:
 
 
 def _scenario_config(args, scenario: str) -> ExperimentConfig:
-    seed_grid = _even_grid_flag("--seed-grid", args.seed_grid)
     if args.config:
         cfg = load_config(args.config)
         if cfg.scenario != scenario and scenario != "custom":
@@ -216,11 +212,8 @@ def _scenario_config(args, scenario: str) -> ExperimentConfig:
                 f"field 'scenario': config names {cfg.scenario!r} but the "
                 f"{scenario!r} command was invoked"
             )
-    else:
-        cfg = ExperimentConfig.for_scenario(scenario)
-    if seed_grid is not None:
-        cfg = dataclasses.replace(cfg, seed_grid=seed_grid)
-    return cfg
+        return cfg
+    return ExperimentConfig.for_scenario(scenario)
 
 
 def _finish(report: Report, out: Path, emit: bool) -> int:

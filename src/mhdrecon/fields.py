@@ -239,9 +239,9 @@ class SpectralField2D:
         return full
 
     def to_grid(self) -> np.ndarray:
-        """Collocation values, shape (2, M, M)."""
+        """Collocation values, shape (2, M, M), transformed one component at a time."""
         g = self.grid
-        return g.to_grid(_series(g.k1, g.k2, self.psi, jacobian=False))
+        return np.stack([g.to_grid(1j * g.k2 * self.psi), g.to_grid(-1j * g.k1 * self.psi)])
 
     @cached_property
     def evaluator(self) -> "FieldEvaluator":
@@ -367,7 +367,7 @@ class FieldEvaluator:
         (P, n), for the n matrices C of shape (R, C) set side by side in mats."""
         e1 = np.exp(1j * pts[:, 0, None] * self._kr)
         e2 = np.exp(1j * pts[:, 1, None] * self._kc)
-        rows = (e1 @ mats).reshape(len(pts), -1, len(self._kc))
+        rows = (e1 @ mats).reshape(len(pts), mats.shape[1] // len(self._kc), len(self._kc))
         return np.real((rows @ e2[:, :, None])[:, :, 0])
 
     def _sums(self, pts: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -442,6 +442,16 @@ def sup_field_and_gradient(f: SpectralField2D) -> tuple[float, float]:
     sums = np.stack([np.ones_like(k1), k1, k1 * k1]) @ rows
     return (float(max(sums[0, 1], sums[1, 0])),
             float(max(sums[1, 1], sums[0, 2], sums[2, 0])))
+
+
+def l1_sums(f: SpectralField2D) -> np.ndarray:
+    """The Fourier-l1 sums S[a, b] = sum_k w(k) |k1|^a |k2|^b |psi(k)|, a, b = 0..3,
+    each a bound on |d_x^a d_y^b psi|. The rows of sup_field_and_gradient, in
+    a product of their own, so that the sup-norm pair keeps its bits."""
+    g = f.grid
+    k1, k2, w = np.abs(g.k1[:, 0]), g.k2[0], g.multiplicity[0]
+    rows = np.abs(f.psi) @ np.stack([w * k2**b for b in range(4)], axis=1)
+    return np.stack([k1**a for a in range(4)]) @ rows
 
 
 def c1_norm(f: SpectralField2D) -> float:

@@ -144,9 +144,7 @@ _FIELD_RULES = {
     "delta": _NON_NEGATIVE,
     "r": (lambda v: _is_int(v) and 0 <= v <= 8, "an integer in 0..8 (Sobolev index)"),
     "output_cadence": _POSITIVE_INT,
-    "dealias": (lambda v: isinstance(v, bool), "true or false"),
     "expect": (lambda v: v is None or isinstance(v, str), "null or a string"),
-    "seed_grid": (lambda v: v is None or _is_even_grid(v), "null or an even integer >= 8"),
     "topology_cadence": (lambda v: v is None or _POSITIVE_INT[0](v), "null or an integer >= 1"),
 }
 
@@ -174,9 +172,7 @@ class ExperimentConfig:
     delta: float = 1e-3
     r: int = 3
     output_cadence: int = 50
-    dealias: bool = True
     expect: str | None = None
-    seed_grid: int | None = None
     topology_cadence: int | None = None
 
     def __post_init__(self):
@@ -223,7 +219,6 @@ class ExperimentConfig:
             dt=self.dt,
             t_end=self.t_end,
             forcing=forcing,
-            dealias=self.dealias,
             output_cadence=self.output_cadence,
         )
 
@@ -290,16 +285,15 @@ class _DiagnosticsSink:
     carries the signature counts of the magnetic field at that time.
     """
 
-    def __init__(self, r_max: int, topology_cadence: int | None, seed_resolution: int | None):
+    def __init__(self, r_max: int, topology_cadence: int | None):
         self.r_max = r_max
         self.topology_cadence = topology_cadence
-        self.seed_resolution = seed_resolution
         self.records: list[DiagnosticsRecord] = []
 
     def __call__(self, state: MHDState) -> None:
         signature = None
         if self.topology_cadence and len(self.records) % self.topology_cadence == 0:
-            sig, _ = extract_signature(state.b, self.seed_resolution)
+            sig, _ = extract_signature(state.b)
             signature = sig.to_dict()
         self.records.append(
             DiagnosticsRecord(
@@ -321,7 +315,7 @@ def _run_with_diagnostics(
     extra_sinks=(),
 ):
     """Simulate with diagnostics and extra sinks; persist if asked. Returns (final, records)."""
-    diags = _DiagnosticsSink(cfg.r, cfg.topology_cadence, cfg.seed_grid)
+    diags = _DiagnosticsSink(cfg.r, cfg.topology_cadence)
     final = simulate(sim_cfg, initial, sinks=[diags, *extra_sinks])
     if out_dir is not None:
         out = Path(out_dir)
@@ -357,9 +351,9 @@ def _time_error_estimate(sim_cfg: SimConfig, initial: MHDState, final: MHDState)
 
 
 @lru_cache(maxsize=None)
-def _reference_signature(grid: TorusGrid, seed_resolution: int | None) -> TopologySignature:
-    """Signature of tilde T_1, the same for every run on one grid and seeding lattice."""
-    sig, _ = extract_signature(make_tilde_t1(grid), seed_resolution)
+def _reference_signature(grid: TorusGrid) -> TopologySignature:
+    """Signature of tilde T_1, the same for every run on one grid."""
+    sig, _ = extract_signature(make_tilde_t1(grid))
     return sig
 
 
@@ -402,10 +396,10 @@ def _reconnection_run(cfg: ExperimentConfig, out_dir, label: str, b0, scale: flo
     and of b_tilde = scale * b(T), the final state, and its
     time_error_estimate.
     """
-    sig0, _ = extract_signature(b0, cfg.seed_grid)
+    sig0, _ = extract_signature(b0)
     final, time_error = _run_from_rest(cfg, out_dir, label, b0, forcing, extra_sinks)
     b_tilde = scale * final.b
-    sig_t, _ = extract_signature(b_tilde, cfg.seed_grid)
+    sig_t, _ = extract_signature(b_tilde)
     return sig0, sig_t, final, b_tilde, time_error
 
 
@@ -423,7 +417,7 @@ def run_theorem1(cfg: ExperimentConfig, out_dir=None) -> Report:
         rescale = float(np.exp(cfg.eta * TaylorSpec(cfg.n, cfg.m).eigenvalue * cfg.t_end)
                         * n_scale)
     sig0, sig_t, _, b_tilde, time_error = _reconnection_run(cfg, out_dir, "theorem1", b0, rescale)
-    ref_sig = _reference_signature(grid, cfg.seed_grid)
+    ref_sig = _reference_signature(grid)
 
     changed = signatures_equivalent(sig0, sig_t) == "distinct"
     settled = _settled(sig_t, ref_sig)
@@ -525,7 +519,7 @@ def run_remark2(cfg: ExperimentConfig, out_dir=None) -> Report:
     err_exact = oracles.remark2_exact_error(spec_nm, cfg.r, cfg.eta, cfg.t_end, grid)
     bound = oracles.remark2_error_bound(spec_nm.eigenvalue, cfg.r, cfg.eta, cfg.t_end)
     explicit = oracles.remark2_explicit_bound(spec_nm, cfg.r, cfg.eta, cfg.t_end, grid)
-    ref_sig = _reference_signature(grid, cfg.seed_grid)
+    ref_sig = _reference_signature(grid)
 
     changed = signatures_equivalent(sig0, sig_t) == "distinct"
     verdict = "reconnection" if (changed and _settled(sig_t, ref_sig)) else "no-reconnection"

@@ -91,7 +91,6 @@ class SimConfig:
     dt: float
     t_end: float
     forcing: ForcedOracle | None = None
-    dealias: bool = True
     output_cadence: int = 50
 
     def __post_init__(self):
@@ -117,16 +116,17 @@ class _HalfSpectrum:
     to be kept up.
     """
 
-    def __init__(self, grid: TorusGrid, dealias: bool):
+    def __init__(self, grid: TorusGrid):
         m = grid.resolution
         half = m // 2 + 1
         self.grid = grid
         self.k1, self.k2, self.ksq, self.inv_ksq = grid.k1, grid.k2, grid.ksq, grid.inv_ksq
         # grad_perp = (d_y, -d_x) in spectral form
         self.perp = np.stack([1j * self.k2, -1j * self.k1])
-        # the Nyquist lines have no consistent real odd derivative; drop them
-        # from every nonlinear tendency together with k = 0
-        keep = (grid.dealias_mask if dealias else ~grid.nyquist_mask) & (self.ksq > 0)
+        # every nonlinear tendency keeps the modes inside the 2/3-rule cut,
+        # k = 0 excepted; the cut also drops the Nyquist lines, which have no
+        # consistent real odd derivative
+        keep = grid.dealias_mask & (self.ksq > 0)
         self.keep = keep = keep.astype(np.float64)
         # the vorticity tendency's factors, divided by |k|^2 for that of psi
         self.strain = keep * (self.k1 * self.k2) * self.inv_ksq
@@ -385,7 +385,7 @@ def simulate(cfg: SimConfig, initial: MHDState, sinks=()) -> MHDState:
     if total == 0:
         return initial
 
-    half = _HalfSpectrum(cfg.grid, cfg.dealias)
+    half = _HalfSpectrum(cfg.grid)
     forcing = _Forcing(cfg.forcing, half)
     z = half.from_fields(initial.u, initial.b)
     n_full = int(np.floor(total / cfg.dt + 1e-9))
@@ -446,23 +446,6 @@ class Trajectory:
             if abs(st.t - t) <= 1e-9:
                 return st
         raise ValueError(f"no snapshot at t = {t}")
-
-
-def duhamel_remainder(trajectory: Trajectory, eta: float) -> list[tuple[float, SpectralField2D]]:
-    """D(t) = b(t) - exp(eta t Lap) b0 for every snapshot.
-
-    This is the numerically exact total deviation of the magnetic field from
-    pure heat evolution of its initial value.
-    """
-    if not trajectory.states:
-        raise ValueError("trajectory has no snapshots; the initial state is required")
-    b0 = trajectory.states[0].b
-    t0 = trajectory.states[0].t
-    out = []
-    for st in trajectory.states:
-        heated = heat_propagate(b0, eta, st.t - t0)
-        out.append((st.t, st.b - heated))
-    return out
 
 
 def energy(state: MHDState) -> float:

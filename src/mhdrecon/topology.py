@@ -19,7 +19,6 @@ extract_signature logs a warning when the counts differ.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -28,8 +27,8 @@ from .fields import (
     ConfigurationError,
     FieldEvaluator,
     SpectralField2D,
-    TorusGrid,
     c1_norm,
+    l1_sums,
 )
 # Not called here: bench/tracer.py looks the sup-norms up as topology.sup_field_and_gradient.
 from .fields import sup_field_and_gradient  # noqa: F401
@@ -50,11 +49,14 @@ _NEWTON_TOL = 1e-12          # residual target, relative to the C1 norm
 _MAX_NEWTON_ITER = 50
 _DEG_TOL_FACTOR = 1e-8       # degeneracy band: |det| <= factor * C1^2
 _C1_RANGE = (1e-150, 1e150)  # keeps C1^2 and the degeneracy band normal floats
-# Newton stops up to _NEWTON_TOL * C1 / sigma from a zero whose Jacobian has
-# smallest singular value sigma, so two copies of one zero lie up to
-# 2e-12 C1 / sigma apart (7e-11 at a weak saddle with sigma = 0.04 C1); the
-# radius merges them down to sigma = 2e-4 C1
+# The box of a zero whose Krawczyk test fails. Newton stops up to
+# _NEWTON_TOL * C1 / sigma from a zero whose Jacobian has smallest singular
+# value sigma, so two copies of one zero lie up to 2e-12 C1 / sigma apart
+# (7e-11 at a weak saddle with sigma = 0.04 C1); the box merges them down to
+# sigma = 2e-4 C1
 _DEDUP_RADIUS = 1e-8
+_EXCLUSION_EPS = 1e-12       # evaluation error allowance of the exclusion test, relative to C1
+_MAX_BISECTIONS = 3          # cover-check refinements of a cell that no box covers
 _EPS_LAUNCH = 1e-4           # separatrix launch offset from its saddle
 _ARRIVAL_RADIUS = 1e-2
 _PSI_TOL_FACTOR = 1e-6       # connection level test, relative to osc(psi)
@@ -130,33 +132,6 @@ def classify(det: float, deg_tol: float) -> str:
     return "degenerate"
 
 
-def _sign_change_seeds(f: SpectralField2D, seed_resolution: int | None) -> np.ndarray:
-    """Centers of grid cells where either component changes sign across the cell.
-
-    A component changes sign across a cell unless its four corner values are
-    all > 0 or all < 0. Each of those two sides is a boolean lattice, and a
-    cell lies on it when the cell's corner (i, j) and the corners rolled in
-    from (i + 1, j) and (i, j + 1) do, so no stack of corner values is built.
-    """
-    if seed_resolution in (None, f.grid.resolution):
-        grid = f.grid
-        vals = f.to_grid()
-    else:
-        grid = TorusGrid(seed_resolution)
-        lattice = np.stack(np.meshgrid(grid.nodes, grid.nodes, indexing="ij"), axis=-1)
-        vals = f.evaluator.values(lattice.reshape(-1, 2)).T.reshape(2, *grid.shape)
-    one_sided = np.ones(grid.shape, dtype=bool)
-    for comp in vals:
-        pos, neg = comp > 0.0, comp < 0.0
-        for side in (pos, neg):
-            side &= np.roll(side, -1, 0)
-            side &= np.roll(side, -1, 1)
-        one_sided &= pos | neg
-    ii, jj = np.nonzero(~one_sided)
-    h = grid.spacing
-    return np.stack([grid.nodes[ii] + 0.5 * h, grid.nodes[jj] + 0.5 * h], axis=-1)
-
-
 def _solve_2x2(jac: np.ndarray, rhs: np.ndarray, det_floor: float):
     """Batched solve of J dx = rhs; returns (dx, solvable mask)."""
     det = _det(jac)
@@ -168,85 +143,15 @@ def _solve_2x2(jac: np.ndarray, rhs: np.ndarray, det_floor: float):
     return dx, ok
 
 
-# The cell offsets _dedup_wrapped searches, own cell first: a copy of a kept
-# zero lies within radius of it, so almost always in the same cell.
-_NEIGHBOUR_CELLS = ((0, 0),) + tuple(
-    (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0))
+def _near_zero(vals: np.ndarray, bounds, eps: float) -> np.ndarray:
+    """Cells that may hold a zero: |f_i| <= bound_i + eps for both components
+    (on the first axis of vals and bounds), where bound_i bounds how far f_i
+    moves from the cell's centre across it and eps the evaluation error."""
+    return (np.abs(vals[0]) <= bounds[0] + eps) & (np.abs(vals[1]) <= bounds[1] + eps)
 
 
-def _dedup_wrapped(points: np.ndarray, residuals: np.ndarray, radius: float):
-    """Greedy torus-metric dedup keeping the smallest-residual representative.
-
-    A point is dropped when it lies within radius (torus_distance <= radius)
-    of a representative already kept. The kept points are binned in square
-    cells of side at least radius, so only the representatives of a point's
-    own cell and its eight neighbours can lie that close. Whether any of them
-    does is the same in any search order, so searching the own cell first
-    keeps the same representatives and stops sooner on a copy. The distances
-    are computed from Python floats in the same operations as
-    torus_distance, so they agree bit for bit without a NumPy call per pair.
-    One torus_distance call per point, over the representatives of its nine
-    cells, takes four times as long on the 372-3872-point dedups of the
-    critical-point search.
-    """
-    order = np.argsort(residuals, kind="stable")
-    reps: list[int] = []
-    cell: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    ncells = max(int(np.floor(TWO_PI / radius)), 1)
-    inv = ncells / TWO_PI
-    coords = points.tolist()
-    for idx in order.tolist():
-        px, py = coords[idx]
-        kx, ky = int(px * inv) % ncells, int(py * inv) % ncells
-        if not any(
-            _within(px - qx, py - qy, radius)
-            for dx, dy in _NEIGHBOUR_CELLS
-            for qx, qy in cell.get(((kx + dx) % ncells, (ky + dy) % ncells), ())
-        ):
-            reps.append(idx)
-            cell.setdefault((kx, ky), []).append((px, py))
-    return reps
-
-
-def _within(dx: float, dy: float, radius: float) -> bool:
-    """torus_distance <= radius for the raw displacement (dx, dy), in Python floats."""
-    dx -= TWO_PI * round(dx / TWO_PI)
-    dy -= TWO_PI * round(dy / TWO_PI)
-    return math.sqrt(dx * dx + dy * dy) <= radius
-
-
-def find_critical_points(
-    f: SpectralField2D,
-    seed_resolution: int | None = None,
-) -> list[CriticalPoint]:
-    """Locate and classify all zeros of f.
-
-    Every cell of the seeding lattice (the field's grid, or a
-    seed_resolution grid) in which either component changes sign seeds a
-    damped Newton iteration on the exact spectral field; converged positions are
-    deduplicated on the torus in one pass and classified by the determinant
-    rule. Seeds that fail to converge are counted in a debug line, never raised.
-    The thresholds scale with the upper bounds (sup |f|, G) = f.sup_norms
-    and C1 = sup |f| + G: a seed has converged when |f| < _NEWTON_TOL * C1,
-    a Newton step needs |det J| > 1e-14 G^2, and a zero with |det J| <=
-    _DEG_TOL_FACTOR * C1^2 is degenerate.
-    """
-    sup_f, sup_grad = f.sup_norms
-    c1 = sup_f + sup_grad
-    if c1 == 0.0:
-        raise ConfigurationError("cannot extract critical points of the zero field")
-    lo, hi = _C1_RANGE
-    if not lo <= c1 <= hi:
-        raise ConfigurationError(
-            f"C1 norm {c1:.6g} is outside [{lo:.0e}, {hi:.0e}], the range of the critical-point "
-            "search: Jacobian determinants scale with C1^2")
-    evaluator = f.evaluator
-    res_target = _NEWTON_TOL * c1
-    det_floor = 1e-14 * max(sup_grad, 1e-300) ** 2
-
-    x = wrap(_sign_change_seeds(f, seed_resolution))
-    if len(x) == 0:
-        return []
+def _newton(evaluator: FieldEvaluator, x: np.ndarray, res_target: float, det_floor: float):
+    """Damped Newton from the seeds x; returns (positions, residuals |f|)."""
     fx = evaluator.values(x)
     res = np.linalg.norm(fx, axis=-1)
     active = res >= res_target
@@ -276,30 +181,133 @@ def find_critical_points(
         x[idx] = pos
         res[idx] = new_res
         active[idx] = (new_res >= res_target) & solvable & ~pending
+    return x, res
 
-    converged = res < res_target
-    failed = int((~converged).sum())
-    if failed:
-        log.debug("%d Newton seeds did not converge", failed)
 
-    pts = x[converged]
-    if len(pts) == 0:
-        return []
-    keep = _dedup_wrapped(pts, res[converged], _DEDUP_RADIUS)
-    pts = pts[keep]
-    vals, jacs = evaluator.values_and_jacobians(pts)
+def _krawczyk_radii(vals: np.ndarray, jacs: np.ndarray, lam: float, eps: float) -> np.ndarray:
+    """Half-widths of the boxes around Newton points z, from f(z) and J(z).
+
+    In max norms, with A = J(z)^-1 and Lambda bounding how far a row of J
+    moves per unit distance, ||I - A J|| <= 1/2 on the box of half-width
+    rho = 1 / (2 ||A|| Lambda). Krawczyk's operator maps that box into
+    itself, so it holds exactly one zero and J is nonsingular on it, when
+    ||A f(z)|| + ||A|| eps < rho / 2. Points that fail get _DEDUP_RADIUS.
+    """
+    a = np.stack([jacs[:, 1, 1], -jacs[:, 0, 1], -jacs[:, 1, 0], jacs[:, 0, 0]], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = a.reshape(-1, 2, 2) / _det(jacs)[:, None, None]
+        norm_a = np.abs(a).sum(axis=2).max(axis=1)
+        rho = 1.0 / (2.0 * norm_a * lam)
+        proven = np.abs(np.einsum("pij,pj->pi", a, vals)).max(axis=1) + norm_a * eps < 0.5 * rho
+    return np.where(proven, rho, _DEDUP_RADIUS)
+
+
+def _inside(cells: np.ndarray, r: float, centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Cells of half-width r (r = 0 for points) inside one of the boxes, measured
+    against every box in batches of 16384 pairs."""
+    inside = np.zeros(len(cells), dtype=bool)
+    chunk = max(1, 16384 // max(len(centres), 1))
+    for lo in range(0, len(cells), chunk):
+        d = np.abs(torus_delta(cells[lo:lo + chunk, None, :], centres))
+        inside[lo:lo + chunk] = (np.maximum(d[..., 0], d[..., 1]) + r <= radii).any(axis=1)
+    return inside
+
+
+def _new_zeros(pts: np.ndarray, residuals: np.ndarray, radii: np.ndarray,
+               centres: np.ndarray, kept_radii: np.ndarray) -> list[int]:
+    """Indices of the points that are zeros not yet kept.
+
+    A point inside a kept box is that box's zero. In order of residual (ties
+    in index order), each point outside every kept box is kept with its box
+    and drops the points inside it, so the loop runs once per kept zero.
+    """
+    order = np.argsort(residuals, kind="stable")
+    order = order[~_inside(pts[order], 0.0, centres, kept_radii)]
+    keep = []
+    while len(order):
+        i, order = order[0], order[1:]
+        keep.append(int(i))
+        order = order[~_inside(pts[order], 0.0, pts[i:i + 1], radii[i:i + 1])]
+    return keep
+
+
+# the centres of the four quarters of a cell, in units of its half-width
+_QUARTERS = 0.5 * np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+
+
+def find_critical_points(f: SpectralField2D) -> list[CriticalPoint]:
+    """Locate and classify all zeros of f.
+
+    With the Fourier-l1 sums S[a, b] of fields.l1_sums, f1 = d_y psi moves by
+    at most (S11 + S02) r over a cell of half-width r (max norm) and f2 =
+    -d_x psi by (S20 + S11) r; from the value and Jacobian at the cell's
+    centre, by |d_x f_i| r + |d_y f_i| r + H_i r^2 / 2 with H_1 = S21 + 2 S12
+    + S03 and H_2 = S30 + 2 S21 + S12. A cell where some |f_i| at the centre
+    exceeds its bound plus eps = _EXCLUSION_EPS * C1 (above the evaluator's
+    3e-13 C1 truncation) holds no zero.
+    The cells around the grid nodes (r = h / 2) are tested with the grid
+    values and the first bound, the survivors with the second. Damped Newton
+    runs on the exact spectral field from each surviving centre, each
+    converged point gets its box (_krawczyk_radii, Lambda = max H_i), and a
+    point inside a kept box is that box's zero (_new_zeros). A surviving
+    cell inside no box is bisected, tested and seeded again, up to
+    _MAX_BISECTIONS times; when no cell is left, the count is proven. One
+    debug line reports the seeds (failed ones are never raised), the boxes
+    and the uncovered cells.
+    The thresholds scale with the upper bounds (sup |f|, G) = f.sup_norms
+    and C1 = sup |f| + G: a seed has converged when |f| < _NEWTON_TOL * C1,
+    a Newton step needs |det J| > 1e-14 G^2, and a zero with |det J| <=
+    _DEG_TOL_FACTOR * C1^2 is degenerate.
+    """
+    sup_f, sup_grad = f.sup_norms
+    c1 = sup_f + sup_grad
+    if c1 == 0.0:
+        raise ConfigurationError("cannot extract critical points of the zero field")
+    lo, hi = _C1_RANGE
+    if not lo <= c1 <= hi:
+        raise ConfigurationError(
+            f"C1 norm {c1:.6g} is outside [{lo:.0e}, {hi:.0e}], the range of the critical-point "
+            "search: Jacobian determinants scale with C1^2")
+    evaluator = f.evaluator
+    res_target = _NEWTON_TOL * c1
+    det_floor = 1e-14 * max(sup_grad, 1e-300) ** 2
+    eps = _EXCLUSION_EPS * c1
+    s = l1_sums(f)
+    curve = np.array([[s[2, 1] + 2 * s[1, 2] + s[0, 3]], [s[3, 0] + 2 * s[2, 1] + s[1, 2]]])
+
+    r = 0.5 * f.grid.spacing
+    slope = ((s[1, 1] + s[0, 2]) * r, (s[2, 0] + s[1, 1]) * r)
+    ii, jj = np.nonzero(_near_zero(f.to_grid(), slope, eps))
+    cells = np.stack([f.grid.nodes[ii], f.grid.nodes[jj]], axis=-1)
+    zeros, radii = np.empty((0, 2)), np.empty(0)
+    n_seeds = n_failed = 0
+    for depth in range(_MAX_BISECTIONS + 1):
+        if depth:
+            cells = wrap((cells[:, None, :] + r * _QUARTERS).reshape(-1, 2))
+            r *= 0.5
+        vals, jacs = evaluator.values_and_jacobians(cells)
+        bounds = np.abs(jacs).sum(axis=2).T * r + 0.5 * curve * r * r
+        cells = cells[_near_zero(vals.T, bounds, eps) & ~_inside(cells, r, zeros, radii)]
+        if not len(cells):
+            break
+        x, res = _newton(evaluator, cells.copy(), res_target, det_floor)
+        converged = res < res_target
+        n_seeds, n_failed = n_seeds + len(cells), n_failed + int((~converged).sum())
+        pts, res = x[converged], res[converged]
+        box = _krawczyk_radii(*evaluator.values_and_jacobians(pts), curve.max(), eps)
+        keep = _new_zeros(pts, res, box, zeros, radii)
+        zeros, radii = np.concatenate([zeros, pts[keep]]), np.concatenate([radii, box[keep]])
+        cells = cells[~_inside(cells, r, zeros, radii)]
+    log.debug(
+        "critical points: %d Newton seeds, %d did not converge; %d points, %d in proven "
+        "boxes; %d uncovered cells", n_seeds, n_failed, len(zeros),
+        int((radii != _DEDUP_RADIUS).sum()), len(cells))
+
+    vals, jacs = evaluator.values_and_jacobians(zeros)
     deg_tol = _DEG_TOL_FACTOR * c1**2
-    points = []
-    for p, v, j, det in zip(pts, vals, jacs, _det(jacs).tolist()):
-        points.append(
-            CriticalPoint(
-                position=wrap(p),
-                jacobian=j,
-                det=det,
-                kind=classify(det, deg_tol),
-                residual=float(np.linalg.norm(v)),
-            )
-        )
+    points = [CriticalPoint(position=wrap(p), jacobian=j, det=det, kind=classify(det, deg_tol),
+                            residual=float(np.linalg.norm(v)))
+              for p, v, j, det in zip(zeros, vals, jacs, _det(jacs).tolist())]
     points.sort(key=lambda cp: (round(cp.position[0], 9), round(cp.position[1], 9)))
     return points
 
@@ -560,18 +568,12 @@ def detect_saddle_connections(
     return int(counts[_HETERO]), int(counts[_SELF]) + 4 * n_lone
 
 
-def extract_signature(
-    f: SpectralField2D, seed_resolution: int | None = None
-) -> tuple[TopologySignature, list[CriticalPoint]]:
-    """Full topology pass: critical points, connection counts, stability verdict.
-
-    seed_resolution sets the lattice that seeds the critical-point search
-    (find_critical_points); by default it is the field's grid.
-    """
+def extract_signature(f: SpectralField2D) -> tuple[TopologySignature, list[CriticalPoint]]:
+    """Full topology pass: critical points, connection counts, stability verdict."""
     if c1_norm(f) == 0.0:
         # zero field: no nondegenerate structure, unstable by convention
         return TopologySignature(), []
-    points = find_critical_points(f, seed_resolution)
+    points = find_critical_points(f)
     saddles = [cp for cp in points if cp.kind == "saddle"]
     centers = [cp for cp in points if cp.kind == "center"]
     degenerate = [cp for cp in points if cp.kind == "degenerate"]

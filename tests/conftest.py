@@ -49,10 +49,10 @@ def random_divergence_free(grid: TorusGrid, kmax: int, seed: int) -> SpectralFie
     return SpectralField2D(grid, psi * band * np.sqrt(grid.inv_ksq))
 
 
-def nonlinear_tendencies(state, dealias: bool = True):
+def nonlinear_tendencies(state):
     """The nonlinear tendencies of (u, b) as fields, from _HalfSpectrum.rhs;
     diffusion and forcing excluded."""
-    half = _HalfSpectrum(state.u.grid, dealias)
+    half = _HalfSpectrum(state.u.grid)
     out = np.empty_like(half.stages[0])
     half.rhs(half.from_fields(state.u, state.b), out)
     view = half.to_state(out, state.t)

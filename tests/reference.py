@@ -1,10 +1,9 @@
 """Closed forms and plain formulas that only the tests check the program against.
 
-The time derivative of the forced construction's magnetic field, the bound
-shapes of the Duhamel integrals, and the direct forms of two topology
-kernels: the Fourier-l1 sums over the stack of the five series, and the
-sign-change mask from the min and max of the four corners of each cell. No
-run of the program needs them.
+The time derivative of the forced construction's magnetic field, the Duhamel
+remainder of a run and the bound shapes of the Duhamel integrals, and the
+direct form of the Fourier-l1 sums over the stack of the five series. No run
+of the program needs them.
 """
 
 import numpy as np
@@ -17,6 +16,7 @@ from mhdrecon.fields import (
     make_taylor,
 )
 from mhdrecon.oracles import ForcedOracle
+from mhdrecon.solver import Trajectory, heat_propagate
 
 
 def forced_exact_b_dt(oracle: ForcedOracle, t: float, grid: TorusGrid) -> SpectralField2D:
@@ -50,14 +50,18 @@ def fourier_l1_pair(f: SpectralField2D) -> tuple[float, float]:
     return float(sums[:2].max()), float(sums[2:].max())
 
 
-def sign_change_mask(vals: np.ndarray) -> np.ndarray:
-    """Cells (i, j) of a periodic lattice in which a component of vals (2, M, M)
-    changes sign: the least of the four corner values is <= 0 and the largest
-    is >= 0."""
-    mask = np.zeros(vals.shape[1:], dtype=bool)
-    for comp in vals:
-        corners = np.stack(
-            [comp, np.roll(comp, -1, 0), np.roll(comp, -1, 1), np.roll(np.roll(comp, -1, 0), -1, 1)]
-        )
-        mask |= (corners.min(axis=0) <= 0.0) & (corners.max(axis=0) >= 0.0)
-    return mask
+def duhamel_remainder(trajectory: Trajectory, eta: float) -> list[tuple[float, SpectralField2D]]:
+    """D(t) = b(t) - exp(eta t Lap) b0 for every snapshot.
+
+    This is the numerically exact total deviation of the magnetic field from
+    pure heat evolution of its initial value.
+    """
+    if not trajectory.states:
+        raise ValueError("trajectory has no snapshots; the initial state is required")
+    b0 = trajectory.states[0].b
+    t0 = trajectory.states[0].t
+    out = []
+    for st in trajectory.states:
+        heated = heat_propagate(b0, eta, st.t - t0)
+        out.append((st.t, st.b - heated))
+    return out

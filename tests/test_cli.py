@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mhdrecon
-from mhdrecon.cli import main, parse_field_spec
+from mhdrecon.cli import SCENARIO_COMMANDS, main, parse_field_spec
 from mhdrecon.fields import ConfigurationError, TorusGrid
 from mhdrecon.snapshots import read_snapshot
 
@@ -107,10 +107,9 @@ class TestTopologyCommand:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("argv, flag", [
-        (["topology", "--resolution", "32", "--seed-grid", "7"], "--seed-grid"),
         (["topology", "--resolution", "7"], "--resolution"),
         (["gen-field", "--resolution", "7"], "--resolution"),
-    ], ids=["topology-seed-grid", "topology-resolution", "gen-field-resolution"])
+    ], ids=["topology-resolution", "gen-field-resolution"])
     def test_bad_grid_flag_names_the_flag(self, tmp_path, capsys, argv, flag):
         code = main([*argv, "--field", "taylor:1,1", "--out", str(tmp_path)])
         assert code == 1
@@ -272,25 +271,15 @@ class TestFlagsPerCommand:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
-    def test_simulate_honours_seed_grid(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({
-            "scenario": "custom", "resolution": 32, "dt": 2e-3, "t_end": 0.02,
-            "output_cadence": 10,
-        }))
-        out_dir = tmp_path / "sim"
-        assert main(["simulate", "--config", str(path), "--seed-grid", "48",
-                     "--out", str(out_dir)]) == 0
-        report = json.loads((out_dir / "report.json").read_text())
-        assert report["config"]["seed_grid"] == 48
-
-    @pytest.mark.parametrize("command", ["theorem1", "simulate"])
-    def test_bad_seed_grid_names_the_flag(self, tmp_path, capsys, command):
-        out_dir = tmp_path / "run"
-        assert main([command, "--seed-grid", "7", "--out", str(out_dir)]) == 1
-        assert capsys.readouterr().err.strip() == (
-            "error: flag --seed-grid: expected an even integer >= 8, got 7")
-        assert not out_dir.exists()
+    def test_seed_grid_is_no_flag(self, tmp_path, capsys):
+        # the critical-point search works out its own seeding, so no command
+        # takes a seeding flag
+        for command in ["topology", "simulate", *SCENARIO_COMMANDS]:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--seed-grid", "48", "--out", str(tmp_path / command)])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --seed-grid" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 # a valid sweep run, quick to check

@@ -7,6 +7,8 @@ that need the full spectrum are built from the vector view
 SpectralField2D.components.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from mhdrecon.fields import (
     SpectralField2D,
     TaylorSpec,
     TorusGrid,
+    _series,
     c1_norm,
+    l1_sums,
     l2_norm,
     laplacian,
     make_taylor,
@@ -321,6 +325,40 @@ class TestC1Norm:
         assert c1_norm(f) == sup_f + sup_grad
 
 
+class TestL1Sums:
+    @pytest.mark.parametrize("resolution", [32, 256])
+    @pytest.mark.parametrize("kmax", [1, 3, 8])
+    def test_match_the_direct_sums(self, resolution, kmax):
+        g = TorusGrid(resolution)
+        f = random_divergence_free(g, kmax, seed=kmax)
+        sums = l1_sums(f)
+        for a in range(4):
+            for b in range(4):
+                direct = np.sum(g.multiplicity * np.abs(g.k1) ** a * g.k2**b * np.abs(f.psi))
+                assert sums[a, b] == pytest.approx(direct, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (3, 2), (4, 4), (2, 7)])
+    def test_exact_for_a_taylor_mode(self, grid32, n, m):
+        # psi = -a sin(nx) cos(my): S[a, b] = a n^a m^b
+        sums = l1_sums(make_taylor(TaylorSpec(n, m), 0.75, grid32))
+        expected = 0.75 * np.array([[n**a * m**b for b in range(4)] for a in range(4)])
+        assert np.array_equal(sums, expected)
+
+    # The third-order sums come from a product of their own. Widening the
+    # pair's product to them moves the pair's last bits on about half of
+    # such fields, and with them theorem1's c1_distance_to_reference; these
+    # are the pair's bits from before l1_sums existed
+    @pytest.mark.parametrize("resolution, kmax, seed, pair", [
+        (64, 8, 5, ("0x1.566bde9219f43p+7", "0x1.aca9760e44ac6p+9")),
+        (128, 5, 3, ("0x1.155c66a21402ap+6", "0x1.c96fbdfc18444p+7")),
+        (256, 3, 1, ("0x1.b5a1fb1246ee2p+4", "0x1.dc8dedca60920p+5")),
+    ])
+    def test_the_sup_norm_pair_keeps_its_bits(self, resolution, kmax, seed, pair):
+        f = random_divergence_free(TorusGrid(resolution), kmax, seed)
+        l1_sums(f)
+        assert sup_field_and_gradient(f) == tuple(float.fromhex(v) for v in pair)
+
+
 class TestCachedPerField:
     def test_sup_norms_computed_once(self, grid32, monkeypatch):
         calls = []
@@ -483,6 +521,27 @@ class TestVectorView:
         f = random_divergence_free(grid32, 10, seed=6)
         vals = np.real(np.fft.ifft2(f.components())) * grid32.resolution**2
         assert np.abs(vals - f.to_grid()).max() < 1e-13 * np.abs(vals).max()
+
+    @pytest.mark.parametrize("resolution", [32, 256])
+    def test_grid_values_match_the_stacked_transform(self, resolution):
+        g = TorusGrid(resolution)
+        f = random_divergence_free(g, 8, seed=resolution)
+        stacked = g.to_grid(_series(g.k1, g.k2, f.psi, jacobian=False))
+        assert np.array_equal(f.to_grid(), stacked)
+
+    def test_grid_values_transform_one_component_at_a_time(self):
+        # a (2, M, M/2 + 1) complex stack of both series, and the complex
+        # intermediate of its transform, lift the peak to 3.16 MB at M = 256
+        # for a 1.05 MB result; one component at a time it stays at 2.11 MB
+        grid = TorusGrid(256)
+        f = make_taylor(TaylorSpec(2, 1), 1.0 / np.sqrt(5.0), grid) + 5e-4 * make_tilde_t1(grid)
+        tracemalloc.start()
+        try:
+            f.to_grid()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.8e6
 
     def test_rejects_complex_valued_field(self, grid32):
         c = make_tilde_t1(grid32).components()

@@ -64,9 +64,7 @@ _VALID_VALUES = {
     "delta": st.floats(0.0, 1.0),
     "r": st.integers(0, 8),
     "output_cadence": st.integers(1, 100),
-    "dealias": st.booleans(),
     "expect": st.none() | st.text(max_size=6),
-    "seed_grid": st.none() | _EVEN_GRID,
     "topology_cadence": st.none() | st.integers(1, 10),
 }
 
@@ -139,9 +137,6 @@ class TestConfig:
         assert cfg.scenario == "stability"
 
     @pytest.mark.parametrize("name, value", [
-        ("seed_grid", "abc"),
-        ("seed_grid", 7),
-        ("seed_grid", 4),
         ("topology_cadence", "x"),
         ("topology_cadence", 0),
         ("dt", float("nan")),
@@ -155,7 +150,6 @@ class TestConfig:
         ("n", 0),
         ("output_cadence", 0),
         ("scenario", ["x"]),
-        ("dealias", 1),
         ("expect", 3),
     ])
     def test_bad_value_named(self, name, value):
@@ -171,8 +165,16 @@ class TestConfig:
 
     def test_null_optionals_load(self):
         cfg = ExperimentConfig.from_dict(
-            {"scenario": "custom", "seed_grid": None, "topology_cadence": None, "expect": None})
-        assert cfg.seed_grid is None and cfg.topology_cadence is None and cfg.expect is None
+            {"scenario": "custom", "topology_cadence": None, "expect": None})
+        assert cfg.topology_cadence is None and cfg.expect is None
+
+    # the critical-point search seeds itself and the 2/3-rule cut is fixed,
+    # so neither key is a setting
+    @pytest.mark.parametrize("name, value", [("seed_grid", 48), ("seed_grid", None),
+                                             ("dealias", True), ("dealias", False)])
+    def test_removed_settings_are_refused(self, name, value):
+        with pytest.raises(ConfigError, match=f"^unknown config field\\(s\\): {name}$"):
+            ExperimentConfig.from_dict({"scenario": "theorem1", name: value})
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -28,14 +28,13 @@ from mhdrecon.solver import (
     _EtdCoefficients,
     _Forcing,
     _HalfSpectrum,
-    duhamel_remainder,
     energy,
     heat_propagate,
     simulate,
 )
 
 from .conftest import nonlinear_tendencies, random_divergence_free
-from .reference import duhamel_envelopes, forced_exact_b_dt
+from .reference import duhamel_envelopes, duhamel_remainder, forced_exact_b_dt
 
 ETA = NU = 0.5
 
@@ -75,11 +74,10 @@ def _rhs_by_2d_transforms(half, z):
 
 
 class TestNonlinearRHS:
-    @pytest.mark.parametrize("dealias", [True, False])
     @pytest.mark.parametrize("resolution", [16, 32])
-    def test_split_transforms_match_the_2d_transforms_bit_for_bit(self, resolution, dealias):
+    def test_split_transforms_match_the_2d_transforms_bit_for_bit(self, resolution):
         g = TorusGrid(resolution)
-        half = _HalfSpectrum(g, dealias)
+        half = _HalfSpectrum(g)
         kmax = resolution // 2 - 1
         # a second call on the same instance: the reused work arrays carry nothing over
         for seeds in ((21, 22), (23, 24)):
@@ -362,21 +360,21 @@ class TestForcedCrossTerm:
         return ForcedOracle(TaylorSpec(4, 4), TaylorSpec(1, 1) if kind == "theorem2" else None, ETA)
 
     @staticmethod
-    def _tendencies(oracle, b, t, grid, dealias=True):
+    def _tendencies(oracle, b, t, grid):
         """(nonlinear, nonlinear + forcing) tendencies of (psi, a), diffusion-free."""
-        half = _HalfSpectrum(grid, dealias)
+        half = _HalfSpectrum(grid)
         nonlinear = np.empty((2, *grid.spectral_shape), dtype=np.complex128)
         half.rhs(half.from_fields(zero_field(grid), b), nonlinear)
         total = nonlinear.copy()
         _Forcing(oracle, half).add_to(total, t)
         return nonlinear, total
 
-    def _omega_tendencies(self, kind, t, grid, dealias=True):
+    def _omega_tendencies(self, kind, t, grid):
         """Largest |omega| tendency, nonlinear and nonlinear + forcing, at the
         closed-form state b(t), relative to the size N |b|_C1^2 of curl div(b b^T)."""
         oracle = self._oracle(kind)
         b = forced_exact_b(oracle, t, grid)
-        nonlinear, total = self._tendencies(oracle, b, t, grid, dealias)
+        nonlinear, total = self._tendencies(oracle, b, t, grid)
         # omega = |k|^2 psi
         scale = np.sqrt(32.0) * c1_norm(b) ** 2
         return (np.abs(grid.ksq * nonlinear[0]).max() / scale,
@@ -393,15 +391,15 @@ class TestForcedCrossTerm:
     # Below M = 16 the 2/3 rule cuts into T_44's products: the modes with
     # |k_i| = 5 > M / 3 are dropped from the Lorentz term, so the force must
     # drop them too. With T_11 the cut takes the whole cross term; the
-    # undealiased term shows it is there to cut
+    # uncut Lorentz term of the vector-form reference shows it is there to cut
     @pytest.mark.parametrize("kind", ["theorem2", "remark2"])
     @pytest.mark.parametrize("resolution", [12, 14])
     def test_omega_tendency_vanishes_under_the_dealias_cut(self, resolution, kind):
         grid = TorusGrid(resolution)
-        nonlinear, _ = self._omega_tendencies(kind, 0.3, grid, dealias=False)
-        assert nonlinear > 1e-8
-        for dealias in (True, False):
-            assert self._omega_tendencies(kind, 0.3, grid, dealias)[1] < 1e-13
+        b = forced_exact_b(self._oracle(kind), 0.3, grid)
+        uncut, _ = _vector_rhs(np.zeros_like(_half(b)), _half(b), grid, dealias=False)
+        assert np.abs(uncut).max() > 1e-8 * c1_norm(b) ** 2
+        assert self._omega_tendencies(kind, 0.3, grid)[1] < 1e-13
 
     @pytest.mark.parametrize("t", [0.1, 0.8])
     def test_potential_tendency_is_the_closed_form_derivative(self, grid32, t):
@@ -428,9 +426,10 @@ class TestForcedCrossTerm:
                       forcing=self._oracle("theorem2"))
 
 
-def _vector_rhs(uc, bc, grid, dealias):
+def _vector_rhs(uc, bc, grid, dealias=True):
     """Leray-projected nonlinear tendencies of the half-spectrum vector
-    coefficients (u, b), formed in vector form."""
+    coefficients (u, b), formed in vector form; with dealias, under the
+    solver's 2/3-rule cut."""
     k1, k2 = grid.k1, grid.k2
     ug, bg = grid.to_grid(uc), grid.to_grid(bc)
     mask = grid.dealias_mask if dealias else 1.0
@@ -468,7 +467,7 @@ def _vector_simulate(cfg, uc, bc, n_steps):
     x = [uc, bc]
 
     def rhs(v):
-        return list(_vector_rhs(v[0], v[1], g, cfg.dealias))
+        return list(_vector_rhs(v[0], v[1], g))
 
     for _ in range(n_steps):
         n1 = rhs(x)
@@ -490,22 +489,20 @@ def _rel_max(a, b):
 class TestPotentialFormCore:
     """The (omega, a) half-spectrum core against the vector form it replaces."""
 
-    @pytest.fixture(params=[(32, True), (32, False), (64, True), (64, False)],
-                    ids=["M32-dealias", "M32-raw", "M64-dealias", "M64-raw"])
+    @pytest.fixture(params=[32, 64], ids=["M32-dealias", "M64-dealias"])
     def case(self, request):
-        m, dealias = request.param
+        m = request.param
         grid = TorusGrid(m)
         u0, b0 = (random_divergence_free(grid, m // 4, seed=m + i) for i in (1, 2))
         # unit max norm: well inside the CFL limit, with energy up to k = M/4
         u0, b0 = (f * (1.0 / np.abs(f.to_grid()).max()) for f in (u0, b0))
-        cfg = SimConfig(nu=0.05, eta=0.02, grid=grid, dt=1e-3, t_end=0.02,
-                        dealias=dealias, output_cadence=5)
+        cfg = SimConfig(nu=0.05, eta=0.02, grid=grid, dt=1e-3, t_end=0.02, output_cadence=5)
         return cfg, MHDState(u0, b0, 0.0)
 
     def test_nonlinear_rhs_matches_vector_form(self, case):
         cfg, st = case
-        du, db = nonlinear_tendencies(st, dealias=cfg.dealias)
-        ref_u, ref_b = _vector_rhs(_half(st.u), _half(st.b), cfg.grid, cfg.dealias)
+        du, db = nonlinear_tendencies(st)
+        ref_u, ref_b = _vector_rhs(_half(st.u), _half(st.b), cfg.grid)
         assert _rel_max(_half(du), ref_u) < 1e-12
         assert _rel_max(_half(db), ref_b) < 1e-12
 

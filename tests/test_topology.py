@@ -55,14 +55,12 @@ from mhdrecon.topology import (
     _STEP_FLOOR,
     _STOP_TOL_FACTOR,
     _TRACE_STEP,
-    _dedup_wrapped,
     _det,
+    _near_zero,
     _norm,
-    _sign_change_seeds,
 )
 
 from .conftest import random_divergence_free
-from .reference import sign_change_mask
 
 
 def _positions(points, kind=None):
@@ -150,13 +148,17 @@ class TestCriticalPoints:
             find_critical_points(zero_field(grid32))
 
     def test_failed_seeds_logged_not_raised(self, caplog):
-        # at M = 16 every cell-centre seed of T_44 sits where det grad f = 0,
-        # so none of the 256 seeds can take a Newton step
+        # at M = 16 half of the nodes of T_44 are its 128 zeros; at the other
+        # half f = (+-4, 0) or (0, +-4) and grad f = 0, within the bounds of
+        # their cells, so none of those 128 seeds can take a Newton step. The
+        # zeros' boxes (half-width 1/32) are narrower than the cells around
+        # them, so three bisections leave 4 cells at each zero uncovered
         f = make_taylor(TaylorSpec(4, 4), 1.0, TorusGrid(16))
         with caplog.at_level(logging.DEBUG, logger="mhdrecon.topology"):
-            assert find_critical_points(f) == []
+            assert len(find_critical_points(f)) == 128
         assert [r.getMessage() for r in caplog.records] == [
-            "256 Newton seeds did not converge"]
+            "critical points: 1792 Newton seeds, 128 did not converge; 128 points, "
+            "128 in proven boxes; 512 uncovered cells"]
 
     @pytest.mark.parametrize("delta", [0.59833, 0.6, 0.60167, 0.60667])
     def test_weak_saddles_are_found_once(self, grid32, delta):
@@ -173,69 +175,85 @@ class TestCriticalPoints:
         assert d[np.triu_indices(len(pos), 1)].min() > 1e-3
 
 
-def _greedy_dedup(points, residuals, radius):
-    """O(n^2) reference of _dedup_wrapped: in order of residual (ties in index
-    order), keep a point unless a kept point lies within radius."""
-    reps = []
-    for i in np.argsort(residuals, kind="stable"):
-        if not reps or torus_distance(points[i], points[reps]).min() > radius:
-            reps.append(int(i))
-    return reps
+def _search_log(f, caplog):
+    """(points, the debug line) of find_critical_points(f)."""
+    with caplog.at_level(logging.DEBUG, logger="mhdrecon.topology"):
+        points = find_critical_points(f)
+    [message] = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("critical points: ")]
+    caplog.clear()
+    return points, message
 
 
-class TestDedup:
-    @pytest.mark.parametrize("radius", [1e-11, 1e-8])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matches_brute_force_greedy(self, radius, seed):
-        rng = np.random.default_rng(seed)
-        centers = rng.uniform(0.0, 2 * np.pi, (40, 2))
-        # clusters on the x seam, on the y seam, and on the corner
-        centers[:8, 0] = 0.0
-        centers[8:16, 1] = 0.0
-        centers[16:20] = 0.0
-        members = rng.integers(0, len(centers), 600)
-        # spread over 4 radii, so the residual order decides which points are kept
-        pts = wrap(centers[members] + rng.uniform(-2.0, 2.0, (600, 2)) * radius)
-        residuals = rng.integers(0, 4, 600) * 1e-13  # many ties
-        assert np.any(pts > 2 * np.pi - 4 * radius) and np.any(pts < 4 * radius)
-        reps = _dedup_wrapped(pts, residuals, radius)
-        assert reps == _greedy_dedup(pts, residuals, radius)
-        assert 2 * len(centers) < len(reps) < len(pts)
+def _kind_counts(points):
+    kinds = [p.kind for p in points]
+    return kinds.count("saddle"), kinds.count("center"), kinds.count("degenerate")
 
 
-def _cell_centers(lattice: TorusGrid, mask: np.ndarray) -> np.ndarray:
-    ii, jj = np.nonzero(mask)
-    h = lattice.spacing
-    return np.stack([lattice.nodes[ii] + 0.5 * h, lattice.nodes[jj] + 0.5 * h], axis=-1)
+class TestExclusionSeeding:
+    """Newton starts from the cells the Fourier-l1 bounds cannot exclude, and
+    a cell no Krawczyk box covers is bisected and seeded again."""
 
+    # coarse grids: a seed at the centre of every cell where a component
+    # changes sign finds none of T_44's zeros at M = 16 (each such centre
+    # lies where det grad f = 0), half of them at M = 12, and 24 of T_32's
+    # 48 at M = 12
+    @pytest.mark.parametrize("n, m, resolution", [(4, 4, 16), (4, 4, 12), (3, 2, 12)])
+    def test_coarse_grids_give_8nm_points(self, n, m, resolution):
+        f = make_taylor(TaylorSpec(n, m), 1.0, TorusGrid(resolution))
+        assert _kind_counts(find_critical_points(f)) == (4 * n * m, 4 * n * m, 0)
 
-class TestSignChangeSeeds:
-    @pytest.mark.parametrize("resolution", [32, 64, 128, 256])
-    @pytest.mark.parametrize("kmax", range(1, 9))
-    def test_field_grid_matches_the_corner_stack(self, resolution, kmax):
-        grid = TorusGrid(resolution)
-        f = random_divergence_free(grid, kmax, seed=kmax)
-        expected = _cell_centers(grid, sign_change_mask(f.to_grid()))
-        assert np.array_equal(_sign_change_seeds(f, None), expected)
+    # generic fields with a zero that seeds at sign-change cells of the
+    # field's grid miss, which breaks Poincare-Hopf; seeds at sign-change
+    # cells of a 128 lattice give these counts
+    @pytest.mark.parametrize("kmax, seed, count", [
+        (5, 17, 38), (8, 1, 81), (8, 5, 95), (8, 8, 87), (8, 9, 94), (8, 18, 91)])
+    def test_random_fields_keep_poincare_hopf(self, kmax, seed, count):
+        f = random_divergence_free(TorusGrid(32), kmax, seed)
+        assert _kind_counts(find_critical_points(f)) == (count, count, 0)
 
-    @pytest.mark.parametrize("resolution", [32, 64, 128, 256])
-    @pytest.mark.parametrize("kmax", range(1, 9))
-    def test_seed_lattice_matches_the_corner_stack(self, resolution, kmax):
-        lattice = TorusGrid(48)
-        f = random_divergence_free(TorusGrid(resolution), kmax, seed=kmax)
-        pts = np.stack(np.meshgrid(lattice.nodes, lattice.nodes, indexing="ij"), axis=-1)
-        vals = f.evaluator.values(pts.reshape(-1, 2)).T.reshape(2, *lattice.shape)
-        expected = _cell_centers(lattice, sign_change_mask(vals))
-        assert np.array_equal(_sign_change_seeds(f, 48), expected)
+    # both families of the signature benchmark at M = 64: every cell the
+    # bounds leave lies in a passed box, so the counts are proven
+    @pytest.mark.parametrize("family, expected", [
+        ("taylor", "176 Newton seeds, 0 did not converge; 48 points, 48 in proven boxes; "
+                   "0 uncovered cells"),
+        ("tilde", "4 Newton seeds, 0 did not converge; 4 points, 4 in proven boxes; "
+                  "0 uncovered cells"),
+    ], ids=["taylor", "tilde"])
+    def test_signature_fields_are_proven(self, grid64, caplog, family, expected):
+        if family == "taylor":
+            f = make_taylor(TaylorSpec(3, 2), 1.0 / np.sqrt(13.0), grid64) \
+                + 5e-4 * make_tilde_t1(grid64)
+        else:
+            f = make_tilde_t1(grid64) + 0.01 * make_taylor(TaylorSpec(4, 4), 1.0, grid64)
+        points, message = _search_log(f, caplog)
+        assert message == f"critical points: {expected}"
+        assert len(points) == (48 if family == "taylor" else 4)
 
-    @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (4, 4)])
-    def test_zero_lines_match_the_corner_stack(self, grid32, n, m):
-        # the grid values of T_nm lie on or near 0 along whole grid lines, and
-        # every value of the zero field is 0: a corner on neither side
-        for f in (make_taylor(TaylorSpec(n, m), 1.0, grid32), zero_field(grid32)):
-            expected = _cell_centers(grid32, sign_change_mask(f.to_grid()))
-            assert np.array_equal(_sign_change_seeds(f, None), expected)
-        assert len(_sign_change_seeds(zero_field(grid32), None)) == 32 * 32
+    def test_zeros_on_cell_corners_are_found(self, grid32, caplog):
+        # tilde T1 moved by half a cell puts each zero on the corner of four
+        # cells. At a corner cell |f1(c)| = sin r exceeds |grad f1(c)| r =
+        # r cos r by r^3 / 3, so the four cells are kept by the second-order
+        # term H_1 r^2 / 2 (H_1 = 1) alone
+        shift = 0.5 * grid32.spacing
+        tilde = make_tilde_t1(grid32)
+        f = SpectralField2D(grid32, tilde.psi * np.exp(-1j * (grid32.k1 + grid32.k2) * shift))
+        points, message = _search_log(f, caplog)
+        assert _kind_counts(points) == (2, 2, 0)
+        for target in ([0.0, 0.0], [np.pi, np.pi], [0.0, np.pi], [np.pi, 0.0]):
+            assert _closest(_positions(points), wrap(np.array(target) + shift)) < 1e-12
+        assert message == ("critical points: 16 Newton seeds, 0 did not converge; 4 points, "
+                           "4 in proven boxes; 0 uncovered cells")
+
+    def test_values_within_eps_of_the_bound_are_kept(self):
+        # eps allows for the evaluation error of f: a value above the bound
+        # by less than eps may still belong to a cell that holds a zero
+        bound, eps = np.array([[0.3], [0.2]]), 1e-12
+        for excess, kept in ((0.0, True), (0.5 * eps, True), (2.0 * eps, False)):
+            for i in range(2):
+                vals = bound.copy()
+                vals[i] = -(bound[i] + excess)
+                assert _near_zero(vals, bound, eps).tolist() == [kept]
 
 
 class TestSignatureMemory:
@@ -243,7 +261,7 @@ class TestSignatureMemory:
     def test_set_up_builds_no_full_size_stack(self, family):
         # the two families of the signature benchmark at M = 256. A
         # (5, M, M/2 + 1) complex stack of the l1 series or a (4, M, M) stack
-        # of corner values lifts the peak to 7.2 MB; without them the search
+        # of grid values lifts the peak to 7.2 MB; without them the search
         # stays below 3.5 MB, the grid values included
         grid = TorusGrid(256)
         if family == "taylor":
@@ -462,17 +480,6 @@ class TestEvaluationCounts:
         assert len(values_calls) == 1 + 4 * steps
         assert len(potential_calls) == 1 + steps
 
-    def test_seeding_lattice_evaluated_once(self, grid64, values_calls):
-        f = make_taylor(TaylorSpec(3, 2), 1.0, grid64) + 1e-3 * make_tilde_t1(grid64)
-        lattice = TorusGrid(48)
-        pts = np.stack(np.meshgrid(lattice.nodes, lattice.nodes, indexing="ij"), axis=-1)
-        vals = FieldEvaluator(f).values(pts.reshape(-1, 2)).reshape(*lattice.shape, 2)
-        expected = _cell_centers(lattice, sign_change_mask(np.moveaxis(vals, -1, 0)))
-        values_calls.clear()
-        seeds = _sign_change_seeds(f, 48)
-        assert np.array_equal(seeds, expected)
-        assert values_calls == [48 * 48]
-
     def test_connections_make_four_evaluations_per_iteration(
             self, grid64, values_calls, potential_calls, caplog):
         # four field evaluations and one of psi (the level lock) per step, and
@@ -504,8 +511,7 @@ class TestEvaluationCounts:
         assert steps <= 500
         assert caplog.records[-1].getMessage().endswith(f" in {steps} steps")
 
-    @pytest.mark.parametrize("seed_resolution", [None, 48])
-    def test_signature_reads_the_field_once(self, grid64, monkeypatch, seed_resolution):
+    def test_signature_reads_the_field_once(self, grid64, monkeypatch):
         sup_calls, built = [], []
         sup = fields.sup_field_and_gradient
         init = FieldEvaluator.__init__
@@ -521,22 +527,9 @@ class TestEvaluationCounts:
         monkeypatch.setattr(fields, "sup_field_and_gradient", counting_sup)
         monkeypatch.setattr(FieldEvaluator, "__init__", counting_init)
         f = make_taylor(TaylorSpec(3, 2), 1.0, grid64) + 1e-3 * make_tilde_t1(grid64)
-        sig, _ = extract_signature(f, seed_resolution)
+        sig, _ = extract_signature(f)
         assert sig.n_saddles == 24 and sig.hetero_connections > 0
         assert len(sup_calls) == len(built) == 1
-
-    @pytest.mark.parametrize("n, m, resolution", [(3, 2, 64), (4, 4, 128)])
-    def test_own_grid_as_seed_grid_is_the_default(self, n, m, resolution):
-        # the field's own resolution seeds from its grid values, as the default
-        # does, not from the evaluator at the same nodes
-        grid = TorusGrid(resolution)
-        f = (make_taylor(TaylorSpec(n, m), 1.0 / np.hypot(n, m), grid)
-             + 1e-3 * make_tilde_t1(grid))
-        assert np.array_equal(_sign_change_seeds(f, resolution), _sign_change_seeds(f, None))
-        sig, points = extract_signature(f)
-        sig_m, points_m = extract_signature(f, resolution)
-        assert sig_m == sig
-        assert np.array_equal(_positions(points_m), _positions(points))
 
 
 class TestSaddleConnections:
@@ -652,12 +645,19 @@ class TestLevelGroups:
         assert 0.0 <= float(message[len(head):-len(tail)]) <= correction
 
     def test_trace_at_a_missed_zero_stalls(self, monkeypatch, caplog):
-        # On a 12-point grid the search finds 64 of the 128 zeros of T_44, and
-        # half of the web's traces run onto a missed one. There each step
+        # Without the 64 zeros of T_44 on the lines x or y in {0, pi/2, pi,
+        # 3 pi/2} (M = 12), half of the web's traces run onto a missed zero,
+        # as with a search that misses them. There each step
         # turns a trace back on itself with |f| above the stall threshold, so
         # without the no-progress end only the arclength cap ends it. The
         # web's heteroclinic traces are under 0.8 long, so a cap of 1 keeps them.
         monkeypatch.setattr(topology, "_ARCLENGTH_CAP", 1.0)
+        find = topology.find_critical_points
+
+        def miss_half(f):
+            return [p for p in find(f) if np.abs(np.cos(2.0 * p.position)).max() < 0.9]
+
+        monkeypatch.setattr(topology, "find_critical_points", miss_half)
         f = make_taylor(TaylorSpec(4, 4), 1.0, TorusGrid(12))
         with caplog.at_level(logging.DEBUG, logger="mhdrecon.topology"):
             sig, _ = extract_signature(f)
@@ -698,21 +698,22 @@ class TestPoincareHopf:
         assert "2 saddles but 1 centers" in caplog.records[0].getMessage()
         assert "1 centers and 0 degenerate points" in caplog.records[1].getMessage()
 
-    @pytest.mark.parametrize("resolution, warned", [(16, True), (32, False)])
-    def test_missed_extrema_warn(self, caplog, resolution, warned):
-        # At M = 16 every cell-centre seed of T_44 sits where det grad f = 0,
-        # so the search finds no point at all: 0 saddles = 0 centers passes
+    def test_missed_extrema_warn(self, caplog, monkeypatch):
+        # a search that finds no point at all: 0 saddles = 0 centers passes
         # Poincare-Hopf, but the potential's maximum and minimum are missing
+        monkeypatch.setattr(topology, "find_critical_points", lambda f: [])
+        with caplog.at_level(logging.WARNING, logger="mhdrecon.topology"):
+            sig, _ = extract_signature(make_taylor(TaylorSpec(4, 4), 1.0, TorusGrid(32)))
+        assert sig.n_centers == 0
+        assert ["miss the extrema" in r.getMessage() for r in caplog.records] == [True]
+
+    @pytest.mark.parametrize("resolution", [16, 32])
+    def test_no_warning_on_t44(self, caplog, resolution):
         f = make_taylor(TaylorSpec(4, 4), 1.0, TorusGrid(resolution))
         with caplog.at_level(logging.WARNING, logger="mhdrecon.topology"):
             sig, _ = extract_signature(f)
-        messages = [r.getMessage() for r in caplog.records]
-        if warned:
-            assert sig.n_centers == 0
-            assert ["miss the extrema" in m for m in messages] == [True]
-        else:
-            assert sig.n_centers == 64
-            assert not messages
+        assert sig.n_centers == 64
+        assert not caplog.records
 
 
 class TestStructuralStability:
