@@ -199,7 +199,7 @@ class ExperimentConfig:
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
-            raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
+            raise ConfigError(f"field {', '.join(map(repr, sorted(unknown)))}: not a config field")
         # the other fields are checked on construction; this one is looked up first
         _check_field("scenario", data["scenario"])
         overrides = {k: v for k, v in data.items() if k != "scenario"}

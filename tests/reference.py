@@ -1,9 +1,11 @@
 """Closed forms and plain formulas that only the tests check the program against.
 
 The time derivative of the forced construction's magnetic field, the Duhamel
-remainder of a run and the bound shapes of the Duhamel integrals, and the
-direct form of the Fourier-l1 sums over the stack of the five series. No run
-of the program needs them.
+remainder of a run and the bound shapes of the Duhamel integrals, the direct
+form of the Fourier-l1 sums over the stack of the five series, the sign-change
+mask from the min and max of the four corners of each cell, and the bounds of
+the critical-point search's exclusion test written out from the l1 sums. No
+run of the program needs them.
 """
 
 import numpy as np
@@ -65,3 +67,31 @@ def duhamel_remainder(trajectory: Trajectory, eta: float) -> list[tuple[float, S
         heated = heat_propagate(b0, eta, st.t - t0)
         out.append((st.t, st.b - heated))
     return out
+
+
+def sign_change_mask(vals: np.ndarray) -> np.ndarray:
+    """Cells (i, j) of a periodic lattice in which a component of vals (n, M, M)
+    changes sign: the least of the four corner values is <= 0 and the largest
+    is >= 0."""
+    mask = np.zeros(vals.shape[1:], dtype=bool)
+    for comp in vals:
+        corners = np.stack(
+            [comp, np.roll(comp, -1, 0), np.roll(comp, -1, 1), np.roll(np.roll(comp, -1, 0), -1, 1)]
+        )
+        mask |= (corners.min(axis=0) <= 0.0) & (corners.max(axis=0) >= 0.0)
+    return mask
+
+
+def grid_bounds(s: np.ndarray, r: float) -> tuple[float, float]:
+    """How far f1 = d_y psi and f2 = -d_x psi can move from a point over the
+    cell of half-width r (max norm) around it, from the l1 sums S[a, b] of
+    fields.l1_sums: sup |grad f1|_1 <= S11 + S02 and sup |grad f2|_1 <= S20 + S11."""
+    return (s[1, 1] + s[0, 2]) * r, (s[2, 0] + s[1, 1]) * r
+
+
+def cell_bounds(jacs: np.ndarray, s: np.ndarray, r: float) -> np.ndarray:
+    """The same from the Jacobians (P, 2, 2) at the cells' centres: the linear
+    term |d_x f_i| r + |d_y f_i| r plus H_i r^2 / 2, where H_1 = S21 + 2 S12 +
+    S03 and H_2 = S30 + 2 S21 + S12 bound the second derivatives. Shape (2, P)."""
+    curve = np.array([[s[2, 1] + 2 * s[1, 2] + s[0, 3]], [s[3, 0] + 2 * s[2, 1] + s[1, 2]]])
+    return np.abs(jacs).sum(axis=2).T * r + 0.5 * curve * r * r

@@ -74,11 +74,14 @@ def _rhs_by_2d_transforms(half, z):
 
 
 class TestNonlinearRHS:
+    # input inside the 2/3-rule cut, or up to the Nyquist band, where the cut
+    # drops products the transforms still form
+    @pytest.mark.parametrize("within_cut", [True, False])
     @pytest.mark.parametrize("resolution", [16, 32])
-    def test_split_transforms_match_the_2d_transforms_bit_for_bit(self, resolution):
+    def test_split_transforms_match_the_2d_transforms_bit_for_bit(self, resolution, within_cut):
         g = TorusGrid(resolution)
         half = _HalfSpectrum(g)
-        kmax = resolution // 2 - 1
+        kmax = resolution // 3 if within_cut else resolution // 2 - 1
         # a second call on the same instance: the reused work arrays carry nothing over
         for seeds in ((21, 22), (23, 24)):
             z = np.stack([random_divergence_free(g, kmax, seed=s).psi for s in seeds])
@@ -489,12 +492,16 @@ def _rel_max(a, b):
 class TestPotentialFormCore:
     """The (omega, a) half-spectrum core against the vector form it replaces."""
 
-    @pytest.fixture(params=[32, 64], ids=["M32-dealias", "M64-dealias"])
+    # "dealias": energy up to k = M/4, inside the 2/3-rule cut; "raw": energy
+    # up to the Nyquist band, so the cut also drops modes of the input
+    @pytest.fixture(params=[(32, True), (32, False), (64, True), (64, False)],
+                    ids=["M32-dealias", "M32-raw", "M64-dealias", "M64-raw"])
     def case(self, request):
-        m = request.param
+        m, within_cut = request.param
         grid = TorusGrid(m)
-        u0, b0 = (random_divergence_free(grid, m // 4, seed=m + i) for i in (1, 2))
-        # unit max norm: well inside the CFL limit, with energy up to k = M/4
+        kmax = m // 4 if within_cut else m // 2 - 1
+        u0, b0 = (random_divergence_free(grid, kmax, seed=m + i) for i in (1, 2))
+        # unit max norm: well inside the CFL limit
         u0, b0 = (f * (1.0 / np.abs(f.to_grid()).max()) for f in (u0, b0))
         cfg = SimConfig(nu=0.05, eta=0.02, grid=grid, dt=1e-3, t_end=0.02, output_cadence=5)
         return cfg, MHDState(u0, b0, 0.0)

@@ -23,6 +23,7 @@ from mhdrecon.fields import (
     TaylorSpec,
     TorusGrid,
     c1_norm,
+    l1_sums,
     make_taylor,
     make_tilde_t1,
     zero_field,
@@ -51,16 +52,19 @@ from mhdrecon.topology import (
     _ARCLENGTH_CAP,
     _ARRIVAL_RADIUS,
     _EPS_LAUNCH,
+    _EXCLUSION_EPS,
     _PSI_TOL_FACTOR,
     _STEP_FLOOR,
     _STOP_TOL_FACTOR,
     _TRACE_STEP,
     _det,
     _near_zero,
+    _new_zeros,
     _norm,
 )
 
 from .conftest import random_divergence_free
+from .reference import cell_bounds, grid_bounds, sign_change_mask
 
 
 def _positions(points, kind=None):
@@ -173,6 +177,130 @@ class TestCriticalPoints:
         pos = _positions(pts)
         d = torus_distance(pos[:, None, :], pos[None, :, :])
         assert d[np.triu_indices(len(pos), 1)].min() > 1e-3
+
+
+def _greedy_dedup(points, residuals, radii, centres, kept_radii):
+    """O(n^2) reference of _new_zeros: in order of residual (ties in index
+    order), keep a point unless it lies in a kept box (max norm), the boxes
+    kept before the call included."""
+    centres, kept_radii = [*centres], [*kept_radii]
+    reps = []
+    for i in np.argsort(residuals, kind="stable"):
+        d = np.abs(torus_delta(points[i], np.reshape(centres, (-1, 2)))).max(axis=1)
+        if not np.any(d <= np.array(kept_radii)):
+            reps.append(int(i))
+            centres.append(points[i])
+            kept_radii.append(radii[i])
+    return reps
+
+
+class TestDedup:
+    @pytest.mark.parametrize("radius", [1e-11, 1e-8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_brute_force_greedy(self, radius, seed):
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(0.0, 2 * np.pi, (40, 2))
+        # clusters on the x seam, on the y seam, and on the corner
+        centers[:8, 0] = 0.0
+        centers[8:16, 1] = 0.0
+        centers[16:20] = 0.0
+        members = rng.integers(0, len(centers), 600)
+        # spread over 4 radii, so the residual order decides which points are kept
+        pts = wrap(centers[members] + rng.uniform(-2.0, 2.0, (600, 2)) * radius)
+        residuals = rng.integers(0, 4, 600) * 1e-13  # many ties
+        assert np.any(pts > 2 * np.pi - 4 * radius) and np.any(pts < 4 * radius)
+        # boxes of unequal size, and two boxes on the seams kept at an earlier depth
+        radii = radius * rng.uniform(0.5, 1.5, 600)
+        kept, kept_radii = centers[[0, 16]], np.full(2, radius)
+        reps = _new_zeros(pts, residuals, radii, kept, kept_radii)
+        assert reps == _greedy_dedup(pts, residuals, radii, kept, kept_radii)
+        assert 2 * len(centers) < len(reps) < len(pts)
+
+
+class _Stop(Exception):
+    """Ends a search once the exclusion tests under study have run."""
+
+
+def _exclusion_calls(f, monkeypatch, n):
+    """(vals, bounds, eps, kept) of the first n exclusion tests (_near_zero) of
+    find_critical_points(f); the search stops after the n-th."""
+    calls = []
+    near_zero = topology._near_zero
+
+    def recording(vals, bounds, eps):
+        kept = near_zero(vals, bounds, eps)
+        calls.append((vals, bounds, eps, kept))
+        if len(calls) == n:
+            raise _Stop
+        return kept
+
+    with monkeypatch.context() as m:
+        m.setattr(topology, "_near_zero", recording)
+        with pytest.raises(_Stop):
+            find_critical_points(f)
+    return calls
+
+
+def _assert_sign_changes_kept(vals, bounds, eps):
+    """A lattice cell whose four corner values of f_i bracket 0 holds a zero
+    of f_i. The zero lies in one of the four cells of half-width h / 2 around
+    the corners, so the bound of f_i keeps that corner."""
+    for comp, bound in zip(vals, bounds):
+        kept = np.abs(comp) <= bound + eps
+        around = (kept | np.roll(kept, -1, 0) | np.roll(kept, -1, 1)
+                  | np.roll(kept, (-1, -1), (0, 1)))
+        changes = sign_change_mask(comp[None])
+        assert changes.any() and around[changes].all()
+
+
+class TestSignChangeSeeds:
+    """The cells where a component changes sign between the corners, where a
+    sign-change seeding would start Newton, each hold a zero of that
+    component. The exclusion bounds keep a corner of every such cell, so
+    seeding from the bounds leaves out none of them."""
+
+    @pytest.mark.parametrize("resolution", [32, 64, 128, 256])
+    @pytest.mark.parametrize("kmax", range(1, 9))
+    def test_field_grid_matches_the_corner_stack(self, monkeypatch, resolution, kmax):
+        grid = TorusGrid(resolution)
+        f = random_divergence_free(grid, kmax, seed=kmax)
+        [(vals, bounds, eps, _)] = _exclusion_calls(f, monkeypatch, 1)
+        # the first test reads the field's own grid, with the first-order bound
+        assert np.array_equal(vals, f.to_grid())
+        assert bounds == grid_bounds(l1_sums(f), 0.5 * grid.spacing)
+        assert eps == _EXCLUSION_EPS * c1_norm(f)
+        _assert_sign_changes_kept(vals, bounds, eps)
+
+    @pytest.mark.parametrize("resolution", [32, 64, 128, 256])
+    @pytest.mark.parametrize("kmax", range(1, 9))
+    def test_seed_lattice_matches_the_corner_stack(self, monkeypatch, resolution, kmax):
+        f = random_divergence_free(TorusGrid(resolution), kmax, seed=kmax)
+        s = l1_sums(f)
+        first, (vals, bounds, eps, _) = _exclusion_calls(f, monkeypatch, 2)
+        # the second test takes the value and Jacobian at each cell the first keeps
+        ii, jj = np.nonzero(first[3])
+        cells = np.stack([f.grid.nodes[ii], f.grid.nodes[jj]], axis=-1)
+        cell_vals, jacs = f.evaluator.values_and_jacobians(cells)
+        assert np.array_equal(vals, cell_vals.T)
+        assert np.array_equal(bounds, cell_bounds(jacs, s, 0.5 * f.grid.spacing))
+        # the second-order bound holds on the wider cells of a 48 lattice too
+        lattice = TorusGrid(48)
+        pts = np.stack(np.meshgrid(lattice.nodes, lattice.nodes, indexing="ij"), axis=-1)
+        lattice_vals, lattice_jacs = f.evaluator.values_and_jacobians(pts.reshape(-1, 2))
+        lattice_bounds = cell_bounds(lattice_jacs, s, 0.5 * lattice.spacing)
+        _assert_sign_changes_kept(lattice_vals.T.reshape(2, *lattice.shape),
+                                  lattice_bounds.reshape(2, *lattice.shape), eps)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (4, 4)])
+    def test_zero_lines_match_the_corner_stack(self, grid32, monkeypatch, n, m):
+        # the grid values of T_nm lie on or near 0 along whole grid lines
+        f = make_taylor(TaylorSpec(n, m), 1.0, grid32)
+        [(vals, bounds, eps, _)] = _exclusion_calls(f, monkeypatch, 1)
+        _assert_sign_changes_kept(vals, bounds, eps)
+        # every value of the zero field is 0, on its bound of 0: every cell is kept
+        zero = zero_field(grid32)
+        kept = _near_zero(zero.to_grid(), grid_bounds(l1_sums(zero), 0.5 * grid32.spacing), 0.0)
+        assert kept.sum() == 32 * 32
 
 
 def _search_log(f, caplog):
@@ -480,6 +608,43 @@ class TestEvaluationCounts:
         assert len(values_calls) == 1 + 4 * steps
         assert len(potential_calls) == 1 + steps
 
+    def test_seeding_lattice_evaluated_once(self, grid64, monkeypatch):
+        # the first test reads the field's grid, not the evaluator at its
+        # nodes; the cells it keeps are evaluated in one call before Newton
+        # starts, and no call covers the whole grid
+        f = make_taylor(TaylorSpec(3, 2), 1.0, grid64) + 1e-3 * make_tilde_t1(grid64)
+        kept = _near_zero(f.to_grid(), grid_bounds(l1_sums(f), 0.5 * grid64.spacing),
+                          _EXCLUSION_EPS * c1_norm(f))
+        calls = []
+        for name in ("values", "values_and_jacobians"):
+            original = getattr(FieldEvaluator, name)
+
+            def counting(self, pts, name=name, original=original):
+                calls.append((name, len(pts)))
+                return original(self, pts)
+
+            monkeypatch.setattr(FieldEvaluator, name, counting)
+        assert len(find_critical_points(f)) == 48
+        assert calls[0] == ("values_and_jacobians", int(kept.sum()))
+        assert max(n for _, n in calls) < 64 * 64
+
+    @pytest.mark.parametrize("n, m, resolution", [(3, 2, 64), (4, 4, 128)])
+    def test_own_grid_as_seed_grid_is_the_default(self, monkeypatch, n, m, resolution):
+        # the search seeds from the field's own grid values; the evaluator's
+        # values at the same nodes give the same points
+        grid = TorusGrid(resolution)
+        f = (make_taylor(TaylorSpec(n, m), 1.0 / np.hypot(n, m), grid)
+             + 1e-3 * make_tilde_t1(grid))
+        points = find_critical_points(f)
+        nodes = np.stack(np.meshgrid(grid.nodes, grid.nodes, indexing="ij"), axis=-1)
+        lattice = f.evaluator.values(nodes.reshape(-1, 2)).T.reshape(2, *grid.shape)
+        assert not np.array_equal(lattice, f.to_grid())
+        monkeypatch.setattr(SpectralField2D, "to_grid", lambda self: lattice)
+        points_lattice = find_critical_points(f)
+        assert len(points) == 8 * n * m
+        assert [p.kind for p in points_lattice] == [p.kind for p in points]
+        assert np.array_equal(_positions(points_lattice), _positions(points))
+
     def test_connections_make_four_evaluations_per_iteration(
             self, grid64, values_calls, potential_calls, caplog):
         # four field evaluations and one of psi (the level lock) per step, and
@@ -698,22 +863,23 @@ class TestPoincareHopf:
         assert "2 saddles but 1 centers" in caplog.records[0].getMessage()
         assert "1 centers and 0 degenerate points" in caplog.records[1].getMessage()
 
-    def test_missed_extrema_warn(self, caplog, monkeypatch):
+    @pytest.mark.parametrize("resolution, warned", [(16, True), (32, False)])
+    def test_missed_extrema_warn(self, caplog, monkeypatch, resolution, warned):
         # a search that finds no point at all: 0 saddles = 0 centers passes
-        # Poincare-Hopf, but the potential's maximum and minimum are missing
-        monkeypatch.setattr(topology, "find_critical_points", lambda f: [])
-        with caplog.at_level(logging.WARNING, logger="mhdrecon.topology"):
-            sig, _ = extract_signature(make_taylor(TaylorSpec(4, 4), 1.0, TorusGrid(32)))
-        assert sig.n_centers == 0
-        assert ["miss the extrema" in r.getMessage() for r in caplog.records] == [True]
-
-    @pytest.mark.parametrize("resolution", [16, 32])
-    def test_no_warning_on_t44(self, caplog, resolution):
+        # Poincare-Hopf, but the potential's maximum and minimum are missing.
+        # The search itself finds all of T_44's points
+        if warned:
+            monkeypatch.setattr(topology, "find_critical_points", lambda f: [])
         f = make_taylor(TaylorSpec(4, 4), 1.0, TorusGrid(resolution))
         with caplog.at_level(logging.WARNING, logger="mhdrecon.topology"):
             sig, _ = extract_signature(f)
-        assert sig.n_centers == 64
-        assert not caplog.records
+        messages = [r.getMessage() for r in caplog.records]
+        if warned:
+            assert sig.n_centers == 0
+            assert ["miss the extrema" in m for m in messages] == [True]
+        else:
+            assert sig.n_centers == 64
+            assert not messages
 
 
 class TestStructuralStability:
