@@ -105,6 +105,11 @@ _DEFAULTS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _grid(resolution: int) -> TorusGrid:
+    return TorusGrid(resolution)
+
+
 class ConfigError(ConfigurationError):
     """A scenario configuration is malformed; the message names the field."""
 
@@ -209,7 +214,8 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def grid(self) -> TorusGrid:
-        return TorusGrid(self.resolution)
+        """The run's grid, one instance per resolution, so its wavenumber arrays are built once."""
+        return _grid(self.resolution)
 
     def sim_config(self, forcing: oracles.ForcedOracle | None = None) -> SimConfig:
         return SimConfig(
@@ -316,7 +322,11 @@ def _run_with_diagnostics(
 ):
     """Simulate with diagnostics and extra sinks; persist if asked. Returns (final, records)."""
     diags = _DiagnosticsSink(cfg.r, cfg.topology_cadence)
-    final = simulate(sim_cfg, initial, sinks=[diags, *extra_sinks])
+    try:
+        final = simulate(sim_cfg, initial, sinks=[diags, *extra_sinks])
+    except ConfigurationError as exc:
+        # the solver refuses data with modes beyond the 2/3-rule cut of the grid
+        raise ConfigError(f"field 'resolution': {exc}") from exc
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

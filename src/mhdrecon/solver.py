@@ -9,9 +9,7 @@ The system
 is advanced in potential form (Orszag & Tang, JFM 90, 1979). Both fields are
 divergence-free with zero average, so u = grad_perp psi and b = grad_perp a
 with grad_perp = (d_y, -d_x). The state is the pair of stream functions
-(psi, a) on the (M, M/2 + 1) half-spectrum of the real FFT, the layout of
-SpectralField2D, and with the vorticity omega = -Lap psi the equations
-become
+(psi, a), and with the vorticity omega = -Lap psi the equations become
 
     d_t omega = curl div(b b^T - u u^T) + nu Lap omega + curl f1,
     d_t a     = u1 b2 - u2 b1 + eta Lap a + psi(f2),
@@ -19,10 +17,16 @@ become
 with psi(f2) the stream function of f2; the first is stepped as the equation
 of psi = omega / |k|^2. Pressure and the divergence constraint never appear,
 so the step needs no Leray projection and no Hermitian symmetrization.
-Nonlinear terms are formed on the collocation grid with 2/3-rule dealiasing;
-their transforms are numpy.fft's, each 2-D transform as two 1-D passes (a
-complex one over k1, a real one over k2) that write into work arrays kept
-from call to call.
+Nonlinear terms are formed on the M x M collocation grid with 2/3-rule
+dealiasing, so every mode with max(|k1|, |k2|) > M/3 stays zero, and the
+state holds only the dealiased block |k1|, k2 <= M/3 of the (M, M/2 + 1)
+real-FFT half-spectrum (44% of its entries); an MHDState embeds it back
+into the half-spectrum of SpectralField2D. Data with a mode beyond the cut
+would feed aliased products, so simulate refuses them with a
+ConfigurationError that names the mode. The transforms are numpy.fft's,
+each 2-D transform as two 1-D passes (a complex one over k1, a real one
+over k2) on the block's columns only, writing into work arrays kept from
+call to call.
 The step is the fourth-order exponential time differencing scheme ETDRK4
 (Cox & Matthews, J. Comput. Phys. 176, 2002) with the linear part
 L = -(nu, eta) |k|^2: the diffusion semigroups are applied exactly, and the
@@ -108,45 +112,78 @@ class SimConfig:
 
 
 class _HalfSpectrum:
-    """The state space of the solver: (psi, a) on the rfft2 half-spectrum.
+    """The state space of the solver: (psi, a) on the dealiased block of the half-spectrum.
 
-    Arrays have shape (2, M, M/2 + 1): wavenumbers k1 in FFT order along the
-    first grid axis and k2 = 0 .. M/2 along the second. The reality of the
-    fields is implicit in the real transforms, so no Hermitian symmetry has
-    to be kept up.
+    The 2/3 rule keeps the modes with |k1|, k2 <= c = floor(M/3), and every
+    other entry of the (M, M/2 + 1) rfft2 half-spectrum stays zero, so the
+    state holds only the kept ones. Arrays have shape (2, 2c + 1, c + 1):
+    rows k1 = 0 .. c, then -c .. -1 (FFT order), columns k2 = 0 .. c. The
+    nonlinear terms are still formed on the M x M collocation grid. The
+    reality of the fields is implicit in the real transforms, so no
+    Hermitian symmetry has to be kept up.
     """
 
     def __init__(self, grid: TorusGrid):
         m = grid.resolution
-        half = m // 2 + 1
+        c = self.cut = m // 3
         self.grid = grid
-        self.k1, self.k2, self.ksq, self.inv_ksq = grid.k1, grid.k2, grid.ksq, grid.inv_ksq
+        # the block's two row slabs, k1 = 0 .. c and k1 = -c .. -1, each as
+        # (its rows in the half-spectrum, its rows in the block)
+        self._slabs = ((slice(0, c + 1), slice(0, c + 1)), (slice(m - c, m), slice(c + 1, None)))
+        k1, k2, self.ksq, inv_ksq = (
+            self._block(a) for a in (grid.k1, grid.k2, grid.ksq, grid.inv_ksq))
         # grad_perp = (d_y, -d_x) in spectral form
-        self.perp = np.stack([1j * self.k2, -1j * self.k1])
-        # every nonlinear tendency keeps the modes inside the 2/3-rule cut,
-        # k = 0 excepted; the cut also drops the Nyquist lines, which have no
-        # consistent real odd derivative
-        keep = grid.dealias_mask & (self.ksq > 0)
-        self.keep = keep = keep.astype(np.float64)
-        # the vorticity tendency's factors, divided by |k|^2 for that of psi
-        self.strain = keep * (self.k1 * self.k2) * self.inv_ksq
-        self.shear = keep * (self.k1**2 - self.k2**2) * self.inv_ksq
+        self.perp = np.stack([1j * k2, -1j * k1])
+        # the vorticity tendency's factors, divided by |k|^2 for that of psi;
+        # both vanish at k = 0 through inv_ksq
+        self.strain = (k1 * k2) * inv_ksq
+        self.shear = (k1**2 - k2**2) * inv_ksq
         # work arrays, reused by every call: allocating arrays of this size
         # afresh faults their pages in again each time, about a third of the
         # RHS time at M = 128. The transforms write into them through out=:
         # _spec holds the four spectra of u and b, then (its first three
-        # slots) the spectra of the products; _grid their grid values.
-        self._spec = np.empty((4, m, half), dtype=np.complex128)
+        # slots) the spectra of the products; _grid their grid values. Only
+        # the block's c + 1 columns of _spec enter the inverse transforms,
+        # whose real pass zero-pads the columns k2 > c itself; the rows
+        # between the two slabs are zeroed on each call.
+        self._spec = np.empty((4, m, m // 2 + 1), dtype=np.complex128)
         self._grid = np.empty((4, m, m))
         self._prod = np.empty((3, m, m))
         self._tmp = np.empty((m, m))
-        self.stages = np.empty((5, 2, m, half), dtype=np.complex128)
+        self.stages = np.empty((5, 2, 2 * c + 1, c + 1), dtype=np.complex128)
+
+    def _block(self, a: np.ndarray) -> np.ndarray:
+        """The block's entries of a half-spectrum array (last two axes)."""
+        return np.concatenate([a[..., rows, : self.cut + 1] for rows, _ in self._slabs], axis=-2)
+
+    def require_in_band(self, f: SpectralField2D, name: str) -> None:
+        """Raise ConfigurationError, naming the mode, if f has a mode beyond the cut."""
+        m, c, psi = self.grid.resolution, self.cut, f.psi
+        if not (np.any(psi[:, c + 1 :]) or np.any(psi[c + 1 : m - c])):
+            return
+        k1, k2 = self.grid.k1, self.grid.k2
+        band = np.where(psi != 0, np.maximum(np.abs(k1), k2), 0.0)
+        i, j = np.unravel_index(np.argmax(band), band.shape)
+        raise ConfigurationError(
+            f"{name} has a mode (k1, k2) = ({k1[i, j]:.0f}, {k2[i, j]:.0f}) beyond the "
+            f"2/3-rule cut M/3 = {m / 3:.4g} at M = {m}; it needs M >= {3 * band[i, j]:.0f}")
 
     def from_fields(self, u: SpectralField2D, b: SpectralField2D) -> np.ndarray:
-        return np.stack([u.psi, b.psi])
+        """The state of (u, b); ConfigurationError if either has a mode beyond the cut."""
+        for f, name in ((u, "u"), (b, "b")):
+            self.require_in_band(f, name)
+        return self._block(np.stack([u.psi, b.psi]))
+
+    def embed(self, z: np.ndarray) -> np.ndarray:
+        """The half-spectrum array of the block array z (last two axes), zero beyond the cut."""
+        full = np.zeros((*z.shape[:-2], *self.grid.spectral_shape), dtype=np.complex128)
+        for rows, zrows in self._slabs:
+            full[..., rows, : self.cut + 1] = z[..., zrows, :]
+        return full
 
     def to_state(self, z: np.ndarray, t: float) -> MHDState:
-        return MHDState(SpectralField2D(self.grid, z[0]), SpectralField2D(self.grid, z[1]), t)
+        # one field at a time: SpectralField2D copies its array
+        return MHDState(*(SpectralField2D(self.grid, self.embed(zi)) for zi in z), t)
 
     def rhs(self, z: np.ndarray, out: np.ndarray) -> float:
         """Nonlinear tendencies of (psi, a) into out, diffusion-free; returns max grid |u|.
@@ -154,16 +191,22 @@ class _HalfSpectrum:
         With S = u u^T - b b^T and w = u1 b2 - u2 b1, the curl of
         -div S is k1 k2 (S22 - S11) + (k1^2 - k2^2) S12, the tendency of
         omega = |k|^2 psi, and the induction term curl(u x b) = grad_perp w
-        has the potential w.
+        has the potential w. Only the block enters and leaves the
+        transforms, which act column by column, so the kept entries are
+        those of the full half-spectrum transforms bit for bit.
         """
-        m = self.grid.resolution
-        c, prod, tmp = self._spec, self._prod, self._tmp
-        np.multiply(self.perp, z[0], out=c[:2])
-        np.multiply(self.perp, z[1], out=c[2:])
+        m, c = self.grid.resolution, self.cut
+        spec, prod, tmp = self._spec, self._prod, self._tmp
+        cols = spec[..., : c + 1]
         # the 2-D transforms as two 1-D passes, complex over k1 and real over k2
-        np.fft.ifft(c, axis=-2, norm="forward", out=c)
-        u1, u2, b1, b2 = np.fft.irfft(c, n=m, axis=-1, norm="forward", out=self._grid)
-        umax = max(float(np.max(np.abs(u1))), float(np.max(np.abs(u2))))
+        for rows, zrows in self._slabs:
+            np.multiply(self.perp[:, zrows], z[0, zrows], out=cols[:2, rows])
+            np.multiply(self.perp[:, zrows], z[1, zrows], out=cols[2:, rows])
+        cols[:, c + 1 : m - c] = 0.0
+        np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
+        u1, u2, b1, b2 = np.fft.irfft(cols, n=m, axis=-1, norm="forward", out=self._grid)
+        # max |u| without an |u| temporary; np.max keeps a NaN as np.abs did
+        umax = float(np.max([u1.max(), -u1.min(), u2.max(), -u2.min()]))
         np.multiply(u2, u2, out=prod[0])
         prod[0] -= np.multiply(b2, b2, out=tmp)
         prod[0] -= np.multiply(u1, u1, out=tmp)
@@ -172,16 +215,19 @@ class _HalfSpectrum:
         prod[1] -= np.multiply(b1, b2, out=tmp)
         np.multiply(u1, b2, out=prod[2])
         prod[2] -= np.multiply(u2, b1, out=tmp)
-        s = np.fft.rfft(prod, axis=-1, norm="forward", out=c[:3])
-        np.fft.fft(s, axis=-2, norm="forward", out=s)
-        np.multiply(self.strain, s[0], out=out[0])
-        out[0] += np.multiply(self.shear, s[1], out=s[1])
-        np.multiply(self.keep, s[2], out=out[1])
+        np.fft.rfft(prod, axis=-1, norm="forward", out=spec[:3])
+        s = np.fft.fft(cols[:3], axis=-2, norm="forward", out=cols[:3])
+        for rows, zrows in self._slabs:
+            o = out[:, zrows]
+            np.multiply(self.strain[zrows], s[0, rows], out=o[0])
+            o[0] += np.multiply(self.shear[zrows], s[1, rows], out=s[1, rows])
+            o[1] = s[2, rows]
+        out[1, 0, 0] = 0.0
         return umax
 
 
 class _Forcing:
-    """f1(t), f2(t) of a forced construction as their stream functions on the half-spectrum.
+    """f1(t), f2(t) of a forced construction as their stream functions on the dealiased block.
 
     For the oracle's closed form b(t) = c1(t) big + c2(t) small, with big =
     T_nm, the force is f2 = small, static, and f1(t) = -c1(t) c2(t) X with
@@ -199,9 +245,11 @@ class _Forcing:
         grid = half.grid
         big = make_taylor(oracle.spec_nm, 1.0, grid)
         small = oracle.small_mode(grid)
+        half.require_in_band(big, "the force's T_nm")
+        half.require_in_band(small, "the force's small field")
         # X is taken from the solver's own Lorentz term by polarization: at
         # u = big - small, b = big + small the psi tendency of rhs is
-        # curl div(b b^T - u u^T) / |k|^2 = 2 curl X / |k|^2, masked like the
+        # curl div(b b^T - u u^T) / |k|^2 = 2 curl X / |k|^2, dealiased like the
         # term it cancels
         self._static = half.from_fields(zero_field(grid), small)
         tendency = np.empty_like(self._static)
@@ -370,6 +418,8 @@ def simulate(cfg: SimConfig, initial: MHDState, sinks=()) -> MHDState:
     the run is logged once at its end, at info level, or as a warning with
     the number of steps whose CFL number reached 0.5 if there are any; a
     run that blows up puts that warning in the message of its error.
+    Initial fields or a forced construction with a mode beyond the 2/3-rule
+    cut M/3 raise ConfigurationError, naming the mode, before any sink fires.
     """
     t0 = initial.t
     total = cfg.t_end - t0
@@ -381,13 +431,14 @@ def simulate(cfg: SimConfig, initial: MHDState, sinks=()) -> MHDState:
             sink(state)
         return state
 
+    # data beyond the dealiasing cut are refused before any state is emitted
+    half = _HalfSpectrum(cfg.grid)
+    forcing = _Forcing(cfg.forcing, half)
+    z = half.from_fields(initial.u, initial.b)
     emit(initial)
     if total == 0:
         return initial
 
-    half = _HalfSpectrum(cfg.grid)
-    forcing = _Forcing(cfg.forcing, half)
-    z = half.from_fields(initial.u, initial.b)
     n_full = int(np.floor(total / cfg.dt + 1e-9))
     leftover = total - n_full * cfg.dt
     if leftover < 1e-12 * max(1.0, abs(cfg.t_end)):

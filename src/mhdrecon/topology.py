@@ -396,15 +396,24 @@ def trace_integral_line(f: SpectralField2D, x0, arclen: float) -> np.ndarray:
 
 
 def _eigen_directions(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(unstable, stable) unit eigenvectors of a saddle Jacobian."""
-    w, v = np.linalg.eig(jac)
-    w = np.real(w)
-    v = np.real(v)
-    iu = int(np.argmax(w))
-    is_ = int(np.argmin(w))
-    vu = v[:, iu] / np.linalg.norm(v[:, iu])
-    vs = v[:, is_] / np.linalg.norm(v[:, is_])
-    return vu, vs
+    """(unstable, stable) unit eigenvectors of a saddle Jacobian, in closed form.
+
+    With J = [[a, b], [c, d]] the eigenvalues are tr/2 +- sqrt(tr^2/4 - det),
+    real and of opposite signs at a saddle (det < 0). An eigenvector of
+    lambda is (b, lambda - a) and also (lambda - d, c); the longer of the two
+    is taken, as at most one of them vanishes. The sign of each vector is
+    arbitrary: separatrices are launched along both.
+    """
+    (a, b), (c, d) = jac
+    half_tr = 0.5 * (a + d)
+    root = np.sqrt(half_tr * half_tr - (a * d - b * c))
+
+    def unit(lam: float) -> np.ndarray:
+        v, w = np.array([b, lam - a]), np.array([lam - d, c])
+        v = v if np.hypot(*v) >= np.hypot(*w) else w
+        return v / np.hypot(*v)
+
+    return unit(half_tr + root), unit(half_tr - root)
 
 
 def _level_partners(psi_levels: np.ndarray, psi_tol: float) -> np.ndarray:

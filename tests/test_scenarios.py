@@ -181,6 +181,33 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^field '{name}': not a config field$"):
             ExperimentConfig.from_dict({"scenario": "theorem1", name: value})
 
+    def test_one_grid_per_resolution(self, monkeypatch):
+        # every run at one resolution shares its grid and the grid's cached
+        # wavenumber arrays, the solver's final fields included
+        cfg = mini("theorem1", n=2, m=2, t_end=0.02)
+        assert cfg.grid() is cfg.grid() is mini("theorem2").grid()
+        assert cfg.grid() is not mini("theorem1", resolution=32).grid()
+        finals = []
+
+        def recording(*args, **kwargs):
+            finals.append(simulate(*args, **kwargs))
+            return finals[-1]
+
+        monkeypatch.setattr(scenarios, "simulate", recording)
+        run_theorem1(cfg)
+        assert len(finals) == 2  # the run and its Richardson companion
+        assert all(f.u.grid is cfg.grid() and f.b.grid is cfg.grid() for f in finals)
+
+    # T_44 is representable at M = 10, but it lies beyond the 2/3-rule cut
+    # M/3, where its products would alias
+    @pytest.mark.parametrize("scenario", ["theorem1", "theorem2", "remark2", "stability"])
+    def test_datum_beyond_the_cut_names_the_resolution(self, scenario):
+        cfg = ExperimentConfig.from_dict({"scenario": scenario, "resolution": 10})
+        with pytest.raises(ConfigError, match=r"^field 'resolution': .* has a mode \(k1, k2\) = "
+                                              r"\(4, 4\) beyond the 2/3-rule cut M/3 = 3\.333 "
+                                              r"at M = 10; it needs M >= 12$"):
+            run_scenario(cfg)
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.fixed_dictionaries(

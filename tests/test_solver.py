@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mhdrecon.fields import (
     zero_field,
 )
 from mhdrecon.oracles import ForcedOracle, forced_exact_b
+from mhdrecon.scenarios import frozen_in_initial
 from mhdrecon.solver import (
     BlowUpError,
     MHDState,
@@ -61,34 +63,48 @@ def _advective_cross_term(a, b):
     return np.stack(out)
 
 
-def _rhs_by_2d_transforms(half, z):
-    """The tendencies and max grid |u| of _HalfSpectrum.rhs, formed with
-    numpy's 2-D real transforms on fresh arrays, in the same operation order."""
-    m = half.grid.resolution
-    c = np.concatenate([half.perp * z[0], half.perp * z[1]])
+def _rhs_by_2d_transforms(grid, z):
+    """The tendencies and max grid |u| of _HalfSpectrum.rhs for the
+    half-spectrum arrays z, formed with numpy's 2-D real transforms on the
+    whole half-spectrum and fresh arrays, in the same operation order, and
+    cut by the 2/3-rule mask."""
+    m, k1, k2, inv_ksq = grid.resolution, grid.k1, grid.k2, grid.inv_ksq
+    perp = np.stack([1j * k2, -1j * k1])
+    c = np.concatenate([perp * z[0], perp * z[1]])
     u1, u2, b1, b2 = np.fft.irfft2(c, s=(m, m), norm="forward")
     prod = np.stack([u2 * u2 - b2 * b2 - u1 * u1 + b1 * b1, u1 * u2 - b1 * b2, u1 * b2 - u2 * b1])
     s = np.fft.rfft2(prod, norm="forward")
-    out = np.stack([half.strain * s[0] + half.shear * s[1], half.keep * s[2]])
+    keep = grid.dealias_mask & (grid.ksq > 0)
+    out = np.stack([keep * (k1 * k2) * inv_ksq * s[0] + keep * (k1**2 - k2**2) * inv_ksq * s[1],
+                    keep * s[2]])
     return out, max(float(np.max(np.abs(u1))), float(np.max(np.abs(u2))))
 
 
 class TestNonlinearRHS:
-    # input inside the 2/3-rule cut, or up to the Nyquist band, where the cut
-    # drops products the transforms still form
+    # input filling the 2/3-rule block, whose edge is a mode of the grid when
+    # 3 divides M (48, 96); or up to the Nyquist band, which the solver refuses
     @pytest.mark.parametrize("within_cut", [True, False])
-    @pytest.mark.parametrize("resolution", [16, 32])
+    @pytest.mark.parametrize("resolution", [16, 32, 48, 96])
     def test_split_transforms_match_the_2d_transforms_bit_for_bit(self, resolution, within_cut):
         g = TorusGrid(resolution)
         half = _HalfSpectrum(g)
         kmax = resolution // 3 if within_cut else resolution // 2 - 1
+        if not within_cut:
+            u, b = (random_divergence_free(g, kmax, seed=s) for s in (21, 22))
+            with pytest.raises(ConfigurationError,
+                               match=rf"^u has a mode \(k1, k2\) = \(-?\d+, \d+\) beyond the "
+                                     rf"2/3-rule cut M/3 = {resolution / 3:.4g} at M = {resolution};"):
+                half.from_fields(u, b)
+            return
         # a second call on the same instance: the reused work arrays carry nothing over
         for seeds in ((21, 22), (23, 24)):
-            z = np.stack([random_divergence_free(g, kmax, seed=s).psi for s in seeds])
+            u, b = (random_divergence_free(g, kmax, seed=s) for s in seeds)
+            z = half.from_fields(u, b)
+            assert z.shape == (2, 2 * kmax + 1, kmax + 1)
             out = np.empty_like(z)
             umax = half.rhs(z, out)
-            expected, expected_umax = _rhs_by_2d_transforms(half, z)
-            assert np.array_equal(out, expected)
+            expected, expected_umax = _rhs_by_2d_transforms(g, np.stack([u.psi, b.psi]))
+            assert np.array_equal(half.embed(out), expected)
             assert umax == expected_umax
 
     def test_taylor_fields_are_euler_stationary(self, grid64):
@@ -154,6 +170,42 @@ class TestSimulate:
         st = taylor_state(grid32)
         out = simulate(cfg, st)
         assert np.array_equal(out.b.psi, st.b.psi)
+
+    @pytest.mark.parametrize("t_end", [0.0, 0.1])
+    def test_datum_beyond_the_cut_is_refused(self, t_end):
+        # T_44 on M = 10 is representable but lies beyond M/3: its products
+        # would alias. A run of length 0 is refused too
+        grid = TorusGrid(10)
+        cfg = SimConfig(nu=NU, eta=ETA, grid=grid, dt=1e-2, t_end=t_end)
+        with pytest.raises(ConfigurationError,
+                           match=r"^b has a mode \(k1, k2\) = \(4, 4\) beyond the 2/3-rule cut "
+                                 r"M/3 = 3\.333 at M = 10; it needs M >= 12$"):
+            simulate(cfg, taylor_state(grid, 4, 4))
+
+    @pytest.mark.parametrize("scenario", ["theorem1", "frozen-in"])
+    def test_ten_steps_at_m128_peak_below_3_6_mib(self, scenario):
+        # the solver holds the 2/3-rule block only: (2, 85, 43) state and
+        # stage arrays at M = 128. Ten steps peak at about 3.0 (theorem1)
+        # and 3.3 MiB (frozen-in, whose ETDRK4 coefficients have two rows)
+        # of traced allocations, the final state included; stepping the
+        # whole (2, 128, 65) half-spectrum took 4.4 and 5.4 MiB
+        grid = TorusGrid(128)
+        if scenario == "theorem1":
+            b0 = make_taylor(TaylorSpec(4, 4), 1.0 / np.sqrt(32.0), grid) + 1e-3 * make_tilde_t1(grid)
+            cfg = SimConfig(nu=0.5, eta=0.5, grid=grid, dt=1e-2, t_end=0.1)
+            initial = MHDState(zero_field(grid), b0, 0.0)
+        else:
+            cfg = SimConfig(nu=0.1, eta=0.0, grid=grid, dt=2.5e-3, t_end=0.025)
+            initial = frozen_in_initial(grid)
+        simulate(cfg, initial)  # first calls: the FFT plans and the grid's wavenumbers
+        tracemalloc.start()
+        try:
+            final = simulate(cfg, initial)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert final.t == pytest.approx(cfg.t_end)
+        assert peak < 3.6 * 2**20
 
     def test_exact_eigenmode_decay(self, grid32):
         cfg = SimConfig(nu=NU, eta=ETA, grid=grid32, dt=1e-3, t_end=1.0)
@@ -366,11 +418,11 @@ class TestForcedCrossTerm:
     def _tendencies(oracle, b, t, grid):
         """(nonlinear, nonlinear + forcing) tendencies of (psi, a), diffusion-free."""
         half = _HalfSpectrum(grid)
-        nonlinear = np.empty((2, *grid.spectral_shape), dtype=np.complex128)
+        nonlinear = np.empty_like(half.stages[0])
         half.rhs(half.from_fields(zero_field(grid), b), nonlinear)
         total = nonlinear.copy()
         _Forcing(oracle, half).add_to(total, t)
-        return nonlinear, total
+        return half.embed(nonlinear), half.embed(total)
 
     def _omega_tendencies(self, kind, t, grid):
         """Largest |omega| tendency, nonlinear and nonlinear + forcing, at the
@@ -420,6 +472,17 @@ class TestForcedCrossTerm:
         grid = TorusGrid(resolution)
         cfg = SimConfig(nu=NU, eta=ETA, grid=grid, dt=5e-2, t_end=1.0, forcing=self._oracle(kind))
         assert l2_norm(simulate(cfg, taylor_state(grid, 4, 4)).u) < 1e-15
+
+    @pytest.mark.parametrize("kind", ["theorem2", "remark2"])
+    def test_force_beyond_the_cut_is_refused(self, kind):
+        # T_44 lies beyond M/3 on M = 10, though the datum T_11 does not
+        grid = TorusGrid(10)
+        beyond = r"^the force's T_nm has a mode \(k1, k2\) = \(4, 4\) beyond the 2/3-rule cut "
+        with pytest.raises(ConfigurationError, match=beyond):
+            _Forcing(self._oracle(kind), _HalfSpectrum(grid))
+        cfg = SimConfig(nu=NU, eta=ETA, grid=grid, dt=5e-2, t_end=1.0, forcing=self._oracle(kind))
+        with pytest.raises(ConfigurationError, match=beyond):
+            simulate(cfg, taylor_state(grid, 1, 1))
 
     def test_forcing_eta_must_be_the_runs(self, grid32):
         # the closed form the force keeps depends on eta: a run at another eta
@@ -489,32 +552,50 @@ def _rel_max(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
+# the error simulate raises for data with a mode beyond the 2/3-rule cut
+_BEYOND_CUT = r"has a mode \(k1, k2\) = \(-?\d+, \d+\) beyond the 2/3-rule cut M/3 = "
+
+
 class TestPotentialFormCore:
     """The (omega, a) half-spectrum core against the vector form it replaces."""
 
-    # "dealias": energy up to k = M/4, inside the 2/3-rule cut; "raw": energy
-    # up to the Nyquist band, so the cut also drops modes of the input
-    @pytest.fixture(params=[(32, True), (32, False), (64, True), (64, False)],
-                    ids=["M32-dealias", "M32-raw", "M64-dealias", "M64-raw"])
+    # "dealias": energy up to k = M/4, inside the 2/3-rule cut; "cut": energy
+    # up to k = M/3, a mode of the grid at M = 48, so the block's edge is
+    # filled; "raw": energy up to the Nyquist band, beyond the cut, which the
+    # solver refuses: it would feed aliased products
+    @pytest.fixture(params=[(32, "dealias"), (32, "raw"), (64, "dealias"), (64, "raw"),
+                            (48, "cut")],
+                    ids=["M32-dealias", "M32-raw", "M64-dealias", "M64-raw", "M48-cut"])
     def case(self, request):
-        m, within_cut = request.param
+        """(cfg, initial state, whether the solver refuses it)."""
+        m, kind = request.param
         grid = TorusGrid(m)
-        kmax = m // 4 if within_cut else m // 2 - 1
+        kmax = {"dealias": m // 4, "cut": m // 3, "raw": m // 2 - 1}[kind]
         u0, b0 = (random_divergence_free(grid, kmax, seed=m + i) for i in (1, 2))
         # unit max norm: well inside the CFL limit
         u0, b0 = (f * (1.0 / np.abs(f.to_grid()).max()) for f in (u0, b0))
         cfg = SimConfig(nu=0.05, eta=0.02, grid=grid, dt=1e-3, t_end=0.02, output_cadence=5)
-        return cfg, MHDState(u0, b0, 0.0)
+        return cfg, MHDState(u0, b0, 0.0), kind == "raw"
 
     def test_nonlinear_rhs_matches_vector_form(self, case):
-        cfg, st = case
+        cfg, st, refused = case
+        if refused:
+            with pytest.raises(ConfigurationError, match="^u " + _BEYOND_CUT):
+                nonlinear_tendencies(st)
+            return
         du, db = nonlinear_tendencies(st)
         ref_u, ref_b = _vector_rhs(_half(st.u), _half(st.b), cfg.grid)
         assert _rel_max(_half(du), ref_u) < 1e-12
         assert _rel_max(_half(db), ref_b) < 1e-12
 
     def test_twenty_steps_match_vector_form(self, case):
-        cfg, st = case
+        cfg, st, refused = case
+        if refused:
+            m = cfg.grid.resolution
+            with pytest.raises(ConfigurationError,
+                               match=rf"{_BEYOND_CUT}{m / 3:.4g} at M = {m}; it needs M >= \d+$"):
+                simulate(cfg, st)
+            return
         out = simulate(cfg, st)
         ref_u, ref_b = _vector_simulate(cfg, _half(st.u), _half(st.b), 20)
         assert out.t == pytest.approx(0.02)
@@ -522,8 +603,14 @@ class TestPotentialFormCore:
         assert _rel_max(_half(out.b), ref_b) < 1e-12
 
     def test_every_emitted_state_is_valid(self, case):
-        cfg, st = case
+        cfg, st, refused = case
         seen = []
+        if refused:
+            # refused before any sink fires
+            with pytest.raises(ConfigurationError, match=_BEYOND_CUT):
+                simulate(cfg, st, sinks=[seen.append])
+            assert seen == []
+            return
         simulate(cfg, st, sinks=[seen.append])
         assert [s.t for s in seen] == pytest.approx([0.0, 0.005, 0.01, 0.015, 0.02])
         for s in seen:

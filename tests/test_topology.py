@@ -58,6 +58,7 @@ from mhdrecon.topology import (
     _STOP_TOL_FACTOR,
     _TRACE_STEP,
     _det,
+    _eigen_directions,
     _near_zero,
     _new_zeros,
     _norm,
@@ -714,6 +715,39 @@ class TestSaddleConnections:
     def test_no_saddles_gives_zero(self, grid64):
         f = make_tilde_t1(grid64)
         assert detect_saddle_connections(f, []) == (0, 0)
+
+
+class TestEigenDirections:
+    @staticmethod
+    def _saddle_jacobians(n=1200, seed=5):
+        """n random saddle Jacobians (det < 0): general ones, traceless ones
+        (those of a divergence-free field), and triangular or diagonal ones,
+        where one of the two closed-form candidates vanishes."""
+        rng = np.random.default_rng(seed)
+        jac = rng.standard_normal((4 * n, 2, 2)) * 10.0 ** rng.uniform(-3, 3, (4 * n, 1, 1))
+        jac[1::4, 1, 1] = -jac[1::4, 0, 0]
+        jac[2::4, 1, 0] = 0.0
+        jac[3::4, 0, 1] = jac[3::4, 1, 0] = 0.0
+        return jac[np.linalg.det(jac) < 0][:n]
+
+    def test_match_lapack_up_to_sign(self):
+        jacs = self._saddle_jacobians()
+        assert len(jacs) >= 1000
+        for jac in jacs:
+            w, v = np.linalg.eig(jac)
+            for got, i in zip(_eigen_directions(jac), (np.argmax(w.real), np.argmin(w.real))):
+                want = v[:, i].real / np.linalg.norm(v[:, i].real)
+                assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-15)
+                assert min(np.abs(got - want).max(), np.abs(got + want).max()) < 1e-12, jac
+
+    def test_signature_calls_no_lapack_eig(self, monkeypatch, grid64):
+        def no_eig(*args, **kwargs):
+            raise AssertionError("np.linalg.eig called")
+
+        monkeypatch.setattr(np.linalg, "eig", no_eig)
+        f = make_taylor(TaylorSpec(2, 1), 1.0 / np.sqrt(5.0), grid64) + 5e-4 * make_tilde_t1(grid64)
+        sig, _ = extract_signature(f)
+        assert sig.n_saddles > 0 and sig.hetero_connections + sig.self_connections > 0
 
 
 def _saddles(f):
