@@ -29,6 +29,8 @@ import json
 import logging
 import math
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -60,6 +62,7 @@ from .solver import (
     cross_helicity,
     energy,
     heat_propagate,
+    require_in_band,
     simulate,
 )
 from .topology import (
@@ -336,28 +339,66 @@ def _run_with_diagnostics(
     return final, diags.records
 
 
-def _time_error_estimate(sim_cfg: SimConfig, initial: MHDState, final: MHDState) -> float | None:
-    """Richardson estimate of the relative time-stepping error of final.
+def _companion_run(sim_cfg: SimConfig, initial: MHDState) -> MHDState | None:
+    """The Richardson companion of a run of sim_cfg from initial: its final state.
 
-    A companion run of the same config at 2 dt, with no sinks, ends about
-    2^4 - 1 = 15 times the error of the fourth-order ETDRK4 run away from
-    it, so the estimate is ||z_h - z_2h|| / ||z_h|| / 15 with z = (u, b) in
-    the combined L2 norm. u alone can be roundoff-small (about 1e-10 on
-    theorem2), so the ratio is taken over both fields together. None, with
-    a warning, when the companion run blows up.
+    The companion is the same config at 2 dt, with no sinks. None, with a
+    warning, when it blows up.
     """
     try:
-        coarse = simulate(dataclasses.replace(sim_cfg, dt=2.0 * sim_cfg.dt), initial)
+        return simulate(dataclasses.replace(sim_cfg, dt=2.0 * sim_cfg.dt), initial)
     except BlowUpError as exc:
         log.warning("companion run at 2 dt = %g blew up (%s); no time error estimate",
                     2.0 * sim_cfg.dt, exc)
         return None
+
+
+def _time_error_estimate(final: MHDState, coarse: MHDState) -> float:
+    """Richardson estimate of the relative time-stepping error of final.
+
+    The companion run's final state coarse ends about 2^4 - 1 = 15 times the
+    error of the fourth-order ETDRK4 run away from final, so the estimate is
+    ||z_h - z_2h|| / ||z_h|| / 15 with z = (u, b) in the combined L2 norm.
+    u alone can be roundoff-small (about 1e-10 on theorem2), so the ratio is
+    taken over both fields together.
+    """
     size = energy(final)
     gap = energy(MHDState(final.u - coarse.u, final.b - coarse.b))
-    estimate = math.sqrt(gap / size) / 15.0 if size > 0 else 0.0
-    log.info("time_error_estimate %.3g at dt = %g (companion run at 2 dt)",
-             estimate, sim_cfg.dt)
-    return estimate
+    return math.sqrt(gap / size) / 15.0 if size > 0 else 0.0
+
+
+# The log records of a companion run, held on its worker thread (see _run_from_rest)
+_held = threading.local()
+
+
+def _hold_on_worker(record: logging.LogRecord) -> bool:
+    """Log filter: keep record back if this thread holds its records, pass it on otherwise."""
+    held = getattr(_held, "records", None)
+    if held is None:
+        return True
+    held.append(record)
+    return False
+
+
+for _logger in ("mhdrecon.solver", __name__):
+    logging.getLogger(_logger).addFilter(_hold_on_worker)
+
+
+def _holding_records(held: list, fn, *args):
+    """fn(*args), with the records this thread logs on the filtered loggers put in held."""
+    _held.records = held
+    try:
+        return fn(*args)
+    finally:
+        del _held.records
+
+
+def _require_resolved(b0) -> None:
+    """Refuse a datum b0 with a mode beyond the solver's 2/3-rule cut, naming the resolution."""
+    try:
+        require_in_band(b0, "b")
+    except ConfigurationError as exc:
+        raise ConfigError(f"field 'resolution': {exc}") from exc
 
 
 @lru_cache(maxsize=None)
@@ -380,10 +421,35 @@ def _settled(sig: TopologySignature, ref: TopologySignature) -> bool:
 
 def _run_from_rest(cfg: ExperimentConfig, out_dir, label: str, b0,
                    forcing: oracles.ForcedOracle | None = None, extra_sinks=()):
-    """Run from (0, b0) with diagnostics; returns (final, time_error)."""
+    """Run from (0, b0) with diagnostics; returns (final, time_error).
+
+    time_error is the Richardson estimate of _time_error_estimate, or None
+    when the companion run blows up. The companion steps on a worker thread
+    while the main run steps on the calling thread; numpy's transforms and
+    elementwise kernels release the GIL, so the two use two cores, and peak
+    memory holds the work arrays of two solvers. Each run does the same
+    float operations on its own arrays as it would alone. The records the
+    companion logs are held and handed to their loggers after the main
+    run's, so the log reads as if the runs had been made one after the
+    other. A datum beyond the 2/3-rule cut is refused before the worker
+    starts. If the main run raises (a BlowUpError, say), its error leaves
+    only once the worker has finished, at most the companion's own run (half
+    a run) later, and the companion's records are dropped.
+    """
+    _require_resolved(b0)
     sim_cfg, initial = cfg.sim_config(forcing), MHDState(zero_field(cfg.grid()), b0, 0.0)
-    final, _ = _run_with_diagnostics(sim_cfg, initial, cfg, out_dir, label, extra_sinks)
-    return final, _time_error_estimate(sim_cfg, initial, final)
+    held: list[logging.LogRecord] = []
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        companion = worker.submit(_holding_records, held, _companion_run, sim_cfg, initial)
+        final, _ = _run_with_diagnostics(sim_cfg, initial, cfg, out_dir, label, extra_sinks)
+        coarse = companion.result()
+    for record in held:
+        logging.getLogger(record.name).handle(record)
+    if coarse is None:
+        return final, None
+    estimate = _time_error_estimate(final, coarse)
+    log.info("time_error_estimate %.3g at dt = %g (companion run at 2 dt)", estimate, sim_cfg.dt)
+    return final, estimate
 
 
 def _taylor_datum(cfg: ExperimentConfig, grid: TorusGrid):
@@ -406,6 +472,7 @@ def _reconnection_run(cfg: ExperimentConfig, out_dir, label: str, b0, scale: flo
     and of b_tilde = scale * b(T), the final state, and its
     time_error_estimate.
     """
+    _require_resolved(b0)
     sig0, _ = extract_signature(b0)
     final, time_error = _run_from_rest(cfg, out_dir, label, b0, forcing, extra_sinks)
     b_tilde = scale * final.b

@@ -111,6 +111,25 @@ class SimConfig:
                 f"the forcing has eta = {self.forcing.eta}, the run eta = {self.eta}")
 
 
+def require_in_band(f: SpectralField2D, name: str) -> None:
+    """Raise ConfigurationError, naming the mode, if f has a mode beyond the 2/3-rule cut.
+
+    The cut keeps the modes with |k1|, k2 <= floor(M/3) of f's grid; the
+    error names f as name, the mode, and the M the mode needs.
+    """
+    grid, psi = f.grid, f.psi
+    m = grid.resolution
+    c = m // 3
+    if not (np.any(psi[:, c + 1 :]) or np.any(psi[c + 1 : m - c])):
+        return
+    k1, k2 = grid.k1, grid.k2
+    band = np.where(psi != 0, np.maximum(np.abs(k1), k2), 0.0)
+    i, j = np.unravel_index(np.argmax(band), band.shape)
+    raise ConfigurationError(
+        f"{name} has a mode (k1, k2) = ({k1[i, j]:.0f}, {k2[i, j]:.0f}) beyond the "
+        f"2/3-rule cut M/3 = {m / 3:.4g} at M = {m}; it needs M >= {3 * band[i, j]:.0f}")
+
+
 class _HalfSpectrum:
     """The state space of the solver: (psi, a) on the dealiased block of the half-spectrum.
 
@@ -156,22 +175,10 @@ class _HalfSpectrum:
         """The block's entries of a half-spectrum array (last two axes)."""
         return np.concatenate([a[..., rows, : self.cut + 1] for rows, _ in self._slabs], axis=-2)
 
-    def require_in_band(self, f: SpectralField2D, name: str) -> None:
-        """Raise ConfigurationError, naming the mode, if f has a mode beyond the cut."""
-        m, c, psi = self.grid.resolution, self.cut, f.psi
-        if not (np.any(psi[:, c + 1 :]) or np.any(psi[c + 1 : m - c])):
-            return
-        k1, k2 = self.grid.k1, self.grid.k2
-        band = np.where(psi != 0, np.maximum(np.abs(k1), k2), 0.0)
-        i, j = np.unravel_index(np.argmax(band), band.shape)
-        raise ConfigurationError(
-            f"{name} has a mode (k1, k2) = ({k1[i, j]:.0f}, {k2[i, j]:.0f}) beyond the "
-            f"2/3-rule cut M/3 = {m / 3:.4g} at M = {m}; it needs M >= {3 * band[i, j]:.0f}")
-
     def from_fields(self, u: SpectralField2D, b: SpectralField2D) -> np.ndarray:
         """The state of (u, b); ConfigurationError if either has a mode beyond the cut."""
         for f, name in ((u, "u"), (b, "b")):
-            self.require_in_band(f, name)
+            require_in_band(f, name)
         return self._block(np.stack([u.psi, b.psi]))
 
     def embed(self, z: np.ndarray) -> np.ndarray:
@@ -245,8 +252,8 @@ class _Forcing:
         grid = half.grid
         big = make_taylor(oracle.spec_nm, 1.0, grid)
         small = oracle.small_mode(grid)
-        half.require_in_band(big, "the force's T_nm")
-        half.require_in_band(small, "the force's small field")
+        require_in_band(big, "the force's T_nm")
+        require_in_band(small, "the force's small field")
         # X is taken from the solver's own Lorentz term by polarization: at
         # u = big - small, b = big + small the psi tendency of rhs is
         # curl div(b b^T - u u^T) / |k|^2 = 2 curl X / |k|^2, dealiased like the

@@ -308,6 +308,32 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 2
 
+    def test_threaded_runs_write_what_each_run_writes_alone(self, tmp_path):
+        # two runs on two threads, each with its companion on a third and fourth
+        runs = {"a": {"scenario": "theorem1", "resolution": 32, "t_end": 0.75},
+                "b": {"scenario": "theorem1", "resolution": 32, "t_end": 1.5, "n": 3, "m": 3}}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"runs": [{"name": k, **v} for k, v in runs.items()]}))
+        out_dir = tmp_path / "sweepout"
+        # switching threads often interleaves the four runs finely
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert main(["sweep", "--config", str(path), "--out", str(out_dir),
+                         "--threads", "2"]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        for name, cfg in runs.items():
+            alone = tmp_path / f"alone-{name}"
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(cfg))
+            assert main(["theorem1", "--config", str(config), "--out", str(alone)]) == 0
+            files = sorted(p.name for p in alone.iterdir())
+            assert "report.json" in files
+            assert sorted(p.name for p in (out_dir / name).iterdir()) == files
+            for f in files:
+                assert (out_dir / name / f).read_bytes() == (alone / f).read_bytes(), f
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_names_the_flag(self, tmp_path, capsys, threads):
         path = tmp_path / "sweep.json"

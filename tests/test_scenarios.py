@@ -7,7 +7,9 @@ seconds on coarser grids and shorter horizons.
 import dataclasses
 import json
 import logging
+import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhdrecon import scenarios
-from mhdrecon.fields import TaylorSpec, TorusGrid, make_taylor, make_tilde_t1, zero_field
+from mhdrecon.fields import TaylorSpec, make_taylor, make_tilde_t1, zero_field
 from mhdrecon.scenarios import (
     SCENARIOS,
     ConfigError,
@@ -31,7 +33,7 @@ from mhdrecon.scenarios import (
     run_theorem1,
     run_theorem2,
 )
-from mhdrecon.solver import MHDState, SimConfig, energy, simulate
+from mhdrecon.solver import BlowUpError, MHDState, energy, simulate
 from mhdrecon.topology import _TRACE_STEP, FlowMapSample, wrap
 
 from .conftest import FROZEN_IN_MINI
@@ -201,12 +203,20 @@ class TestConfig:
     # T_44 is representable at M = 10, but it lies beyond the 2/3-rule cut
     # M/3, where its products would alias
     @pytest.mark.parametrize("scenario", ["theorem1", "theorem2", "remark2", "stability"])
-    def test_datum_beyond_the_cut_names_the_resolution(self, scenario):
+    def test_datum_beyond_the_cut_names_the_resolution(self, scenario, monkeypatch):
+        # refused before any topology, any run, and the companion's worker
+        def not_before_the_check(*args, **kwargs):
+            raise AssertionError("datum used before it was checked")
+
+        monkeypatch.setattr(scenarios, "extract_signature", not_before_the_check)
+        monkeypatch.setattr(scenarios, "simulate", not_before_the_check)
+        threads = threading.active_count()
         cfg = ExperimentConfig.from_dict({"scenario": scenario, "resolution": 10})
         with pytest.raises(ConfigError, match=r"^field 'resolution': .* has a mode \(k1, k2\) = "
                                               r"\(4, 4\) beyond the 2/3-rule cut M/3 = 3\.333 "
                                               r"at M = 10; it needs M >= 12$"):
             run_scenario(cfg)
+        assert threading.active_count() == threads
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -283,7 +293,8 @@ class TestTimeErrorEstimate:
             final = simulate(sim_cfg, initial)
             ref = simulate(dataclasses.replace(sim_cfg, dt=dt / 8), initial)
             true_error = np.sqrt(energy(MHDState(final.u - ref.u, final.b - ref.b)) / energy(ref))
-            out[dt] = (scenarios._time_error_estimate(sim_cfg, initial, final), true_error)
+            coarse = scenarios._companion_run(sim_cfg, initial)
+            out[dt] = (scenarios._time_error_estimate(final, coarse), true_error)
         return out
 
     def test_estimate_within_a_factor_two_of_the_true_error(self, errors):
@@ -295,15 +306,65 @@ class TestTimeErrorEstimate:
         assert 10.0 <= ratio <= 22.0
 
     def test_companion_blow_up_gives_no_estimate(self, caplog):
-        # stable at dt, but the companion run at 2 dt exceeds the CFL limit
-        grid = TorusGrid(16)
-        u0 = 10.0 * (make_tilde_t1(grid) + make_taylor(TaylorSpec(2, 1), 1.0, grid))
-        initial = MHDState(u0, zero_field(grid), 0.0)
-        sim_cfg = SimConfig(nu=0.0, eta=0.0, grid=grid, dt=0.02, t_end=2.0)
+        # stable at dt, but the companion run at 2 dt, on its worker thread,
+        # exceeds the CFL limit
+        cfg, b0 = _ideal_from_rest(10.0)
+        with caplog.at_level(logging.WARNING, logger="mhdrecon"):
+            final, estimate = scenarios._run_from_rest(cfg, None, "custom", b0)
+        assert estimate is None and final.t == cfg.t_end
+        # the main run's CFL warning, then the companion's blow-up
+        assert [r.name for r in caplog.records] == ["mhdrecon.solver", "mhdrecon.scenarios"]
+        assert "no time error estimate" in caplog.records[1].getMessage()
+
+
+def _ideal_from_rest(amplitude: float):
+    """An ideal run from rest at M = 16 and dt = 0.04, and its datum.
+
+    The companion at 2 dt blows up from amplitude 10, the run itself from
+    amplitude 20.
+    """
+    cfg = ExperimentConfig.for_scenario("custom", resolution=16, nu=0.0, eta=0.0, dt=0.04,
+                                        t_end=2.0)
+    grid = cfg.grid()
+    return cfg, amplitude * (make_tilde_t1(grid) + make_taylor(TaylorSpec(2, 1), 1.0, grid))
+
+
+class TestCompanionThread:
+    """The Richardson companion steps on a worker thread beside the main run."""
+
+    def test_companion_runs_on_another_thread(self, monkeypatch):
+        threads = {}
+
+        def recording(sim_cfg, *args, **kwargs):
+            threads[sim_cfg.dt] = threading.get_ident()
+            return simulate(sim_cfg, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "simulate", recording)
+        cfg = mini("theorem1", n=2, m=2, t_end=0.02)
+        run_theorem1(cfg)
+        assert threads[cfg.dt] == threading.get_ident()
+        assert threads[2.0 * cfg.dt] != threading.get_ident()
+
+    @pytest.mark.parametrize("scenario", ["theorem1", "stability"])
+    def test_estimate_is_the_serial_one(self, scenario):
+        cfg = ExperimentConfig.for_scenario(scenario, resolution=32, t_end=0.5)
+        report = run_scenario(cfg)
+        *_, b0 = scenarios._taylor_datum(cfg, cfg.grid())
+        initial, sim_cfg = MHDState(zero_field(cfg.grid()), b0, 0.0), cfg.sim_config()
         final = simulate(sim_cfg, initial)
-        with caplog.at_level(logging.WARNING, logger="mhdrecon.scenarios"):
-            assert scenarios._time_error_estimate(sim_cfg, initial, final) is None
-        assert "no time error estimate" in caplog.text
+        coarse = simulate(dataclasses.replace(sim_cfg, dt=2.0 * sim_cfg.dt), initial)
+        gap = energy(MHDState(final.u - coarse.u, final.b - coarse.b))
+        assert report.metrics["time_error_estimate"] == math.sqrt(gap / energy(final)) / 15.0
+
+    def test_main_run_blow_up_raises_and_leaves_no_thread(self, caplog):
+        cfg, b0 = _ideal_from_rest(20.0)
+        threads = threading.active_count()
+        with caplog.at_level(logging.INFO, logger="mhdrecon"):
+            with pytest.raises(BlowUpError):
+                scenarios._run_from_rest(cfg, None, "custom", b0)
+        assert threading.active_count() == threads
+        # the companion's records are dropped with the run
+        assert not [r for r in caplog.records if r.name.startswith("mhdrecon")]
 
 
 class TestForcedRunsStepExactly:
@@ -440,7 +501,8 @@ class TestFrozenInDefaultStep:
         cfg = ExperimentConfig.for_scenario("frozen-in")
         initial, sim_cfg = frozen_in_initial(cfg.grid()), cfg.sim_config()
         final = simulate(sim_cfg, initial)
-        assert scenarios._time_error_estimate(sim_cfg, initial, final) <= 1e-10
+        coarse = scenarios._companion_run(sim_cfg, initial)
+        assert scenarios._time_error_estimate(final, coarse) <= 1e-10
 
     def test_no_cfl_warning_at_m256(self, caplog):
         # the worst CFL number of the whole run (0.204) is reached in its first steps
