@@ -118,12 +118,6 @@ class TorusGrid:
         return _frozen(w)
 
     @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: True where max(|k1|, |k2|) <= M/3."""
-        cut = self.resolution / 3.0
-        return _frozen((np.abs(self.k1) <= cut) & (self.k2 <= cut))
-
-    @cached_property
     def nyquist_mask(self) -> np.ndarray:
         """True on the Nyquist lines |k_i| = M/2."""
         ny = self.resolution // 2
@@ -247,6 +241,11 @@ class SpectralField2D:
     def evaluator(self) -> "FieldEvaluator":
         """The point evaluator of this field, built on first use."""
         return FieldEvaluator(self)
+
+    @cached_property
+    def l1_sums(self) -> np.ndarray:
+        """The Fourier-l1 sums of fields.l1_sums, computed on first use."""
+        return _frozen(l1_sums(self))
 
     @cached_property
     def sup_norms(self) -> tuple[float, float]:
@@ -391,10 +390,6 @@ class FieldEvaluator:
         return s[:, :2].copy(), jac
 
 
-def laplacian(f: SpectralField2D) -> SpectralField2D:
-    return SpectralField2D(f.grid, -f.grid.ksq * f.psi)
-
-
 def sobolev_norm(f: SpectralField2D, r: int) -> float:
     """Inhomogeneous Sobolev norm (sum_k (1+|k|^2)^r |fhat(k)|^2)^(1/2).
 
@@ -430,24 +425,23 @@ def sup_field_and_gradient(f: SpectralField2D) -> tuple[float, float]:
     (max(n, m), max(n^2, m^2, nm)), and for tilde T_1, (1, 1). Fields cache
     the pair as SpectralField2D.sup_norms.
 
-    The five series are psi times |k2|, |k1|, |k1 k2|, k2^2 and k1^2, and w
-    depends on k2 alone, so each sum is separable: the row sums of A = |psi|
-    against w, w |k2| and w k2^2, dotted with 1, |k1| or k1^2. That reads A
-    once and builds no array larger than psi.
+    The five series are psi times |k2|, |k1|, |k1 k2|, k2^2 and k1^2, so
+    their sums are the entries S01, S10, S11, S02 and S20 of the field's
+    cached l1 sums (SpectralField2D.l1_sums).
     """
-    g = f.grid
-    k1, k2, w = np.abs(g.k1[:, 0]), g.k2[0], g.multiplicity[0]
-    rows = np.abs(f.psi) @ np.stack([w, w * k2, w * k2 * k2], axis=1)
-    # sums[i, j] = sum_k w |k1|^i |k2|^j |psi(k)|
-    sums = np.stack([np.ones_like(k1), k1, k1 * k1]) @ rows
-    return (float(max(sums[0, 1], sums[1, 0])),
-            float(max(sums[1, 1], sums[0, 2], sums[2, 0])))
+    s = f.l1_sums
+    return float(max(s[0, 1], s[1, 0])), float(max(s[1, 1], s[0, 2], s[2, 0]))
 
 
 def l1_sums(f: SpectralField2D) -> np.ndarray:
     """The Fourier-l1 sums S[a, b] = sum_k w(k) |k1|^a |k2|^b |psi(k)|, a, b = 0..3,
-    each a bound on |d_x^a d_y^b psi|. The rows of sup_field_and_gradient, in
-    a product of their own, so that the sup-norm pair keeps its bits."""
+    each a bound on |d_x^a d_y^b psi|. Fields cache them as
+    SpectralField2D.l1_sums.
+
+    w depends on k2 alone, so each sum is separable: the row sums of A =
+    |psi| against w k2^b, dotted with |k1|^a. That reads A once and builds
+    no array larger than psi.
+    """
     g = f.grid
     k1, k2, w = np.abs(g.k1[:, 0]), g.k2[0], g.multiplicity[0]
     rows = np.abs(f.psi) @ np.stack([w * k2**b for b in range(4)], axis=1)

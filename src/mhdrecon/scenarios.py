@@ -304,16 +304,16 @@ class _DiagnosticsSink:
         if self.topology_cadence and len(self.records) % self.topology_cadence == 0:
             sig, _ = extract_signature(state.b)
             signature = sig.to_dict()
+        # the r = 0 entries are the L2 norms
+        norms_u = [sobolev_norm(state.u, r) for r in range(self.r_max + 1)]
+        norms_b = [sobolev_norm(state.b, r) for r in range(self.r_max + 1)]
         self.records.append(
             DiagnosticsRecord(
                 t=state.t,
-                energy_u=l2_norm(state.u) ** 2,
-                energy_b=l2_norm(state.b) ** 2,
+                energy_u=norms_u[0] ** 2,
+                energy_b=norms_b[0] ** 2,
                 cross_helicity=cross_helicity(state),
-                sobolev={
-                    "u": [sobolev_norm(state.u, r) for r in range(self.r_max + 1)],
-                    "b": [sobolev_norm(state.b, r) for r in range(self.r_max + 1)],
-                },
+                sobolev={"u": norms_u, "b": norms_b},
                 signature=signature,
             )
         )

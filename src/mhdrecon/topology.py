@@ -28,7 +28,6 @@ from .fields import (
     FieldEvaluator,
     SpectralField2D,
     c1_norm,
-    l1_sums,
 )
 # Not called here: bench/tracer.py looks the sup-norms up as topology.sup_field_and_gradient.
 from .fields import sup_field_and_gradient  # noqa: F401
@@ -150,38 +149,25 @@ def _near_zero(vals: np.ndarray, bounds, eps: float) -> np.ndarray:
     return (np.abs(vals[0]) <= bounds[0] + eps) & (np.abs(vals[1]) <= bounds[1] + eps)
 
 
-def _newton(evaluator: FieldEvaluator, x: np.ndarray, res_target: float, det_floor: float):
-    """Damped Newton from the seeds x; returns (positions, residuals |f|)."""
-    fx = evaluator.values(x)
-    res = np.linalg.norm(fx, axis=-1)
-    active = res >= res_target
+def _newton(evaluator: FieldEvaluator, x: np.ndarray, vals: np.ndarray, jacs: np.ndarray,
+            res_target: float, det_floor: float):
+    """Newton from the seeds x, where vals and jacs are f and J at x.
 
+    Each iteration takes full steps from the seeds still active and
+    evaluates them once. A seed stops when |f| < res_target, when its
+    Jacobian is unsolvable (_solve_2x2) or after _MAX_NEWTON_ITER steps.
+    Returns the last iterates with their values and Jacobians.
+    """
+    idx = np.arange(len(x))
     for _ in range(_MAX_NEWTON_ITER):
-        if not active.any():
+        dx, solvable = _solve_2x2(jacs[idx], -vals[idx], det_floor)
+        step = solvable & (np.linalg.norm(vals[idx], axis=-1) >= res_target)
+        idx = idx[step]
+        if not len(idx):
             break
-        idx = np.nonzero(active)[0]
-        vals, jacs = evaluator.values_and_jacobians(x[idx])
-        dx, solvable = _solve_2x2(jacs, -vals, det_floor)
-        cur = np.linalg.norm(vals, axis=-1)
-        lam = np.ones(len(idx))
-        pos = x[idx].copy()
-        new_res = cur.copy()
-        pending = solvable.copy()
-        for _ in range(8):
-            if not pending.any():
-                break
-            trial = wrap(x[idx][pending] + lam[pending, None] * dx[pending])
-            tr = np.linalg.norm(evaluator.values(trial), axis=-1)
-            improved = tr <= cur[pending]
-            sub = np.nonzero(pending)[0]
-            pos[sub[improved]] = trial[improved]
-            new_res[sub[improved]] = tr[improved]
-            pending[sub[improved]] = False
-            lam[sub[~improved]] *= 0.5
-        x[idx] = pos
-        res[idx] = new_res
-        active[idx] = (new_res >= res_target) & solvable & ~pending
-    return x, res
+        x[idx] = wrap(x[idx] + dx[step])
+        vals[idx], jacs[idx] = evaluator.values_and_jacobians(x[idx])
+    return x, vals, jacs
 
 
 def _krawczyk_radii(vals: np.ndarray, jacs: np.ndarray, lam: float, eps: float) -> np.ndarray:
@@ -238,7 +224,7 @@ _QUARTERS = 0.5 * np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
 def find_critical_points(f: SpectralField2D) -> list[CriticalPoint]:
     """Locate and classify all zeros of f.
 
-    With the Fourier-l1 sums S[a, b] of fields.l1_sums, f1 = d_y psi moves by
+    With the Fourier-l1 sums S[a, b] = f.l1_sums, f1 = d_y psi moves by
     at most (S11 + S02) r over a cell of half-width r (max norm) and f2 =
     -d_x psi by (S20 + S11) r; from the value and Jacobian at the cell's
     centre, by |d_x f_i| r + |d_y f_i| r + H_i r^2 / 2 with H_1 = S21 + 2 S12
@@ -246,14 +232,18 @@ def find_critical_points(f: SpectralField2D) -> list[CriticalPoint]:
     exceeds its bound plus eps = _EXCLUSION_EPS * C1 (above the evaluator's
     3e-13 C1 truncation) holds no zero.
     The cells around the grid nodes (r = h / 2) are tested with the grid
-    values and the first bound, the survivors with the second. Damped Newton
-    runs on the exact spectral field from each surviving centre, each
-    converged point gets its box (_krawczyk_radii, Lambda = max H_i), and a
-    point inside a kept box is that box's zero (_new_zeros). A surviving
-    cell inside no box is bisected, tested and seeded again, up to
-    _MAX_BISECTIONS times; when no cell is left, the count is proven. One
-    debug line reports the seeds (failed ones are never raised), the boxes
-    and the uncovered cells.
+    values and the first bound, the survivors with the second. Newton
+    (_newton) runs on the exact spectral field from each surviving centre,
+    starting from the value and Jacobian of the second test. It takes full
+    steps: a seed that a step leads astray leaves its cell uncovered, and
+    the cover check below seeds that cell again. Each converged point gets
+    its box (_krawczyk_radii, Lambda = max H_i) from the value and Jacobian
+    of its last iterate, which also classify it, and a point inside a kept
+    box is that box's zero (_new_zeros). A surviving cell inside no box is
+    bisected, tested and seeded again, up to _MAX_BISECTIONS times; when no
+    cell is left, the count is proven. The evaluator is called only by the
+    cell tests and by Newton, once per iterate. One debug line reports the
+    seeds (failed ones are never raised), the boxes and the uncovered cells.
     The thresholds scale with the upper bounds (sup |f|, G) = f.sup_norms
     and C1 = sup |f| + G: a seed has converged when |f| < _NEWTON_TOL * C1,
     a Newton step needs |det J| > 1e-14 G^2, and a zero with |det J| <=
@@ -271,8 +261,9 @@ def find_critical_points(f: SpectralField2D) -> list[CriticalPoint]:
     evaluator = f.evaluator
     res_target = _NEWTON_TOL * c1
     det_floor = 1e-14 * max(sup_grad, 1e-300) ** 2
+    deg_tol = _DEG_TOL_FACTOR * c1**2
     eps = _EXCLUSION_EPS * c1
-    s = l1_sums(f)
+    s = f.l1_sums
     curve = np.array([[s[2, 1] + 2 * s[1, 2] + s[0, 3]], [s[3, 0] + 2 * s[2, 1] + s[1, 2]]])
 
     r = 0.5 * f.grid.spacing
@@ -280,6 +271,7 @@ def find_critical_points(f: SpectralField2D) -> list[CriticalPoint]:
     ii, jj = np.nonzero(_near_zero(f.to_grid(), slope, eps))
     cells = np.stack([f.grid.nodes[ii], f.grid.nodes[jj]], axis=-1)
     zeros, radii = np.empty((0, 2)), np.empty(0)
+    points = []
     n_seeds = n_failed = 0
     for depth in range(_MAX_BISECTIONS + 1):
         if depth:
@@ -287,27 +279,28 @@ def find_critical_points(f: SpectralField2D) -> list[CriticalPoint]:
             r *= 0.5
         vals, jacs = evaluator.values_and_jacobians(cells)
         bounds = np.abs(jacs).sum(axis=2).T * r + 0.5 * curve * r * r
-        cells = cells[_near_zero(vals.T, bounds, eps) & ~_inside(cells, r, zeros, radii)]
-        if not len(cells):
-            break
-        x, res = _newton(evaluator, cells.copy(), res_target, det_floor)
+        seeded = _near_zero(vals.T, bounds, eps) & ~_inside(cells, r, zeros, radii)
+        cells = cells[seeded]
+        x, vals, jacs = _newton(evaluator, cells.copy(), vals[seeded], jacs[seeded],
+                                res_target, det_floor)
+        res = np.linalg.norm(vals, axis=-1)
         converged = res < res_target
         n_seeds, n_failed = n_seeds + len(cells), n_failed + int((~converged).sum())
-        pts, res = x[converged], res[converged]
-        box = _krawczyk_radii(*evaluator.values_and_jacobians(pts), curve.max(), eps)
+        pts, res, vals, jacs = x[converged], res[converged], vals[converged], jacs[converged]
+        box = _krawczyk_radii(vals, jacs, curve.max(), eps)
         keep = _new_zeros(pts, res, box, zeros, radii)
         zeros, radii = np.concatenate([zeros, pts[keep]]), np.concatenate([radii, box[keep]])
+        points += [CriticalPoint(position=wrap(p), jacobian=j, det=det, kind=classify(det, deg_tol),
+                                 residual=float(np.linalg.norm(v)))
+                   for p, v, j, det in zip(pts[keep], vals[keep], jacs[keep],
+                                           _det(jacs[keep]).tolist())]
         cells = cells[~_inside(cells, r, zeros, radii)]
+        if not len(cells):
+            break
     log.debug(
         "critical points: %d Newton seeds, %d did not converge; %d points, %d in proven "
         "boxes; %d uncovered cells", n_seeds, n_failed, len(zeros),
         int((radii != _DEDUP_RADIUS).sum()), len(cells))
-
-    vals, jacs = evaluator.values_and_jacobians(zeros)
-    deg_tol = _DEG_TOL_FACTOR * c1**2
-    points = [CriticalPoint(position=wrap(p), jacobian=j, det=det, kind=classify(det, deg_tol),
-                            residual=float(np.linalg.norm(v)))
-              for p, v, j, det in zip(zeros, vals, jacs, _det(jacs).tolist())]
     points.sort(key=lambda cp: (round(cp.position[0], 9), round(cp.position[1], 9)))
     return points
 

@@ -4,8 +4,9 @@ The time derivative of the forced construction's magnetic field, the Duhamel
 remainder of a run and the bound shapes of the Duhamel integrals, the direct
 form of the Fourier-l1 sums over the stack of the five series, the sign-change
 mask from the min and max of the four corners of each cell, and the bounds of
-the critical-point search's exclusion test written out from the l1 sums. No
-run of the program needs them.
+the critical-point search's exclusion test written out from the l1 sums,
+the 2/3-rule mask of the half-spectrum and the Laplacian of a field. No run
+of the program needs them.
 """
 
 import numpy as np
@@ -42,6 +43,16 @@ def duhamel_envelopes(
     lh = delta**2 * n_scale ** (r + 3) * np.exp(-sigma * t)
     lm = delta * n_scale**-2 + delta * n_scale ** (r + 1) * np.exp(-eta * n_scale**2 * t / 2.0)
     return float(lh), float(lm)
+
+
+def dealias_mask(grid: TorusGrid) -> np.ndarray:
+    """2/3-rule mask of the half-spectrum: True where max(|k1|, |k2|) <= M/3."""
+    cut = grid.resolution / 3.0
+    return (np.abs(grid.k1) <= cut) & (grid.k2 <= cut)
+
+
+def laplacian(f: SpectralField2D) -> SpectralField2D:
+    return SpectralField2D(f.grid, -f.grid.ksq * f.psi)
 
 
 def fourier_l1_pair(f: SpectralField2D) -> tuple[float, float]:

@@ -16,7 +16,6 @@ from mhdrecon.fields import (
     TaylorSpec,
     TorusGrid,
     l2_norm,
-    laplacian,
     make_taylor,
     make_tilde_t1,
 )
@@ -41,6 +40,8 @@ from mhdrecon.snapshots import (
 )
 from mhdrecon.solver import MHDState
 from mhdrecon.topology import find_critical_points, torus_distance
+
+from .reference import laplacian
 
 
 def check(num: int, description: str, ok: bool, detail: str = "") -> None:

@@ -9,7 +9,6 @@ from mhdrecon.fields import (
     ConfigurationError,
     TaylorSpec,
     l2_norm,
-    laplacian,
     make_taylor,
     make_tilde_t1,
     sobolev_norm,
@@ -32,7 +31,7 @@ from mhdrecon.solver import (
 )
 
 from .conftest import nonlinear_tendencies
-from .reference import duhamel_envelopes, forced_exact_b_dt
+from .reference import duhamel_envelopes, forced_exact_b_dt, laplacian
 
 ETA = 0.5
 

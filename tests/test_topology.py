@@ -8,6 +8,7 @@ saddles and two centers.
 
 import logging
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -359,6 +360,24 @@ class TestExclusionSeeding:
         assert message == f"critical points: {expected}"
         assert len(points) == (48 if family == "taylor" else 4)
 
+    # the random fields above and the weak-saddle fields: full Newton steps
+    # keep the kind counts and leave no more uncovered cells than the counts
+    # here, which a Newton damped by a line search left
+    @pytest.mark.parametrize("field, count, uncovered", [
+        ((5, 17), 38, 335), ((8, 1), 81, 1387), ((8, 5), 95, 1450), ((8, 8), 87, 1388),
+        ((8, 9), 94, 1439), ((8, 18), 91, 1503),
+        (0.59833, 28, 96), (0.6, 28, 92), (0.60167, 24, 88), (0.60667, 24, 92)],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_plain_newton_keeps_the_coverage(self, grid32, caplog, field, count, uncovered):
+        if isinstance(field, tuple):
+            f = random_divergence_free(grid32, *field)
+        else:
+            f = (1.0 / np.sqrt(18.0)) * make_taylor(TaylorSpec(3, 3), 1.0, grid32) \
+                + field * make_tilde_t1(grid32)
+        points, message = _search_log(f, caplog)
+        assert _kind_counts(points) == (count, count, 0)
+        assert int(re.search(r"; (\d+) uncovered cells$", message).group(1)) <= uncovered
+
     def test_zeros_on_cell_corners_are_found(self, grid32, caplog):
         # tilde T1 moved by half a cell puts each zero on the corner of four
         # cells. At a corner cell |f1(c)| = sin r exceeds |grad f1(c)| r =
@@ -629,6 +648,34 @@ class TestEvaluationCounts:
         assert calls[0] == ("values_and_jacobians", int(kept.sum()))
         assert max(n for _, n in calls) < 64 * 64
 
+    def test_newton_evaluates_each_iterate_once(self, grid64, monkeypatch):
+        # the search evaluates f and J together, in its cell passes and once
+        # per Newton iterate; the Krawczyk test and the classification reuse
+        # the last iterate's values, so each pass makes one call of its own
+        f = (1.0 / np.sqrt(13.0)) * make_taylor(TaylorSpec(3, 2), 1.0, grid64) \
+            + 5e-4 * make_tilde_t1(grid64)
+        calls, runs = [], []
+        for name in ("values", "values_and_jacobians"):
+            original = getattr(FieldEvaluator, name)
+
+            def counting(self, pts, name=name, original=original):
+                calls.append((name, sys._getframe(1).f_code.co_name))
+                return original(self, pts)
+
+            monkeypatch.setattr(FieldEvaluator, name, counting)
+        newton = topology._newton
+
+        def counting_newton(*args):
+            runs.append(len(calls))
+            return newton(*args)
+
+        monkeypatch.setattr(topology, "_newton", counting_newton)
+        assert len(find_critical_points(f)) == 48
+        assert {name for name, _ in calls} == {"values_and_jacobians"}
+        assert {caller for _, caller in calls} == {"find_critical_points", "_newton"}
+        passes = [i for i, (_, caller) in enumerate(calls) if caller == "find_critical_points"]
+        assert passes == [i - 1 for i in runs]
+
     @pytest.mark.parametrize("n, m, resolution", [(3, 2, 64), (4, 4, 128)])
     def test_own_grid_as_seed_grid_is_the_default(self, monkeypatch, n, m, resolution):
         # the search seeds from the field's own grid values; the evaluator's
@@ -678,24 +725,30 @@ class TestEvaluationCounts:
         assert caplog.records[-1].getMessage().endswith(f" in {steps} steps")
 
     def test_signature_reads_the_field_once(self, grid64, monkeypatch):
-        sup_calls, built = [], []
-        sup = fields.sup_field_and_gradient
+        # one Fourier-l1 pass serves the sup-norm pair and the search's bounds
+        sup_calls, l1_calls, built = [], [], []
+        sup, l1 = fields.sup_field_and_gradient, fields.l1_sums
         init = FieldEvaluator.__init__
 
         def counting_sup(f, *args):
             sup_calls.append(f)
             return sup(f, *args)
 
+        def counting_l1(f):
+            l1_calls.append(f)
+            return l1(f)
+
         def counting_init(self, f):
             built.append(f)
             init(self, f)
 
         monkeypatch.setattr(fields, "sup_field_and_gradient", counting_sup)
+        monkeypatch.setattr(fields, "l1_sums", counting_l1)
         monkeypatch.setattr(FieldEvaluator, "__init__", counting_init)
         f = make_taylor(TaylorSpec(3, 2), 1.0, grid64) + 1e-3 * make_tilde_t1(grid64)
         sig, _ = extract_signature(f)
         assert sig.n_saddles == 24 and sig.hetero_connections > 0
-        assert len(sup_calls) == len(built) == 1
+        assert len(sup_calls) == len(l1_calls) == len(built) == 1
 
 
 class TestSaddleConnections:
