@@ -27,6 +27,7 @@ from .fields import (
     make_tilde_t1,
 )
 from .scenarios import (
+    SCENARIOS,
     ConfigError,
     ExperimentConfig,
     Report,
@@ -43,7 +44,8 @@ from .topology import extract_signature
 # failures reported as an "error:" line with exit code 1
 _FAILURES = (ConfigurationError, OSError, ValueError, BlowUpError)
 
-SCENARIO_COMMANDS = ("theorem1", "theorem2", "remark2", "frozen-in", "stability")
+# the scenarios with a subcommand of their own; custom runs as "simulate"
+SCENARIO_COMMANDS = tuple(s for s in SCENARIOS if s != "custom")
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
@@ -226,14 +228,7 @@ def _finish(report: Report, out: Path, emit: bool) -> int:
 
 def cmd_scenario(args, scenario: str) -> int:
     cfg = _scenario_config(args, scenario)
-    out = _out_dir(args, scenario)
-    report = run_scenario(cfg, out)
-    return _finish(report, out, args.emit_plots)
-
-
-def cmd_simulate(args) -> int:
-    cfg = _scenario_config(args, "custom")
-    out = _out_dir(args, "simulate")
+    out = _out_dir(args, args.command)
     report = run_scenario(cfg, out)
     return _finish(report, out, args.emit_plots)
 
@@ -385,7 +380,7 @@ def main(argv=None) -> int:
             if args.command == "topology":
                 return cmd_topology(args)
             if args.command == "simulate":
-                return cmd_simulate(args)
+                return cmd_scenario(args, "custom")
             if args.command == "sweep":
                 return cmd_sweep(args)
             if args.command in SCENARIO_COMMANDS:

@@ -29,7 +29,6 @@ import json
 import logging
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -59,6 +58,7 @@ from .solver import (
     MHDState,
     SimConfig,
     Trajectory,
+    advance,
     cross_helicity,
     energy,
     heat_propagate,
@@ -77,8 +77,6 @@ from .topology import (
 )
 
 log = logging.getLogger(__name__)
-
-SCENARIOS = ("theorem1", "theorem2", "remark2", "frozen-in", "stability", "custom")
 
 # accepted spelling variants for the scenario name
 _SCENARIO_ALIASES = {"stability-decay": "stability"}
@@ -106,6 +104,8 @@ _DEFAULTS = {
     "custom": dict(nu=0.5, eta=0.5, resolution=64, dt=1e-3, output_cadence=50, t_end=1.0,
                    expect="completed"),
 }
+
+SCENARIOS = tuple(_DEFAULTS)
 
 
 @lru_cache(maxsize=None)
@@ -255,13 +255,19 @@ def load_config(path) -> ExperimentConfig:
 class Report:
     """Outcome of one scenario run; serializes with its full resolved config."""
 
-    scenario: str
+    cfg: ExperimentConfig
     verdict: str
-    expected: str | None
-    config: dict
     metrics: dict = field(default_factory=dict)
     signatures: dict = field(default_factory=dict)
     series: dict = field(default_factory=dict)
+
+    @property
+    def scenario(self) -> str:
+        return self.cfg.scenario
+
+    @property
+    def expected(self) -> str | None:
+        return self.cfg.expect
 
     @property
     def as_expected(self) -> bool:
@@ -273,7 +279,7 @@ class Report:
             "verdict": self.verdict,
             "expected": self.expected,
             "as_expected": self.as_expected,
-            "config": self.config,
+            "config": self.cfg.to_dict(),
             "metrics": self.metrics,
             "signatures": self.signatures,
             "series": self.series,
@@ -339,18 +345,14 @@ def _run_with_diagnostics(
     return final, diags.records
 
 
-def _companion_run(sim_cfg: SimConfig, initial: MHDState) -> MHDState | None:
-    """The Richardson companion of a run of sim_cfg from initial: its final state.
+def _companion_run(sim_cfg: SimConfig, initial: MHDState):
+    """The Richardson companion of a run of sim_cfg from initial: (final state, CFL tally).
 
-    The companion is the same config at 2 dt, with no sinks. None, with a
-    warning, when it blows up.
+    The companion is solver.advance of the same config at 2 dt, with no
+    sinks. It logs nothing; its caller logs the tally, or the BlowUpError
+    it raises.
     """
-    try:
-        return simulate(dataclasses.replace(sim_cfg, dt=2.0 * sim_cfg.dt), initial)
-    except BlowUpError as exc:
-        log.warning("companion run at 2 dt = %g blew up (%s); no time error estimate",
-                    2.0 * sim_cfg.dt, exc)
-        return None
+    return advance(dataclasses.replace(sim_cfg, dt=2.0 * sim_cfg.dt), initial)
 
 
 def _time_error_estimate(final: MHDState, coarse: MHDState) -> float:
@@ -365,32 +367,6 @@ def _time_error_estimate(final: MHDState, coarse: MHDState) -> float:
     size = energy(final)
     gap = energy(MHDState(final.u - coarse.u, final.b - coarse.b))
     return math.sqrt(gap / size) / 15.0 if size > 0 else 0.0
-
-
-# The log records of a companion run, held on its worker thread (see _run_from_rest)
-_held = threading.local()
-
-
-def _hold_on_worker(record: logging.LogRecord) -> bool:
-    """Log filter: keep record back if this thread holds its records, pass it on otherwise."""
-    held = getattr(_held, "records", None)
-    if held is None:
-        return True
-    held.append(record)
-    return False
-
-
-for _logger in ("mhdrecon.solver", __name__):
-    logging.getLogger(_logger).addFilter(_hold_on_worker)
-
-
-def _holding_records(held: list, fn, *args):
-    """fn(*args), with the records this thread logs on the filtered loggers put in held."""
-    _held.records = held
-    try:
-        return fn(*args)
-    finally:
-        del _held.records
 
 
 def _require_resolved(b0) -> None:
@@ -423,30 +399,32 @@ def _run_from_rest(cfg: ExperimentConfig, out_dir, label: str, b0,
                    forcing: oracles.ForcedOracle | None = None, extra_sinks=()):
     """Run from (0, b0) with diagnostics; returns (final, time_error).
 
-    time_error is the Richardson estimate of _time_error_estimate, or None
-    when the companion run blows up. The companion steps on a worker thread
-    while the main run steps on the calling thread; numpy's transforms and
-    elementwise kernels release the GIL, so the two use two cores, and peak
-    memory holds the work arrays of two solvers. Each run does the same
-    float operations on its own arrays as it would alone. The records the
-    companion logs are held and handed to their loggers after the main
-    run's, so the log reads as if the runs had been made one after the
+    time_error is the Richardson estimate of _time_error_estimate, or None,
+    with a warning, when the companion run blows up. The companion steps on
+    a worker thread while the main run steps on the calling thread; numpy's
+    transforms and elementwise kernels release the GIL, so the two use two
+    cores, and peak memory holds the work arrays of two solvers. Each run
+    does the same float operations on its own arrays as it would alone. The
+    companion logs nothing itself: once the main run is back, this thread
+    logs the companion's CFL tally, or its blow-up, after the main run's
+    lines, so the log reads as if the runs had been made one after the
     other. A datum beyond the 2/3-rule cut is refused before the worker
     starts. If the main run raises (a BlowUpError, say), its error leaves
     only once the worker has finished, at most the companion's own run (half
-    a run) later, and the companion's records are dropped.
+    a run) later, and nothing of the companion is logged.
     """
     _require_resolved(b0)
     sim_cfg, initial = cfg.sim_config(forcing), MHDState(zero_field(cfg.grid()), b0, 0.0)
-    held: list[logging.LogRecord] = []
     with ThreadPoolExecutor(max_workers=1) as worker:
-        companion = worker.submit(_holding_records, held, _companion_run, sim_cfg, initial)
+        companion = worker.submit(_companion_run, sim_cfg, initial)
         final, _ = _run_with_diagnostics(sim_cfg, initial, cfg, out_dir, label, extra_sinks)
-        coarse = companion.result()
-    for record in held:
-        logging.getLogger(record.name).handle(record)
-    if coarse is None:
+    try:
+        coarse, tally = companion.result()
+    except BlowUpError as exc:
+        log.warning("companion run at 2 dt = %g blew up (%s); no time error estimate",
+                    2.0 * sim_cfg.dt, exc)
         return final, None
+    tally.log()
     estimate = _time_error_estimate(final, coarse)
     log.info("time_error_estimate %.3g at dt = %g (companion run at 2 dt)", estimate, sim_cfg.dt)
     return final, estimate
@@ -501,10 +479,8 @@ def run_theorem1(cfg: ExperimentConfig, out_dir=None) -> Report:
     verdict = "reconnection" if (changed and settled and cfg.t_end > 0) else "no-reconnection"
 
     return Report(
-        scenario="theorem1",
+        cfg,
         verdict=verdict,
-        expected=cfg.expect,
-        config=cfg.to_dict(),
         metrics={
             "count_t0": _count(sig0),
             "count_tT": _count(sig_t),
@@ -560,10 +536,8 @@ def run_theorem2(cfg: ExperimentConfig, out_dir=None) -> Report:
         else "no-reconnection"
     )
     return Report(
-        scenario="theorem2",
+        cfg,
         verdict=verdict,
-        expected=cfg.expect,
-        config=cfg.to_dict(),
         metrics={
             "count_t0": _count(sig0),
             "count_tT": _count(sig_t),
@@ -602,10 +576,8 @@ def run_remark2(cfg: ExperimentConfig, out_dir=None) -> Report:
     verdict = "reconnection" if (changed and _settled(sig_t, ref_sig)) else "no-reconnection"
 
     return Report(
-        scenario="remark2",
+        cfg,
         verdict=verdict,
-        expected=cfg.expect,
-        config=cfg.to_dict(),
         metrics={
             "exact_error_sim": err_sim,
             "exact_error_closed_form": err_exact,
@@ -687,10 +659,8 @@ def run_frozen_in(cfg: ExperimentConfig, out_dir=None) -> Report:
 
     ok = residual < 1e-3 and line_dist < 5e-3 and max_gap < np.pi
     return Report(
-        scenario="frozen-in",
+        cfg,
         verdict="frozen" if ok else "topology-drift",
-        expected=cfg.expect,
-        config=cfg.to_dict(),
         metrics={
             "frozen_in_residual": residual,
             "pushed_line_distance": line_dist,
@@ -763,10 +733,8 @@ def run_stability_decay(cfg: ExperimentConfig, out_dir=None) -> Report:
     verdict = "decay-confirmed" if slope <= target else "decay-too-slow"
 
     return Report(
-        scenario="stability",
+        cfg,
         verdict=verdict,
-        expected=cfg.expect,
-        config=cfg.to_dict(),
         metrics={
             "sigma": sigma,
             "fitted_log_slope": slope,
@@ -792,10 +760,8 @@ def run_custom(cfg: ExperimentConfig, out_dir=None) -> Report:
         cfg.sim_config(), MHDState(zero_field(grid), b0, 0.0), cfg, out_dir, "custom"
     )
     return Report(
-        scenario="custom",
+        cfg,
         verdict="completed",
-        expected=cfg.expect,
-        config=cfg.to_dict(),
         metrics={
             "final_energy": energy(final),
             "n_records": len(records),

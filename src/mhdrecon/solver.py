@@ -369,6 +369,18 @@ class _CflTally:
     def summary(self) -> str:
         return f"CFL number >= 0.5 on {self.over} of {self.steps} steps, at worst {self.worst:.3g}"
 
+    def log(self) -> None:
+        """Log the tally at info level, or as a warning if a step reached 0.5.
+
+        A run of no steps logs nothing.
+        """
+        if not self.steps:
+            return
+        if self.over:
+            log.warning("%s; the time step under-resolves advection", self.summary())
+        else:
+            log.info("CFL number at worst %.3g over %d steps", self.worst, self.steps)
+
 
 def _step(z, t: float, h: float, half: _HalfSpectrum, forcing: _Forcing,
           etd: _EtdCoefficients, cfl_tally: _CflTally) -> np.ndarray:
@@ -415,18 +427,18 @@ def _step(z, t: float, h: float, half: _HalfSpectrum, forcing: _Forcing,
     return zn
 
 
-def simulate(cfg: SimConfig, initial: MHDState, sinks=()) -> MHDState:
+def advance(cfg: SimConfig, initial: MHDState, sinks=()) -> tuple[MHDState, _CflTally]:
     """Advance to cfg.t_end, emitting states to sinks at the output cadence.
 
-    The final step is shortened to land exactly on t_end. Sinks are callables
-    receiving an MHDState; they fire at the initial state, every
-    cfg.output_cadence-th step, and the final state. On blow-up the last good
-    state is flushed before the error propagates. The worst CFL number of
-    the run is logged once at its end, at info level, or as a warning with
-    the number of steps whose CFL number reached 0.5 if there are any; a
-    run that blows up puts that warning in the message of its error.
-    Initial fields or a forced construction with a mode beyond the 2/3-rule
-    cut M/3 raise ConfigurationError, naming the mode, before any sink fires.
+    Returns the final state and the run's CFL tally, and logs nothing: the
+    caller logs the tally (_CflTally.log) when it suits it. The final step
+    is shortened to land exactly on t_end. Sinks are callables receiving an
+    MHDState; they fire at the initial state, every cfg.output_cadence-th
+    step, and the final state. On blow-up the last good state is flushed
+    before the error propagates; if a step reached CFL number 0.5, the
+    error's message carries the tally's summary. Initial fields or a forced
+    construction with a mode beyond the 2/3-rule cut M/3 raise
+    ConfigurationError, naming the mode, before any sink fires.
     """
     t0 = initial.t
     total = cfg.t_end - t0
@@ -442,16 +454,16 @@ def simulate(cfg: SimConfig, initial: MHDState, sinks=()) -> MHDState:
     half = _HalfSpectrum(cfg.grid)
     forcing = _Forcing(cfg.forcing, half)
     z = half.from_fields(initial.u, initial.b)
+    tally = _CflTally()
     emit(initial)
     if total == 0:
-        return initial
+        return initial, tally
 
     n_full = int(np.floor(total / cfg.dt + 1e-9))
     leftover = total - n_full * cfg.dt
     if leftover < 1e-12 * max(1.0, abs(cfg.t_end)):
         leftover = 0.0
     etd = _etd_coefficients(cfg, half, cfg.dt)
-    tally = _CflTally()
     t = t0
     try:
         # a state that blows up overflows in the products of the RHS; the
@@ -470,11 +482,19 @@ def simulate(cfg: SimConfig, initial: MHDState, sinks=()) -> MHDState:
         if tally.over:
             raise BlowUpError(exc.time, tally.summary()) from None
         raise
-    if tally.over:
-        log.warning("%s; the time step under-resolves advection", tally.summary())
-    else:
-        log.info("CFL number at worst %.3g over %d steps", tally.worst, tally.steps)
-    return emit(half.to_state(z, cfg.t_end))
+    return emit(half.to_state(z, cfg.t_end)), tally
+
+
+def simulate(cfg: SimConfig, initial: MHDState, sinks=()) -> MHDState:
+    """The final state of advance(cfg, initial, sinks), with the run's CFL tally logged.
+
+    The worst CFL number is logged once at the end of the run, at info
+    level, or as a warning with the number of steps whose CFL number
+    reached 0.5 if there are any; a run of zero length logs nothing.
+    """
+    final, tally = advance(cfg, initial, sinks)
+    tally.log()
+    return final
 
 
 def heat_propagate(f: SpectralField2D, eta: float, t: float) -> SpectralField2D:

@@ -457,6 +457,13 @@ class TestLogLevel:
         assert err[0].startswith("INFO mhdrecon.solver: CFL number at worst ")
         assert err[1].startswith("INFO mhdrecon.scenarios: frozen-in certificate: residual ")
 
+    def test_import_leaves_the_loggers_unfiltered(self):
+        # importing mhdrecon.cli loads every mhdrecon module
+        loggers = [logger for name, logger in logging.root.manager.loggerDict.items()
+                   if name.split(".")[0] == "mhdrecon" and isinstance(logger, logging.Logger)]
+        assert "mhdrecon.solver" in [logger.name for logger in loggers]
+        assert [(logger.name, logger.filters) for logger in loggers if logger.filters] == []
+
     def test_unknown_level_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--log-level", "loud", *self.TOPOLOGY])

@@ -33,7 +33,7 @@ from mhdrecon.scenarios import (
     run_theorem1,
     run_theorem2,
 )
-from mhdrecon.solver import BlowUpError, MHDState, energy, simulate
+from mhdrecon.solver import BlowUpError, MHDState, advance, energy, simulate
 from mhdrecon.topology import _TRACE_STEP, FlowMapSample, wrap
 
 from .conftest import FROZEN_IN_MINI
@@ -191,11 +191,17 @@ class TestConfig:
         assert cfg.grid() is not mini("theorem1", resolution=32).grid()
         finals = []
 
-        def recording(*args, **kwargs):
+        def main_run(*args, **kwargs):
             finals.append(simulate(*args, **kwargs))
             return finals[-1]
 
-        monkeypatch.setattr(scenarios, "simulate", recording)
+        def companion(*args, **kwargs):
+            final, tally = advance(*args, **kwargs)
+            finals.append(final)
+            return final, tally
+
+        monkeypatch.setattr(scenarios, "simulate", main_run)
+        monkeypatch.setattr(scenarios, "advance", companion)
         run_theorem1(cfg)
         assert len(finals) == 2  # the run and its Richardson companion
         assert all(f.u.grid is cfg.grid() and f.b.grid is cfg.grid() for f in finals)
@@ -293,7 +299,7 @@ class TestTimeErrorEstimate:
             final = simulate(sim_cfg, initial)
             ref = simulate(dataclasses.replace(sim_cfg, dt=dt / 8), initial)
             true_error = np.sqrt(energy(MHDState(final.u - ref.u, final.b - ref.b)) / energy(ref))
-            coarse = scenarios._companion_run(sim_cfg, initial)
+            coarse, _ = scenarios._companion_run(sim_cfg, initial)
             out[dt] = (scenarios._time_error_estimate(final, coarse), true_error)
         return out
 
@@ -335,11 +341,15 @@ class TestCompanionThread:
     def test_companion_runs_on_another_thread(self, monkeypatch):
         threads = {}
 
-        def recording(sim_cfg, *args, **kwargs):
-            threads[sim_cfg.dt] = threading.get_ident()
-            return simulate(sim_cfg, *args, **kwargs)
+        def recording(run):
+            def recorded(sim_cfg, *args, **kwargs):
+                threads[sim_cfg.dt] = threading.get_ident()
+                return run(sim_cfg, *args, **kwargs)
+            return recorded
 
-        monkeypatch.setattr(scenarios, "simulate", recording)
+        # the main run through simulate, the companion through advance
+        monkeypatch.setattr(scenarios, "simulate", recording(simulate))
+        monkeypatch.setattr(scenarios, "advance", recording(advance))
         cfg = mini("theorem1", n=2, m=2, t_end=0.02)
         run_theorem1(cfg)
         assert threads[cfg.dt] == threading.get_ident()
@@ -398,6 +408,13 @@ class TestCflReport:
             assert found, record.getMessage()
             assert 0.0 < float(found.group(1)) < 0.5
         assert [int(re.search(r"over (\d+)", r.getMessage()).group(1)) for r in lines] == [200, 100]
+
+    @pytest.mark.parametrize("scenario", ["frozen-in", "theorem1"])
+    def test_zero_length_run_logs_no_cfl_line(self, scenario, caplog):
+        # no step is taken, by the run nor by theorem1's companion
+        with caplog.at_level(logging.DEBUG, logger="mhdrecon"):
+            run_scenario(ExperimentConfig.for_scenario(scenario, resolution=32, t_end=0.0))
+        assert [r for r in caplog.records if r.name == "mhdrecon.solver"] == []
 
 
 class TestTheorem1Mini:
@@ -501,7 +518,7 @@ class TestFrozenInDefaultStep:
         cfg = ExperimentConfig.for_scenario("frozen-in")
         initial, sim_cfg = frozen_in_initial(cfg.grid()), cfg.sim_config()
         final = simulate(sim_cfg, initial)
-        coarse = scenarios._companion_run(sim_cfg, initial)
+        coarse, _ = scenarios._companion_run(sim_cfg, initial)
         assert scenarios._time_error_estimate(final, coarse) <= 1e-10
 
     def test_no_cfl_warning_at_m256(self, caplog):

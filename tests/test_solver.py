@@ -30,6 +30,7 @@ from mhdrecon.solver import (
     _EtdCoefficients,
     _Forcing,
     _HalfSpectrum,
+    advance,
     energy,
     heat_propagate,
     simulate,
@@ -299,6 +300,43 @@ class TestSimulate:
             assert messages[0].startswith("CFL number >= 0.5 on 10 of 10 steps, at worst 0.509;")
         else:
             assert messages == []
+
+
+class TestCflTally:
+    """advance returns the run's CFL tally and logs nothing; simulate logs it."""
+
+    @staticmethod
+    def _run(grid, t_end):
+        # Euler-stationary 2 tilde T1: every step of 0.04 at M = 32 has CFL
+        # number 2 dt M / 2 pi = 0.407; t_end = 0.1 takes two full steps and
+        # a shortened third
+        cfg = SimConfig(nu=0.0, eta=0.0, grid=grid, dt=0.04, t_end=t_end)
+        return cfg, MHDState(2.0 * make_tilde_t1(grid), zero_field(grid), 0.0)
+
+    def test_advance_logs_nothing_and_returns_the_tally(self, grid32, caplog):
+        cfg, initial = self._run(grid32, 0.1)
+        with caplog.at_level(logging.DEBUG, logger="mhdrecon"):
+            final, tally = advance(cfg, initial)
+        assert caplog.records == []
+        assert final.t == 0.1
+        assert (tally.steps, tally.over) == (3, 0)
+        assert tally.worst == pytest.approx(0.08 * 32 / (2.0 * np.pi), rel=1e-12)
+        assert np.array_equal(final.u.psi, simulate(cfg, initial).u.psi)
+
+    def test_simulate_logs_one_cfl_line(self, grid32, caplog):
+        cfg, initial = self._run(grid32, 0.1)
+        with caplog.at_level(logging.DEBUG, logger="mhdrecon"):
+            simulate(cfg, initial)
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("mhdrecon.solver", "INFO", "CFL number at worst 0.407 over 3 steps")]
+
+    def test_zero_length_run_logs_nothing(self, grid32, caplog):
+        cfg, initial = self._run(grid32, 0.0)
+        with caplog.at_level(logging.DEBUG, logger="mhdrecon"):
+            assert simulate(cfg, initial) is initial
+            final, tally = advance(cfg, initial)
+        assert caplog.records == []
+        assert final is initial and tally.steps == 0
 
 
 class TestEtdCoefficients:
