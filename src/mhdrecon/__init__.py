@@ -18,7 +18,6 @@ from .solver import (
     BlowUpError,
     MHDState,
     SimConfig,
-    Trajectory,
     heat_propagate,
     simulate,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "TaylorSpec",
     "TopologySignature",
     "TorusGrid",
-    "Trajectory",
     "c1_norm",
     "detect_saddle_connections",
     "extract_signature",

@@ -57,7 +57,6 @@ from .solver import (
     BlowUpError,
     MHDState,
     SimConfig,
-    Trajectory,
     advance,
     cross_helicity,
     energy,
@@ -628,12 +627,13 @@ def run_frozen_in(cfg: ExperimentConfig, out_dir=None) -> Report:
     initial = frozen_in_initial(grid)
     b0 = initial.b
     sim_cfg = cfg.sim_config()
-    trajectory = Trajectory(sim_cfg)
-    final, _ = _run_with_diagnostics(sim_cfg, initial, cfg, out_dir, "frozen_in", [trajectory])
+    trajectory: list[MHDState] = []
+    final, _ = _run_with_diagnostics(sim_cfg, initial, cfg, out_dir, "frozen_in",
+                                     [trajectory.append])
 
     side = np.linspace(0.0, 2.0 * np.pi, 9)[:-1] + 0.35
     seeds = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 2)
-    residual = verify_frozen_in(trajectory, seeds, cfg.t_end)
+    residual = verify_frozen_in(flow_map(trajectory, seeds, cfg.t_end), b0, final.b)
 
     # transport of a traced magnetic line by the flow map: the pushed points
     # must stay on the level of a(T) that line0 has under a0
@@ -666,7 +666,7 @@ def run_frozen_in(cfg: ExperimentConfig, out_dir=None) -> Report:
             "pushed_line_distance": line_dist,
             "pushed_line_arclength": pushed_len,
             **certificate,
-            "u_l2_max": max(l2_norm(s.u) for s in trajectory.states),
+            "u_l2_max": max(l2_norm(s.u) for s in trajectory),
             "snapshot_interval": cfg.dt * cfg.output_cadence,
             "n_seeds": len(seeds),
             "residual_threshold": 1e-3,

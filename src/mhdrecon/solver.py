@@ -40,7 +40,7 @@ the fields of psi and a themselves.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -502,28 +502,6 @@ def heat_propagate(f: SpectralField2D, eta: float, t: float) -> SpectralField2D:
     if t < 0:
         raise ConfigurationError("heat_propagate requires t >= 0")
     return SpectralField2D(f.grid, f.psi * np.exp(-eta * f.grid.ksq * t))
-
-
-@dataclass
-class Trajectory:
-    """Uniform-cadence snapshots of a run of cfg; as a sink of simulate it records them."""
-
-    cfg: SimConfig
-    states: list[MHDState] = field(default_factory=list)
-
-    def __call__(self, state: MHDState) -> None:
-        self.states.append(state)
-
-    @property
-    def times(self) -> list[float]:
-        return [st.t for st in self.states]
-
-    def state_at(self, t: float) -> MHDState:
-        """The snapshot at time t, matched to within 1e-9."""
-        for st in self.states:
-            if abs(st.t - t) <= 1e-9:
-                return st
-        raise ValueError(f"no snapshot at t = {t}")
 
 
 def energy(state: MHDState) -> float:

@@ -31,15 +31,11 @@ from .fields import (
 )
 # Not called here: bench/tracer.py looks the sup-norms up as topology.sup_field_and_gradient.
 from .fields import sup_field_and_gradient  # noqa: F401
-from .solver import Trajectory
+from .solver import MHDState
 
 log = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * np.pi
-
-
-class MisuseError(ValueError):
-    """An operation was called on a run that violates its preconditions."""
 
 
 # Critical-point refinement and separatrix tracing: scale-free thresholds
@@ -55,7 +51,7 @@ _C1_RANGE = (1e-150, 1e150)  # keeps C1^2 and the degeneracy band normal floats
 # sigma = 2e-4 C1
 _DEDUP_RADIUS = 1e-8
 _EXCLUSION_EPS = 1e-12       # evaluation error allowance of the exclusion test, relative to C1
-_MAX_BISECTIONS = 3          # cover-check refinements of a cell that no box covers
+_MAX_BISECTIONS = 4          # cover-check refinements of a cell that no box covers
 _EPS_LAUNCH = 1e-4           # separatrix launch offset from its saddle
 _ARRIVAL_RADIUS = 1e-2
 _PSI_TOL_FACTOR = 1e-6       # connection level test, relative to osc(psi)
@@ -639,20 +635,21 @@ def _velocity_at(states: list, times: np.ndarray, t: float) -> FieldEvaluator:
     return FieldEvaluator(SpectralField2D(states[0].u.grid, psi))
 
 
-def flow_map(trajectory: Trajectory, seeds: np.ndarray, t: float) -> FlowMapSample:
-    """Integrate the fluid flow and its Jacobian from the trajectory start to t.
+def flow_map(trajectory: list[MHDState], seeds: np.ndarray, t: float) -> FlowMapSample:
+    """Integrate the fluid flow and its Jacobian from the first snapshot's time to t.
 
-    Positions follow dPhi/dt = u(t, Phi) by RK4 with cubic time interpolation
-    of the velocity snapshots; Jacobians follow the variational equation
-    d(grad Phi)/dt = grad u(Phi) grad Phi alongside. One RK4 step per
-    snapshot interval matches the interpolation order. Each step interpolates
-    the velocity at its midpoint and its end, and its end is the next step's
-    start.
+    trajectory is a run's snapshots in time order, at a uniform interval
+    (a list filled by passing its append as a sink of simulate); only their
+    velocities are read. Positions follow dPhi/dt = u(t, Phi) by RK4 with
+    cubic time interpolation of the velocity snapshots; Jacobians follow the
+    variational equation d(grad Phi)/dt = grad u(Phi) grad Phi alongside.
+    One RK4 step per snapshot interval matches the interpolation order. Each
+    step interpolates the velocity at its midpoint and its end, and its end
+    is the next step's start.
     """
-    states = trajectory.states
-    if not states:
+    if not trajectory:
         raise ValueError("trajectory has no snapshots")
-    times = np.array(trajectory.times)
+    times = np.array([st.t for st in trajectory])
     t0 = float(times[0])
     if t < t0 - 1e-12 or t > float(times[-1]) + 1e-9:
         raise ValueError(f"time {t} is outside the snapshot range")
@@ -673,10 +670,10 @@ def flow_map(trajectory: Trajectory, seeds: np.ndarray, t: float) -> FlowMapSamp
         return v, np.einsum("pij,pjk->pik", ju, g)
 
     tt = t0
-    start = _velocity_at(states, times, tt) if n_steps else None
+    start = _velocity_at(trajectory, times, tt) if n_steps else None
     for _ in range(n_steps):
-        mid = _velocity_at(states, times, tt + 0.5 * h)
-        end = _velocity_at(states, times, tt + h)
+        mid = _velocity_at(trajectory, times, tt + 0.5 * h)
+        end = _velocity_at(trajectory, times, tt + h)
         k1p, k1g = rhs(start, pos, jac)
         k2p, k2g = rhs(mid, pos + 0.5 * h * k1p, jac + 0.5 * h * k1g)
         k3p, k3g = rhs(mid, pos + 0.5 * h * k2p, jac + 0.5 * h * k2g)
@@ -688,18 +685,15 @@ def flow_map(trajectory: Trajectory, seeds: np.ndarray, t: float) -> FlowMapSamp
     return FlowMapSample(seeds=seeds, images=wrap(pos), jacobians=jac)
 
 
-def verify_frozen_in(trajectory: Trajectory, seeds: np.ndarray, t: float) -> float:
+def verify_frozen_in(sample: FlowMapSample, b0: SpectralField2D, b_t: SpectralField2D) -> float:
     """Max relative violation of the pull-back identity b(t, Phi_t(x)) = grad Phi_t(x) b0(x).
 
-    Only meaningful for ideal runs; raises MisuseError when the recorded run
-    had eta != 0. The error is normalized by the C1 norm of b0.
+    sample is the flow map from the time of b0 to the time t of b_t, and the
+    error is normalized by the C1 norm of b0. An ideal run keeps the identity
+    up to discretization error; resistivity breaks it, and the residual then
+    measures how far diffusion has moved the field off the transported one.
     """
-    if trajectory.cfg.eta != 0.0:
-        raise MisuseError("frozen-in verification requires a run with eta = 0")
-    state_t = trajectory.state_at(trajectory.times[0] + t)
-    b0 = trajectory.states[0].b
-    sample = flow_map(trajectory, seeds, trajectory.times[0] + t)
-    b_at_images = state_t.b.evaluator.values(sample.images)
+    b_at_images = b_t.evaluator.values(sample.images)
     b0_at_seeds = b0.evaluator.values(sample.seeds)
     transported = np.einsum("pij,pj->pi", sample.jacobians, b0_at_seeds)
     err = np.linalg.norm(b_at_images - transported, axis=-1)

@@ -19,7 +19,7 @@ from mhdrecon.fields import (
     make_taylor,
 )
 from mhdrecon.oracles import ForcedOracle
-from mhdrecon.solver import Trajectory, heat_propagate
+from mhdrecon.solver import MHDState, heat_propagate
 
 
 def forced_exact_b_dt(oracle: ForcedOracle, t: float, grid: TorusGrid) -> SpectralField2D:
@@ -63,18 +63,18 @@ def fourier_l1_pair(f: SpectralField2D) -> tuple[float, float]:
     return float(sums[:2].max()), float(sums[2:].max())
 
 
-def duhamel_remainder(trajectory: Trajectory, eta: float) -> list[tuple[float, SpectralField2D]]:
+def duhamel_remainder(trajectory: list[MHDState], eta: float) -> list[tuple[float, SpectralField2D]]:
     """D(t) = b(t) - exp(eta t Lap) b0 for every snapshot.
 
     This is the numerically exact total deviation of the magnetic field from
     pure heat evolution of its initial value.
     """
-    if not trajectory.states:
+    if not trajectory:
         raise ValueError("trajectory has no snapshots; the initial state is required")
-    b0 = trajectory.states[0].b
-    t0 = trajectory.states[0].t
+    b0 = trajectory[0].b
+    t0 = trajectory[0].t
     out = []
-    for st in trajectory.states:
+    for st in trajectory:
         heated = heat_propagate(b0, eta, st.t - t0)
         out.append((st.t, st.b - heated))
     return out

@@ -25,7 +25,6 @@ from mhdrecon.oracles import (
 from mhdrecon.solver import (
     MHDState,
     SimConfig,
-    Trajectory,
     heat_propagate,
     simulate,
 )
@@ -62,9 +61,8 @@ class TestDecayingTaylor:
         spec = TaylorSpec(4, 4)
         base = make_taylor(spec, 1.0 / np.sqrt(spec.eigenvalue), grid32)
         cfg = SimConfig(nu=0.5, eta=ETA, grid=grid32, dt=1e-3, t_end=0.2, output_cadence=20)
-        trajectory = Trajectory(cfg)
-        simulate(cfg, MHDState(zero_field(grid32), base, 0.0), sinks=[trajectory])
-        states = trajectory.states
+        states = []
+        simulate(cfg, MHDState(zero_field(grid32), base, 0.0), sinks=[states.append])
         assert len(states) == 11
         for st in states:
             exact = heat_propagate(base, ETA, st.t)

@@ -438,6 +438,18 @@ class TestTheorem1Mini:
         assert report.verdict == "no-reconnection"
         assert report.signatures["t0"] == report.signatures["tT"]
 
+    def test_ideal_run_keeps_its_portrait(self):
+        # the contrast of the abstract: at eta = 0 the lines are frozen into
+        # the flow, so T_44 / N + delta tilde T1 keeps its 128 points and its
+        # connections, where the resistive default reconnects
+        cfg = ExperimentConfig.for_scenario("theorem1", eta=0.0, resolution=32, t_end=0.5)
+        report = run_theorem1(cfg)
+        assert report.verdict == "no-reconnection"
+        assert report.signatures["t0"] == report.signatures["tT"]
+        sig = report.signatures["tT"]
+        assert (sig["n_saddles"], sig["n_centers"]) == (64, 64)
+        assert (sig["hetero_connections"], sig["self_connections"]) == (144, 112)
+
 
 class TestRemark2Mini:
     def test_reconnection_and_error_reporting(self, tmp_path):
@@ -480,8 +492,9 @@ class TestFrozenInMini:
         assert report.verdict == "topology-drift"
         assert report.metrics["pushed_line_distance"] > 5e-3
         assert report.metrics["pushed_line_distance"] == pytest.approx(0.21, abs=0.01)
-        # the pull-back residual keeps its own flow map and still passes
-        assert report.metrics["frozen_in_residual"] < 1e-3
+        # the pull-back residual reads the same flow map, so it fails too: the
+        # seeds stay put while b(T) has moved on
+        assert report.metrics["frozen_in_residual"] > 1e-3
 
     def test_shuffled_images_trip_the_gap_guard(self, monkeypatch, frozen_in_mini):
         # every pushed point still lies on the level line, but out of order

@@ -30,9 +30,8 @@ from mhdrecon.fields import (
     zero_field,
 )
 from mhdrecon.snapshots import read_snapshot, snapshot_to_state
-from mhdrecon.solver import MHDState, SimConfig, Trajectory, simulate
+from mhdrecon.solver import MHDState, SimConfig, simulate
 from mhdrecon.topology import (
-    MisuseError,
     TopologySignature,
     classify,
     detect_saddle_connections,
@@ -157,14 +156,15 @@ class TestCriticalPoints:
         # at M = 16 half of the nodes of T_44 are its 128 zeros; at the other
         # half f = (+-4, 0) or (0, +-4) and grad f = 0, within the bounds of
         # their cells, so none of those 128 seeds can take a Newton step. The
-        # zeros' boxes (half-width 1/32) are narrower than the cells around
-        # them, so three bisections leave 4 cells at each zero uncovered
+        # zeros' boxes (half-width 1/32) hold the 4 cells at each zero once
+        # four bisections have cut them to side 2 pi / 256 (three leave them
+        # at 2 pi / 128, wider than a box, and 512 cells uncovered)
         f = make_taylor(TaylorSpec(4, 4), 1.0, TorusGrid(16))
         with caplog.at_level(logging.DEBUG, logger="mhdrecon.topology"):
             assert len(find_critical_points(f)) == 128
         assert [r.getMessage() for r in caplog.records] == [
             "critical points: 1792 Newton seeds, 128 did not converge; 128 points, "
-            "128 in proven boxes; 512 uncovered cells"]
+            "128 in proven boxes; 0 uncovered cells"]
 
     @pytest.mark.parametrize("delta", [0.59833, 0.6, 0.60167, 0.60667])
     def test_weak_saddles_are_found_once(self, grid32, delta):
@@ -392,6 +392,19 @@ class TestExclusionSeeding:
             assert _closest(_positions(points), wrap(np.array(target) + shift)) < 1e-12
         assert message == ("critical points: 16 Newton seeds, 0 did not converge; 4 points, "
                            "4 in proven boxes; 0 uncovered cells")
+
+    @pytest.mark.parametrize("delta", [0.0, 0.01, 0.1])
+    def test_t13_cells_are_covered_by_four_bisections(self, grid64, caplog, delta):
+        # a box of half-width rho holds a cell of half-width r with the zero
+        # at its corner only when 2 r <= rho. The boxes of T_13 / sqrt(10)
+        # have rho = 0.0104 at M = 64 (8 of its zeros sit on grid nodes);
+        # three bisections (r = 0.0061) left 32, 12 and 16 cells uncovered
+        # for these delta, four (r = 0.0031) leave none
+        f = make_taylor(TaylorSpec(1, 3), 1.0 / np.sqrt(10.0), grid64) \
+            + delta * make_tilde_t1(grid64)
+        points, message = _search_log(f, caplog)
+        assert _kind_counts(points) == (12, 12, 0)
+        assert message.endswith("24 points, 24 in proven boxes; 0 uncovered cells")
 
     def test_values_within_eps_of_the_bound_are_kept(self):
         # eps allows for the evaluation error of f: a value above the bound
@@ -1021,8 +1034,8 @@ class TestSignaturesEquivalent:
 
 def _ideal_trajectory(grid, u0, b0, t_end=0.25, cadence=25, nu=0.1):
     cfg = SimConfig(nu=nu, eta=0.0, grid=grid, dt=1e-3, t_end=t_end, output_cadence=cadence)
-    trajectory = Trajectory(cfg)
-    simulate(cfg, MHDState(u0, b0, 0.0), sinks=[trajectory])
+    trajectory = []
+    simulate(cfg, MHDState(u0, b0, 0.0), sinks=[trajectory.append])
     return trajectory
 
 
@@ -1061,7 +1074,7 @@ class TestFlowMap:
         # a run to t_end = 0 records its initial state alone
         tilde = make_tilde_t1(grid64)
         traj = _ideal_trajectory(grid64, tilde, zero_field(grid64), t_end=0.0)
-        assert len(traj.states) == 1
+        assert len(traj) == 1
         sample = flow_map(traj, self.seeds, 0.0)
         assert np.array_equal(sample.images, self.seeds)
         assert np.array_equal(sample.jacobians, np.broadcast_to(np.eye(2), (4, 2, 2)))
@@ -1083,27 +1096,34 @@ class TestVerifyFrozenIn:
 
     def test_zero_time_is_exact(self, grid64):
         traj = _ideal_trajectory(grid64, zero_field(grid64), make_tilde_t1(grid64))
-        assert verify_frozen_in(traj, self.seeds, 0.0) == 0.0
+        b0 = traj[0].b
+        assert verify_frozen_in(flow_map(traj, self.seeds, 0.0), b0, b0) == 0.0
 
     def test_stationary_run_is_exact(self, grid64):
         # u0 = 0 with an Euler-stationary b0 keeps u = 0, so transport is trivial
         traj = _ideal_trajectory(grid64, zero_field(grid64), make_tilde_t1(grid64))
-        assert verify_frozen_in(traj, self.seeds, 0.25) < 1e-8
+        sample = flow_map(traj, self.seeds, 0.25)
+        assert verify_frozen_in(sample, traj[0].b, traj[-1].b) < 1e-8
 
     def test_advected_run_is_discretization_limited(self, grid64):
         # genuinely moving fluid: the residual is set by flow-map time stepping
         traj = _ideal_trajectory(
             grid64, make_tilde_t1(grid64), make_taylor(TaylorSpec(2, 1), 1.0, grid64)
         )
-        err = verify_frozen_in(traj, self.seeds, 0.25)
+        err = verify_frozen_in(flow_map(traj, self.seeds, 0.25), traj[0].b, traj[-1].b)
         assert err < 1e-5
 
-    def test_resistive_run_rejected(self, grid64):
-        cfg = SimConfig(nu=0.1, eta=0.5, grid=grid64, dt=1e-3, t_end=0.05, output_cadence=10)
-        trajectory = Trajectory(cfg)
-        simulate(cfg, MHDState(zero_field(grid64), make_tilde_t1(grid64), 0.0), sinks=[trajectory])
-        with pytest.raises(MisuseError):
-            verify_frozen_in(trajectory, self.seeds, 0.05)
+    def test_residual_tells_ideal_from_resistive(self, grid64):
+        # one datum, one flow; only resistivity moves b off the transported field
+        def residual(eta):
+            cfg = SimConfig(nu=0.1, eta=eta, grid=grid64, dt=1e-3, t_end=0.05, output_cadence=10)
+            traj = []
+            b0 = make_taylor(TaylorSpec(2, 1), 1.0, grid64)
+            simulate(cfg, MHDState(make_tilde_t1(grid64), b0, 0.0), sinks=[traj.append])
+            return verify_frozen_in(flow_map(traj, self.seeds, 0.05), b0, traj[-1].b)
+
+        assert residual(0.0) < 1e-8
+        assert residual(0.5) >= 1e-3
 
 
 class TestPolyline:
