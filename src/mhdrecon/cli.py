@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import math
@@ -101,7 +102,12 @@ def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
         parser.add_argument(flag, **_FLAGS[flag])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every
+    later main call of the process. Parsing leaves it unchanged: each call
+    fills a new namespace, no default is a mutable object, and the parser
+    reads no environment ($MHD_OUT_DIR is read by _out_dir)."""
     parser = argparse.ArgumentParser(
         prog="mhdrecon",
         description="2D incompressible MHD runs with magnetic-line topology verdicts",

@@ -358,33 +358,44 @@ class FieldEvaluator:
             self._mats = _series(self._k1, self._k2, psi).T
             self._val_mats = self._mats[:, :2].copy()
 
-    def _phases(self, pts: np.ndarray) -> np.ndarray:
+    def _phases(self, pts: np.ndarray):
+        """The phase table of the points: e^{i k.x} over the active modes,
+        shape (P, K), or on the dense path the pair e1 = e^{i k1 x}, (P, R),
+        and e2 = e^{i k2 y}, (P, C)."""
+        if self._dense:
+            return (np.exp(1j * pts[:, 0, None] * self._kr),
+                    np.exp(1j * pts[:, 1, None] * self._kc))
         return np.exp(1j * (pts[:, 0, None] * self._k1 + pts[:, 1, None] * self._k2))
 
-    def _separable_sums(self, pts: np.ndarray, mats: np.ndarray) -> np.ndarray:
-        """Real parts of sum_k1 e^{i k1 x} sum_k2 C[k1, k2] e^{i k2 y}, shape
-        (P, n), for the n matrices C of shape (R, C) set side by side in mats."""
-        e1 = np.exp(1j * pts[:, 0, None] * self._kr)
-        e2 = np.exp(1j * pts[:, 1, None] * self._kc)
-        rows = (e1 @ mats).reshape(len(pts), mats.shape[1] // len(self._kc), len(self._kc))
+    def _sums(self, phases, mats: np.ndarray) -> np.ndarray:
+        """Real parts of the series of mats at the points of a phase table,
+        shape (P, n). On the dense path they are sum_k1 e^{i k1 x} sum_k2
+        C[k1, k2] e^{i k2 y} for the n matrices C of shape (R, C) set side by
+        side in mats."""
+        if not self._dense:
+            return np.real(phases @ mats)
+        e1, e2 = phases
+        rows = (e1 @ mats).reshape(len(e1), mats.shape[1] // len(self._kc), len(self._kc))
         return np.real((rows @ e2[:, :, None])[:, :, 0])
-
-    def _sums(self, pts: np.ndarray, mats: np.ndarray) -> np.ndarray:
-        if self._dense:
-            return self._separable_sums(pts, mats)
-        return np.real(self._phases(pts) @ mats)
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         """Field values at points, shape (P, 2)."""
-        return self._sums(pts, self._val_mats)
+        return self._sums(self._phases(pts), self._val_mats)
 
     def potential(self, pts: np.ndarray) -> np.ndarray:
         """Stream function psi at points, shape (P,), with f = (d_y psi, -d_x psi)."""
-        return self._sums(pts, self._psi)[:, 0]
+        return self._sums(self._phases(pts), self._psi)[:, 0]
+
+    def values_and_potential(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values (P, 2), psi (P,)) from one phase table; each equals what
+        values and potential return bit for bit. The two products stay
+        apart: one product over the concatenated matrices rounds differently."""
+        phases = self._phases(pts)
+        return self._sums(phases, self._val_mats), self._sums(phases, self._psi)[:, 0]
 
     def values_and_jacobians(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(values (P, 2), Jacobians (P, 2, 2)) with J[i, j] = d f_i / d x_j."""
-        s = self._sums(pts, self._mats)
+        s = self._sums(self._phases(pts), self._mats)
         jac = s[:, [2, 3, 4, 2]].reshape(-1, 2, 2)
         jac[:, 1, 1] *= -1.0
         return s[:, :2].copy(), jac

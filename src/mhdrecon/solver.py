@@ -192,15 +192,17 @@ class _HalfSpectrum:
         # one field at a time: SpectralField2D copies its array
         return MHDState(*(SpectralField2D(self.grid, self.embed(zi)) for zi in z), t)
 
-    def rhs(self, z: np.ndarray, out: np.ndarray) -> float:
-        """Nonlinear tendencies of (psi, a) into out, diffusion-free; returns max grid |u|.
+    def rhs(self, z: np.ndarray, out: np.ndarray) -> None:
+        """Nonlinear tendencies of (psi, a) into out, diffusion-free.
 
         With S = u u^T - b b^T and w = u1 b2 - u2 b1, the curl of
         -div S is k1 k2 (S22 - S11) + (k1^2 - k2^2) S12, the tendency of
         omega = |k|^2 psi, and the induction term curl(u x b) = grad_perp w
         has the potential w. Only the block enters and leaves the
         transforms, which act column by column, so the kept entries are
-        those of the full half-spectrum transforms bit for bit.
+        those of the full half-spectrum transforms bit for bit. The grid
+        values of u and b stay in the work arrays until the next call
+        (max_speed reads them).
         """
         m, c = self.grid.resolution, self.cut
         spec, prod, tmp = self._spec, self._prod, self._tmp
@@ -212,8 +214,6 @@ class _HalfSpectrum:
         cols[:, c + 1 : m - c] = 0.0
         np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
         u1, u2, b1, b2 = np.fft.irfft(cols, n=m, axis=-1, norm="forward", out=self._grid)
-        # max |u| without an |u| temporary; np.max keeps a NaN as np.abs did
-        umax = float(np.max([u1.max(), -u1.min(), u2.max(), -u2.min()]))
         np.multiply(u2, u2, out=prod[0])
         prod[0] -= np.multiply(b2, b2, out=tmp)
         prod[0] -= np.multiply(u1, u1, out=tmp)
@@ -230,7 +230,14 @@ class _HalfSpectrum:
             o[0] += np.multiply(self.shear[zrows], s[1, rows], out=s[1, rows])
             o[1] = s[2, rows]
         out[1, 0, 0] = 0.0
-        return umax
+
+    def max_speed(self) -> float:
+        """The largest |u1| or |u2| over the grid values of the last rhs call.
+
+        Read without an |u| temporary; np.max keeps a NaN as np.abs did.
+        """
+        u1, u2 = self._grid[:2]
+        return float(np.max([u1.max(), -u1.min(), u2.max(), -u2.min()]))
 
 
 class _Forcing:
@@ -392,11 +399,12 @@ def _step(z, t: float, h: float, half: _HalfSpectrum, forcing: _Forcing,
     n1, n2, n3, n4, zs = half.stages
 
     def rhs(zz, tt, out):
-        umax = half.rhs(zz, out)
+        half.rhs(zz, out)
         forcing.add_to(out, tt)
-        return umax
 
-    cfl_tally.add(h * rhs(z, t, n1) * half.grid.resolution / (2.0 * np.pi))
+    rhs(z, t, n1)
+    # max |u| at the step's start, read off the first stage's grid values
+    cfl_tally.add(h * half.max_speed() * half.grid.resolution / (2.0 * np.pi))
     # the stage states a = e_half z + q n1 and b = e_half z + q n2, and
     # c = e_half a + q (2 n3 - n1) = e z + p n1 + 2 q n3
     ez_half = np.multiply(etd.e_half, z, out=n4)

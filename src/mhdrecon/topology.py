@@ -314,29 +314,32 @@ def _unit(vals: np.ndarray) -> np.ndarray:
     return vals / np.maximum(_norm(vals)[..., None], 1e-300)
 
 
-def _unit_rk4_step(evaluator: FieldEvaluator, x: np.ndarray, v: np.ndarray, h) -> np.ndarray:
-    """One RK4 step of dx/ds = f/|f| from the points x, where v = f(x).
+def _unit_rk4_step(evaluator: FieldEvaluator, x: np.ndarray, v: np.ndarray, speed: np.ndarray,
+                   h) -> np.ndarray:
+    """One RK4 step of dx/ds = f/|f| from the points x, where v = f(x) and
+    speed = |v|.
 
-    The first stage reuses v, so a step costs three field evaluations. A
-    negative step size h runs the line backward.
+    The first stage reuses v and its speed, so a step costs three field
+    evaluations. A negative step size h runs the line backward.
     """
-    k1 = _unit(v)
+    k1 = v / np.maximum(speed[:, None], 1e-300)
     k2 = _unit(evaluator.values(x + 0.5 * h * k1))
     k3 = _unit(evaluator.values(x + 0.5 * h * k2))
     k4 = _unit(evaluator.values(x + h * k3))
     return wrap(x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
-def _lock_to_level(evaluator: FieldEvaluator, x: np.ndarray, v: np.ndarray, speed: np.ndarray,
+def _lock_to_level(x: np.ndarray, v: np.ndarray, speed: np.ndarray, psi: np.ndarray,
                    level, hs) -> tuple[np.ndarray, np.ndarray]:
     """One Newton step on psi along grad psi = (-f2, f1) towards psi = level.
 
-    x <- x - (psi(x) - level) grad psi / |f|^2, where v = f(x) and speed =
-    |v| > 0. |grad psi| = |f| vanishes at the zeros, so the step is clamped
-    to a tenth of the arclength step hs. Returns the moved points and the
-    psi correction |shift| of each.
+    x <- x - (psi(x) - level) grad psi / |f|^2, where v = f(x), speed =
+    |v| > 0 and psi = psi(x), all from the caller's evaluation at x, so the
+    lock evaluates nothing. |grad psi| = |f| vanishes at the zeros, so the
+    step is clamped to a tenth of the arclength step hs. Returns the moved
+    points and the psi correction |shift| of each.
     """
-    miss = evaluator.potential(x) - level
+    miss = psi - level
     shift = np.minimum(np.abs(miss), 0.1 * hs * speed)
     grad_psi = np.stack([-v[:, 1], v[:, 0]], axis=-1)
     return x - (np.copysign(shift, miss) / (speed * speed))[:, None] * grad_psi, shift
@@ -351,6 +354,9 @@ def trace_integral_line(f: SpectralField2D, x0, arclen: float) -> np.ndarray:
     Unlocked, the RK4 drift of psi adds up along the line: at this step psi
     spreads by 8e-9 along the frozen-in run's line of tilde T_1 (osc(psi) =
     3). Locked, the line stays level to roundoff (5e-16).
+    A step evaluates f and psi together once at its RK4 end point
+    (FieldEvaluator.values_and_potential), for the stall test, the lock and
+    the next step's first stage, and f alone at the three other RK4 stages.
     Tracing stops early when |f| drops below the stall threshold
     _STOP_TOL_FACTOR * c1_norm(f) (approach to a critical point); that last
     point is recorded unlocked. Seeding at a critical point raises
@@ -360,25 +366,24 @@ def trace_integral_line(f: SpectralField2D, x0, arclen: float) -> np.ndarray:
     evaluator = f.evaluator
     stop_tol = _STOP_TOL_FACTOR * c1_norm(f)
     x = np.atleast_2d(np.asarray(x0, dtype=np.float64)).copy()
-    v = evaluator.values(x)
-    if _norm(v)[0] < stop_tol:
+    v, level = evaluator.values_and_potential(x)
+    speed = _norm(v)
+    if speed[0] < stop_tol:
         raise ConfigurationError("integral-line seed lies at a critical point")
-    level = evaluator.potential(x)
 
     n_steps = int(np.ceil(arclen / h))
     line = np.empty((n_steps + 1, 2))
     line[0] = wrap(x[0])
     count = 1
     for _ in range(n_steps):
-        x = _unit_rk4_step(evaluator, x, v, h)
-        # v, the field at x, serves the stall test, the lock and the next first stage
-        v = evaluator.values(x)
+        x = _unit_rk4_step(evaluator, x, v, speed, h)
+        v, psi = evaluator.values_and_potential(x)
         speed = _norm(v)
         if speed[0] < stop_tol:
             line[count] = x[0]
             count += 1
             break
-        x = wrap(_lock_to_level(evaluator, x, v, speed, level, h)[0])
+        x = wrap(_lock_to_level(x, v, speed, psi, level, h)[0])
         line[count] = x[0]
         count += 1
     return line[:count]
@@ -422,10 +427,6 @@ def _level_partners(psi_levels: np.ndarray, psi_tol: float) -> np.ndarray:
     return table
 
 
-# outcomes of a separatrix trace
-_RUNNING, _HETERO, _SELF, _STALLED, _CAPPED = range(5)
-
-
 def detect_saddle_connections(
     f: SpectralField2D,
     saddles: list[CriticalPoint],
@@ -464,11 +465,14 @@ def detect_saddle_connections(
       arrival radius from every zero, so they cannot skip an arrival.
     Every step starts by locking the trace to its saddle's level psi_s: one
     Newton step along grad psi = (-f2, f1),
-    x <- x - (psi(x) - psi_s) grad psi / |f|^2, which reuses the field values
-    of the first RK4 stage. Near a saddle psi - psi_s = (mu_1 u^2 + mu_2 v^2)
-    / 2, where |mu_1|, |mu_2| are the singular values of the saddle's
-    Jacobian, so a trace off the level by dpsi passes it at up to
-    sqrt(2 dpsi / sigma), sigma the smaller of them. Unlocked, the RK4 drift
+    x <- x - (psi(x) - psi_s) grad psi / |f|^2. A step evaluates f and psi
+    together once at the traces' positions
+    (FieldEvaluator.values_and_potential), which serves the stall test, the
+    lock and the first RK4 stage, and f alone at the three other RK4 stages.
+    Near a saddle psi - psi_s = (mu_1 u^2 + mu_2 v^2) / 2, where |mu_1|,
+    |mu_2| are the singular values of the saddle's Jacobian, so a trace off
+    the level by dpsi passes it at up to sqrt(2 dpsi / sigma), sigma the
+    smaller of them. Unlocked, the RK4 drift
     of psi grows as h^4 and adds up along the trace, and a weak saddle
     magnifies it past the arrival radius: on T_13 / sqrt(10) + 1.26 tilde T1
     (M = 32; sigma = 0.032, G = 4.1) four self-connecting separatrices then
@@ -481,6 +485,8 @@ def detect_saddle_connections(
     Long steps away from the zeros let the broken loops of a perturbed web
     (arclength ~16) close in a few hundred steps instead of the ~1600 that
     steps of at most 1e-2 take.
+    The batch holds only the live traces; each step drops the traces that
+    ended and adds their outcomes to one tally, which the debug line reports.
     """
     if not saddles:
         return 0, 0
@@ -505,65 +511,68 @@ def detect_saddle_connections(
             signs.append(sign)
             origins.append(i)
     n = len(starts)
+    # per-trace state of the live traces only; an ended trace is dropped and
+    # its outcome tallied. targets holds the positions of the saddles the
+    # trace can arrive at: its origin (column 0) and the origin's level partners
     x = wrap(np.array(starts).reshape(n, 2))
     signs = np.array(signs)
     origins = np.array(origins, dtype=np.intp)
-
-    active = np.ones(n, dtype=bool)
-    left_origin = np.zeros(n, dtype=bool)
+    level = levels[origins]
+    targets = positions[partners[origins]]
     arc = np.zeros(n)
-    outcome = np.full(n, _RUNNING)
+    left_origin = np.zeros(n, dtype=bool)
+    tally = dict.fromkeys(("hetero", "self", "stalled", "capped"), 0)
     j_scale = max(sup_grad, 1e-300)
     n_steps = 0
     max_shift = 0.0
 
-    while active.any():
+    while len(x):
         n_steps += 1
-        idx = np.nonzero(active)[0]
-        vals = evaluator.values(x[idx])
+        vals, psi = evaluator.values_and_potential(x)
         speed = _norm(vals)
-
         stalled = speed < stop_tol
-        outcome[idx[stalled]] = _STALLED
-        active[idx[stalled]] = False
-
-        live = idx[~stalled]
-        if len(live) == 0:
-            continue
-        v, speed = vals[~stalled], speed[~stalled]
+        if stalled.any():
+            tally["stalled"] += int(np.count_nonzero(stalled))
+            keep = ~stalled
+            x, vals, psi, speed, signs, level, targets, arc, left_origin = (
+                a[keep] for a in (x, vals, psi, speed, signs, level, targets, arc, left_origin))
+            if not len(x):
+                break
         # arclength step at the turning scale |f| / |grad f| (see the docstring)
         hs = np.maximum(0.5 * speed / j_scale, _STEP_FLOOR)
-        p, shift = _lock_to_level(evaluator, x[live], v, speed, levels[origins[live]], hs)
+        p, shift = _lock_to_level(x, vals, speed, psi, level, hs)
         max_shift = max(max_shift, float(shift.max()))
-        x[live] = _unit_rk4_step(evaluator, p, v, (signs[live] * hs)[:, None])
-        arc[live] += hs
+        x = _unit_rk4_step(evaluator, p, vals, speed, (signs * hs)[:, None])
+        arc += hs
         # a unit-speed step moves a trace about hs; one that moved it less than
         # half of that turned back on itself at a zero the search missed
-        stuck = _norm(torus_delta(x[live], p)) < 0.5 * hs
+        stuck = _norm(torus_delta(x, p)) < 0.5 * hs
 
-        # arrival bookkeeping against the origin (column 0) and its level partners
-        targets = partners[origins[live]]
-        d = _norm(torus_delta(x[live][:, None, :], positions[targets]))
-        left_origin[live] |= d[:, 0] > 2.0 * _ARRIVAL_RADIUS
-        nearest = d.argmin(axis=1)
-        arrived = d[np.arange(len(live)), nearest] < _ARRIVAL_RADIUS
-        home = nearest == 0
-        ends = [(arrived & ~home, _HETERO), (arrived & home & left_origin[live], _SELF),
-                (stuck, _STALLED), (arc[live] > _ARCLENGTH_CAP, _CAPPED)]
-        for hit, kind in ends:
-            done = live[hit & active[live]]
-            outcome[done] = kind
-            active[done] = False
+        # arrival against the origin (column 0) and its level partners; an
+        # arrival outranks a stall, and a stall the arclength cap
+        d = _norm(torus_delta(x[:, None, :], targets))
+        left_origin |= d[:, 0] > 2.0 * _ARRIVAL_RADIUS
+        arrived = d.min(axis=1) < _ARRIVAL_RADIUS
+        home = d.argmin(axis=1) == 0
+        connected = arrived & (~home | left_origin)
+        ended = connected | stuck | (arc > _ARCLENGTH_CAP)
+        if ended.any():
+            tally["hetero"] += int(np.count_nonzero(arrived & ~home))
+            tally["self"] += int(np.count_nonzero(connected & home))
+            tally["stalled"] += int(np.count_nonzero(stuck & ~connected))
+            tally["capped"] += int(np.count_nonzero(ended & ~connected & ~stuck))
+            keep = ~ended
+            x, signs, level, targets, arc, left_origin = (
+                a[keep] for a in (x, signs, level, targets, arc, left_origin))
 
-    counts = np.bincount(outcome, minlength=5)
     n_lone = int(lone.sum())
     log.debug(
         "saddle connections: %d lone saddles, %d traced; traces: %d hetero, %d self, "
         "%d stalled, %d capped; level corrections up to %.1e osc(psi) in %d steps",
-        n_lone, len(saddles) - n_lone, counts[_HETERO], counts[_SELF],
-        counts[_STALLED], counts[_CAPPED], max_shift / osc, n_steps,
+        n_lone, len(saddles) - n_lone, tally["hetero"], tally["self"],
+        tally["stalled"], tally["capped"], max_shift / osc, n_steps,
     )
-    return int(counts[_HETERO]), int(counts[_SELF]) + 4 * n_lone
+    return tally["hetero"], tally["self"] + 4 * n_lone
 
 
 def extract_signature(f: SpectralField2D) -> tuple[TopologySignature, list[CriticalPoint]]:

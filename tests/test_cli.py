@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mhdrecon
-from mhdrecon.cli import SCENARIO_COMMANDS, main, parse_field_spec
+from mhdrecon.cli import SCENARIO_COMMANDS, build_parser, main, parse_field_spec
 from mhdrecon.fields import ConfigurationError, TorusGrid
 from mhdrecon.snapshots import read_snapshot
 
@@ -469,6 +469,20 @@ class TestLogLevel:
             main(["--log-level", "loud", *self.TOPOLOGY])
         assert exc.value.code == 2
         assert "invalid choice: 'loud'" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_main_calls_share_no_state(self, tmp_path, capsys):
+        # one parser serves every call; a flag given in one call does not
+        # carry over to the next, which gets the flag's default
+        assert build_parser() is build_parser()
+        for name, flags in (("first", ["--resolution", "16"]), ("second", [])):
+            assert main(["gen-field", "--field", "taylor:1,1", *flags,
+                         "--out", str(tmp_path / name)]) == 0
+        first, second = (read_snapshot(tmp_path / name / "field.snap")
+                         for name in ("first", "second"))
+        assert first.arrays["b1"].shape[0] == 16
+        assert second.arrays["b1"].shape[0] == 128
 
 
 class TestOutDirDefault:

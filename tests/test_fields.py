@@ -183,6 +183,23 @@ class TestEvaluation:
         assert np.abs(ev.values(pts) - ref_vals).max() < tol
         assert np.abs(ev.potential(pts) - ref_psi).max() < tol
 
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("n_points", [1, 7, 80, 1000])
+    def test_values_and_potential_equal_the_separate_calls(self, grid64, dense, n_points):
+        # one phase table serves both products, each taken as values and
+        # potential take it, so the pair is equal to theirs bit for bit
+        if dense:
+            f = random_divergence_free(grid64, 12, seed=5)
+        else:
+            f = make_taylor(TaylorSpec(3, 2), 1.0, grid64) + 1e-3 * make_tilde_t1(grid64)
+        ev = FieldEvaluator(f)
+        assert ev._dense == dense
+        pts = np.random.default_rng(n_points).uniform(0, 2 * np.pi, (n_points, 2))
+        vals, psi = ev.values_and_potential(pts)
+        assert vals.shape == (n_points, 2) and psi.shape == (n_points,)
+        assert np.array_equal(vals, ev.values(pts))
+        assert np.array_equal(psi, ev.potential(pts))
+
 
 def _full_spectrum_sums(coeffs, k, pts):
     """Real parts of sum over the whole (M, M) grid of C[k1, k2] e^{i (k1 x + k2 y)},
