@@ -122,6 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True, help="field spec, e.g. taylor:4,4+tilde-t1:1e-3")
     p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--resolution", type=int, default=128)
+    p.set_defaults(run=cmd_gen_field)
 
     p = sub.add_parser("topology", help="critical points and signature of a field")
     _add_flags(p)
@@ -129,16 +130,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot", help="read the field from a snapshot file instead")
     p.add_argument("--resolution", type=int,
                    help="grid of --field (default: 128); a snapshot carries its own")
+    p.set_defaults(run=cmd_topology)
 
     p = sub.add_parser("simulate", help="plain run with diagnostics output")
     _add_flags(p, "--config", "--emit-plots")
+    p.set_defaults(run=cmd_scenario, scenario="custom")
 
     for name in SCENARIO_COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} scenario")
         _add_flags(p, "--config", "--emit-plots")
+        p.set_defaults(run=cmd_scenario, scenario=name)
 
     p = sub.add_parser("sweep", help="run several configs concurrently")
     _add_flags(p, "--config", "--threads", "--emit-plots")
+    p.set_defaults(run=cmd_sweep)
     return parser
 
 
@@ -232,8 +237,8 @@ def _finish(report: Report, out: Path, emit: bool) -> int:
     return 0 if report.as_expected else 2
 
 
-def cmd_scenario(args, scenario: str) -> int:
-    cfg = _scenario_config(args, scenario)
+def cmd_scenario(args) -> int:
+    cfg = _scenario_config(args, args.scenario)
     out = _out_dir(args, args.command)
     report = run_scenario(cfg, out)
     return _finish(report, out, args.emit_plots)
@@ -381,17 +386,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with _log_to_stderr(args.log_level):
         try:
-            if args.command == "gen-field":
-                return cmd_gen_field(args)
-            if args.command == "topology":
-                return cmd_topology(args)
-            if args.command == "simulate":
-                return cmd_scenario(args, "custom")
-            if args.command == "sweep":
-                return cmd_sweep(args)
-            if args.command in SCENARIO_COMMANDS:
-                return cmd_scenario(args, args.command)
-            raise ConfigurationError(f"unknown command {args.command!r}")
+            return args.run(args)
         except _FAILURES as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -344,16 +344,6 @@ def _run_with_diagnostics(
     return final, diags.records
 
 
-def _companion_run(sim_cfg: SimConfig, initial: MHDState):
-    """The Richardson companion of a run of sim_cfg from initial: (final state, CFL tally).
-
-    The companion is solver.advance of the same config at 2 dt, with no
-    sinks. It logs nothing; its caller logs the tally, or the BlowUpError
-    it raises.
-    """
-    return advance(dataclasses.replace(sim_cfg, dt=2.0 * sim_cfg.dt), initial)
-
-
 def _time_error_estimate(final: MHDState, coarse: MHDState) -> float:
     """Richardson estimate of the relative time-stepping error of final.
 
@@ -399,7 +389,8 @@ def _run_from_rest(cfg: ExperimentConfig, out_dir, label: str, b0,
     """Run from (0, b0) with diagnostics; returns (final, time_error).
 
     time_error is the Richardson estimate of _time_error_estimate, or None,
-    with a warning, when the companion run blows up. The companion steps on
+    with a warning, when the companion run blows up. The companion is
+    solver.advance of the same config at 2 dt, with no sinks. It steps on
     a worker thread while the main run steps on the calling thread; numpy's
     transforms and elementwise kernels release the GIL, so the two use two
     cores, and peak memory holds the work arrays of two solvers. Each run
@@ -415,7 +406,8 @@ def _run_from_rest(cfg: ExperimentConfig, out_dir, label: str, b0,
     _require_resolved(b0)
     sim_cfg, initial = cfg.sim_config(forcing), MHDState(zero_field(cfg.grid()), b0, 0.0)
     with ThreadPoolExecutor(max_workers=1) as worker:
-        companion = worker.submit(_companion_run, sim_cfg, initial)
+        companion = worker.submit(advance, dataclasses.replace(sim_cfg, dt=2.0 * sim_cfg.dt),
+                                  initial)
         final, _ = _run_with_diagnostics(sim_cfg, initial, cfg, out_dir, label, extra_sinks)
     try:
         coarse, tally = companion.result()
@@ -628,23 +620,22 @@ def run_frozen_in(cfg: ExperimentConfig, out_dir=None) -> Report:
     b0 = initial.b
     sim_cfg = cfg.sim_config()
     trajectory: list[MHDState] = []
-    final, _ = _run_with_diagnostics(sim_cfg, initial, cfg, out_dir, "frozen_in",
-                                     [trajectory.append])
+    final, records = _run_with_diagnostics(sim_cfg, initial, cfg, out_dir, "frozen_in",
+                                           [trajectory.append])
 
     side = np.linspace(0.0, 2.0 * np.pi, 9)[:-1] + 0.35
     seeds = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 2)
-    residual = verify_frozen_in(flow_map(trajectory, seeds, cfg.t_end), b0, final.b)
+    residual = verify_frozen_in(flow_map(trajectory, seeds), b0, final.b)
 
     # transport of a traced magnetic line by the flow map: the pushed points
     # must stay on the level of a(T) that line0 has under a0
     line0 = trace_integral_line(b0, [np.pi / 2, np.pi / 2], arclen=2.0 * np.pi)
-    pushed = flow_map(trajectory, line0, cfg.t_end).images
+    pushed = flow_map(trajectory, line0).images
     pushed_len = polyline_arclength(pushed)
     a0_line = b0.evaluator.potential(line0)
-    b_t = final.b.evaluator
-    speed = np.linalg.norm(b_t.values(pushed), axis=-1)
-    line_dist = float(np.max(np.abs(b_t.potential(pushed) - a0_line[0])
-                             / np.maximum(speed, 1e-300)))
+    b_pushed, a_pushed = final.b.evaluator.values_and_potential(pushed)
+    speed = np.linalg.norm(b_pushed, axis=-1)
+    line_dist = float(np.max(np.abs(a_pushed - a0_line[0]) / np.maximum(speed, 1e-300)))
     max_gap = float(torus_distance(pushed[1:], pushed[:-1]).max())
     a_sq0, a_sq1 = (float(np.sum(grid.multiplicity * np.abs(b.psi) ** 2)) for b in (b0, final.b))
     certificate = {
@@ -666,7 +657,7 @@ def run_frozen_in(cfg: ExperimentConfig, out_dir=None) -> Report:
             "pushed_line_distance": line_dist,
             "pushed_line_arclength": pushed_len,
             **certificate,
-            "u_l2_max": max(l2_norm(s.u) for s in trajectory),
+            "u_l2_max": max(rec.sobolev["u"][0] for rec in records),
             "snapshot_interval": cfg.dt * cfg.output_cadence,
             "n_seeds": len(seeds),
             "residual_threshold": 1e-3,

@@ -293,12 +293,11 @@ _SERIES = {
 def _series_near_zero(values: np.ndarray, z: np.ndarray, name: str) -> np.ndarray:
     """values with the Taylor series of _SERIES[name] put in where |z| < 1.
 
-    The series is summed by Horner's rule where 0 < |z| < 1; where z = 0 it is
-    its first coefficient, 1, exactly.
+    The series is summed by Horner's rule; at z = 0 that gives its first
+    coefficient, 1, exactly.
     """
     coeffs = _SERIES[name]
-    values[z == 0.0] = coeffs[0]
-    near = (np.abs(z) < 1.0) & (z != 0.0)
+    near = np.abs(z) < 1.0
     if near.any():
         zs = z[near]
         acc = np.full_like(zs, coeffs[-1])

@@ -444,13 +444,15 @@ def detect_saddle_connections(
     eigendirections (unstable branches forward, stable branches backward).
     A trace is tested for arrival only against its origin and the origin's
     level partners (_level_partners): ending within arrival_radius of a
-    partner counts as heteroclinic, returning to its own saddle after
-    leaving counts as a self connection. Traces that stall at a critical
-    point or hit the arclength cap are non-connecting. A saddle outside the
-    partners cannot end a trace, even if it is the nearest one; that takes
-    two saddles closer than 2 * arrival_radius. A trace that reaches a zero
-    the critical-point search missed turns back on itself there; a step that
-    moves it less than half its length ends it as stalled too.
+    partner counts as heteroclinic, returning to its own saddle after an
+    arclength of 2 * arrival_radius as a self connection (by arclength, since
+    a loop narrower than that never takes its trace that far from the
+    saddle). Traces that stall at a critical point or hit the arclength cap
+    are non-connecting. A saddle outside the partners cannot end a trace,
+    even if it is the nearest one; that takes two saddles closer than
+    2 * arrival_radius. A trace that reaches a zero the critical-point search
+    missed turns back on itself there; a step that moves it less than half
+    its length ends it as stalled too.
 
     All traces advance together by RK4 steps of dx/ds = +-f/|f|, each with
     its own arclength step h = max(0.5 |f| / G, _STEP_FLOOR), where G =
@@ -520,7 +522,6 @@ def detect_saddle_connections(
     level = levels[origins]
     targets = positions[partners[origins]]
     arc = np.zeros(n)
-    left_origin = np.zeros(n, dtype=bool)
     tally = dict.fromkeys(("hetero", "self", "stalled", "capped"), 0)
     j_scale = max(sup_grad, 1e-300)
     n_steps = 0
@@ -534,8 +535,8 @@ def detect_saddle_connections(
         if stalled.any():
             tally["stalled"] += int(np.count_nonzero(stalled))
             keep = ~stalled
-            x, vals, psi, speed, signs, level, targets, arc, left_origin = (
-                a[keep] for a in (x, vals, psi, speed, signs, level, targets, arc, left_origin))
+            x, vals, psi, speed, signs, level, targets, arc = (
+                a[keep] for a in (x, vals, psi, speed, signs, level, targets, arc))
             if not len(x):
                 break
         # arclength step at the turning scale |f| / |grad f| (see the docstring)
@@ -551,10 +552,9 @@ def detect_saddle_connections(
         # arrival against the origin (column 0) and its level partners; an
         # arrival outranks a stall, and a stall the arclength cap
         d = _norm(torus_delta(x[:, None, :], targets))
-        left_origin |= d[:, 0] > 2.0 * _ARRIVAL_RADIUS
         arrived = d.min(axis=1) < _ARRIVAL_RADIUS
         home = d.argmin(axis=1) == 0
-        connected = arrived & (~home | left_origin)
+        connected = arrived & (~home | (arc > 2.0 * _ARRIVAL_RADIUS))
         ended = connected | stuck | (arc > _ARCLENGTH_CAP)
         if ended.any():
             tally["hetero"] += int(np.count_nonzero(arrived & ~home))
@@ -562,8 +562,7 @@ def detect_saddle_connections(
             tally["stalled"] += int(np.count_nonzero(stuck & ~connected))
             tally["capped"] += int(np.count_nonzero(ended & ~connected & ~stuck))
             keep = ~ended
-            x, signs, level, targets, arc, left_origin = (
-                a[keep] for a in (x, signs, level, targets, arc, left_origin))
+            x, signs, level, targets, arc = (a[keep] for a in (x, signs, level, targets, arc))
 
     n_lone = int(lone.sum())
     log.debug(
@@ -644,8 +643,8 @@ def _velocity_at(states: list, times: np.ndarray, t: float) -> FieldEvaluator:
     return FieldEvaluator(SpectralField2D(states[0].u.grid, psi))
 
 
-def flow_map(trajectory: list[MHDState], seeds: np.ndarray, t: float) -> FlowMapSample:
-    """Integrate the fluid flow and its Jacobian from the first snapshot's time to t.
+def flow_map(trajectory: list[MHDState], seeds: np.ndarray) -> FlowMapSample:
+    """Integrate the fluid flow and its Jacobian from the first snapshot to the last.
 
     trajectory is a run's snapshots in time order, at a uniform interval
     (a list filled by passing its append as a sink of simulate); only their
@@ -654,25 +653,18 @@ def flow_map(trajectory: list[MHDState], seeds: np.ndarray, t: float) -> FlowMap
     variational equation d(grad Phi)/dt = grad u(Phi) grad Phi alongside.
     One RK4 step per snapshot interval matches the interpolation order. Each
     step interpolates the velocity at its midpoint and its end, and its end
-    is the next step's start.
+    is the next step's start. A single snapshot gives the identity map.
     """
     if not trajectory:
         raise ValueError("trajectory has no snapshots")
     times = np.array([st.t for st in trajectory])
     t0 = float(times[0])
-    if t < t0 - 1e-12 or t > float(times[-1]) + 1e-9:
-        raise ValueError(f"time {t} is outside the snapshot range")
     seeds = np.atleast_2d(np.asarray(seeds, dtype=np.float64))
     pos = seeds.copy()
     jac = np.broadcast_to(np.eye(2), (len(seeds), 2, 2)).copy()
-
     # one step per snapshot interval
-    if len(times) > 1:
-        h = float(times[1] - times[0])
-    else:
-        h = max(t - t0, 1e-12)
-    n_steps = int(round((t - t0) / h)) if h > 0 else 0
-    h = (t - t0) / n_steps if n_steps else 0.0
+    n_steps = len(trajectory) - 1
+    h = (float(times[-1]) - t0) / n_steps if n_steps else 0.0
 
     def rhs(velocity, p, g):
         v, ju = velocity.values_and_jacobians(wrap(p))

@@ -299,7 +299,7 @@ class TestTimeErrorEstimate:
             final = simulate(sim_cfg, initial)
             ref = simulate(dataclasses.replace(sim_cfg, dt=dt / 8), initial)
             true_error = np.sqrt(energy(MHDState(final.u - ref.u, final.b - ref.b)) / energy(ref))
-            coarse, _ = scenarios._companion_run(sim_cfg, initial)
+            coarse, _ = advance(dataclasses.replace(sim_cfg, dt=2.0 * sim_cfg.dt), initial)
             out[dt] = (scenarios._time_error_estimate(final, coarse), true_error)
         return out
 
@@ -483,7 +483,7 @@ class TestFrozenInMini:
 
     def test_identity_flow_map_drifts(self, monkeypatch):
         # a flow map that moves nothing leaves line0 where a(T) has moved on
-        def identity(trajectory, seeds, t):
+        def identity(trajectory, seeds):
             seeds = np.asarray(seeds, dtype=np.float64)
             return FlowMapSample(seeds, wrap(seeds), np.broadcast_to(np.eye(2), (len(seeds), 2, 2)))
 
@@ -499,8 +499,8 @@ class TestFrozenInMini:
     def test_shuffled_images_trip_the_gap_guard(self, monkeypatch, frozen_in_mini):
         # every pushed point still lies on the level line, but out of order
         # the points no longer form a continuous curve
-        def shuffled(trajectory, seeds, t):
-            sample = flow_map(trajectory, seeds, t)
+        def shuffled(trajectory, seeds):
+            sample = flow_map(trajectory, seeds)
             order = np.random.default_rng(0).permutation(len(seeds))
             return FlowMapSample(sample.seeds, sample.images[order], sample.jacobians[order])
 
@@ -531,7 +531,7 @@ class TestFrozenInDefaultStep:
         cfg = ExperimentConfig.for_scenario("frozen-in")
         initial, sim_cfg = frozen_in_initial(cfg.grid()), cfg.sim_config()
         final = simulate(sim_cfg, initial)
-        coarse, _ = scenarios._companion_run(sim_cfg, initial)
+        coarse, _ = advance(dataclasses.replace(sim_cfg, dt=2.0 * sim_cfg.dt), initial)
         assert scenarios._time_error_estimate(final, coarse) <= 1e-10
 
     def test_no_cfl_warning_at_m256(self, caplog):
